@@ -304,23 +304,18 @@ func constructionSet(b *testing.B) *points.Set {
 	return set
 }
 
-// BenchmarkTreeBuild times the parallel octree constructions (recursive
-// octant partition and Morton sort) at 1, 4, and 8 workers.
+// BenchmarkTreeBuild times the parallel octree construction at 1, 4, and 8
+// workers.
 func BenchmarkTreeBuild(b *testing.B) {
 	set := constructionSet(b)
-	for _, bc := range []struct {
-		name  string
-		build func(*points.Set, tree.Config) (*tree.Tree, error)
-	}{{"recursive", tree.Build}, {"morton", tree.BuildMorton}} {
-		for _, w := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := bc.build(set, tree.Config{LeafCap: 8, Workers: w}); err != nil {
-						b.Fatal(err)
-					}
+	for _, w := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("recursive/workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tree.Build(set, tree.Config{LeafCap: 8, Workers: w}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -319,10 +319,9 @@ func measureBlockSteps(dist string, n, workers, macroSteps, rungs int, dtMin, et
 }
 
 // measureBuild times one construction cell (best of reps by total).
-func measureBuild(set *points.Set, cfg core.Config, morton bool, reps int) (buildResult, error) {
+func measureBuild(set *points.Set, cfg core.Config, reps int) (buildResult, error) {
 	var best buildResult
 	best.TotalMS = math.Inf(1)
-	cfg.MortonTree = morton
 	q := make([]float64, set.N())
 	for i, p := range set.Particles {
 		q[i] = p.Charge
@@ -473,18 +472,16 @@ func main() {
 					fmt.Fprintf(os.Stderr, "bad build worker count %q: %v\n", wStr, err)
 					os.Exit(1)
 				}
-				for _, tr := range []string{"recursive", "morton"} {
-					cfg := core.Config{Method: m, Alpha: *alpha, Degree: *degree, Workers: w}
-					br, err := measureBuild(set, cfg, tr == "morton", *reps)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-					br.Dist, br.N, br.Tree, br.Workers = dist, n, tr, w
-					d.Builds = append(d.Builds, br)
-					fmt.Fprintf(os.Stderr, "%-10s n=%-7d workers=%d %-9s build %.1f ms (tree %.1f, upward %.1f, recharge %.1f)\n",
-						dist, n, w, tr, br.TotalMS, br.TreeMS, br.UpwardMS, br.RechargeMS)
+				cfg := core.Config{Method: m, Alpha: *alpha, Degree: *degree, Workers: w}
+				br, err := measureBuild(set, cfg, *reps)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
 				}
+				br.Dist, br.N, br.Tree, br.Workers = dist, n, "recursive", w
+				d.Builds = append(d.Builds, br)
+				fmt.Fprintf(os.Stderr, "%-10s n=%-7d workers=%d build %.1f ms (tree %.1f, upward %.1f, recharge %.1f)\n",
+					dist, n, w, br.TotalMS, br.TreeMS, br.UpwardMS, br.RechargeMS)
 			}
 		}
 	}

@@ -62,7 +62,7 @@ type Pair struct {
 type BuildResult struct {
 	Dist             string  `json:"dist"`
 	N                int     `json:"n"`
-	Tree             string  `json:"tree"` // recursive or morton
+	Tree             string  `json:"tree"` // construction: "recursive"
 	Workers          int     `json:"workers"`
 	TreeMS           float64 `json:"tree_ms"`
 	DegreesMS        float64 `json:"degrees_ms"`

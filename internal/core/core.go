@@ -121,10 +121,6 @@ type Config struct {
 	// proximity-preserving) targets aggregated per work unit, the paper's
 	// w. Default 64.
 	ChunkSize int
-	// MortonTree selects the Morton-sort tree construction (identical
-	// decomposition, cache-friendlier build for large n) instead of the
-	// recursive octant partition.
-	MortonTree bool
 	// Eval selects the traversal strategy for Potentials and Fields:
 	// EvalWalk (default) runs the per-particle recursive MAC walk,
 	// EvalBatched the leaf-batched dual-tree traversal with work-stealing
@@ -250,15 +246,14 @@ func (k RebuildKind) String() string {
 }
 
 // Evaluator computes potentials/fields for a particle set with a treecode.
+// The source side — tree, degrees, expansions and their Update/SetCharges
+// lifecycle — is the embedded Engine; the Evaluator adds the target side.
 type Evaluator struct {
-	Cfg  Config
-	Tree *tree.Tree
+	Cfg Config
+	Engine
 
-	upDegree map[*tree.Node]int // degree expansions are carried at
-	leaves   []*tree.Node       // tree-ordered leaves: batched mode's task list
-	plans    []leafPlan         // cached interaction plans, index-aligned with leaves (plan.go)
-	maxP     int                // largest carried degree (scratch sizing)
-	buildT   time.Duration
+	leaves []*tree.Node // tree-ordered leaves: batched mode's task list
+	plans  []leafPlan   // cached interaction plans, index-aligned with leaves (plan.go)
 }
 
 // New builds the octree, selects per-node degrees, and runs the upward
@@ -269,272 +264,45 @@ func New(set *points.Set, cfg Config) (*Evaluator, error) {
 		return nil, err
 	}
 	e := &Evaluator{Cfg: cfg}
-	if err := e.construct(set); err != nil {
+	e.owner = e
+	if err := e.Init(set, e.engineConfig); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// construct builds the octree, selects degrees, and runs the upward pass —
-// shared by New and Update's full-rebuild fallback.
-func (e *Evaluator) construct(set *points.Set) error {
-	start := time.Now()
-	bsp := e.Cfg.Obs.Start("core/build")
-	build := tree.Build
-	if e.Cfg.MortonTree {
-		build = tree.BuildMorton
-	}
-	sp := bsp.Child("tree")
-	tr, err := build(set, tree.Config{LeafCap: e.Cfg.LeafCap, Workers: e.Cfg.Workers})
-	sp.End()
-	if err != nil {
-		bsp.End()
-		return err
-	}
-	e.Tree = tr
-	e.upDegree = make(map[*tree.Node]int, tr.NNodes)
-	sp = bsp.Child("degrees")
-	e.selectDegrees()
-	sp.End()
-	bsp.End()
-	e.maxP = 0
-	for _, d := range e.upDegree {
-		if d > e.maxP {
-			e.maxP = d
-		}
-	}
-	e.Upward()
-	e.leaves = tr.Leaves()
-	e.plans = nil // a fresh tree shares no nodes with any cached plan
-	e.buildT = time.Since(start)
-	return nil
+// engineConfig is the source-side view of Cfg, read by the engine on every
+// call.
+func (e *Evaluator) engineConfig() EngineConfig {
+	c := &e.Cfg
+	return EngineConfig{Name: "core", Method: c.Method, Alpha: c.Alpha,
+		Degree: c.Degree, MaxDegree: c.MaxDegree, LeafCap: c.LeafCap,
+		Workers: c.Workers, RefQuantile: c.RefQuantile, Obs: c.Obs}
 }
 
-// Update moves the evaluator to new particle positions (given in the
-// original order used to build it), keeping the engine alive across
-// timesteps. The octree is maintained in place by tree.Update — particles
-// that stayed inside their leaf keep their slot, migrants re-bucket
-// locally, statistics and conservative radii refresh bottom-up — and the
-// upward pass reuses expansion storage exactly like SetCharges, so the
-// steady-state (zero-migrant) path allocates next to nothing. When the
-// drift policy detects too much motion, Update falls back to a full
-// parallel rebuild; the returned RebuildKind reports which path ran.
-//
-// Degrees are re-selected only when the decomposition changed (any
-// migrant): Theorem 3 degrees depend on cluster charges and box sizes, not
-// on where particles sit inside their boxes, so a pure in-box drift keeps
-// the selection. It must not run concurrently with evaluation calls.
-func (e *Evaluator) Update(pos []vec.V3) (RebuildKind, error) {
-	return e.UpdateFor(pos, nil)
+// built resets the leaf list after a construction. rebuild is the
+// drift-policy reason when a refit fell back to it, empty for New. The
+// fresh tree shares no nodes with any cached plan, so a full rebuild drops
+// the whole store and every leaf re-traverses from scratch.
+func (e *Evaluator) built(rebuild string) {
+	if e.plans != nil {
+		e.Cfg.Obs.AddPlanDrop("full rebuild: "+rebuild, int64(len(e.plans)))
+	}
+	e.leaves = e.Tree.Leaves()
+	e.plans = nil
 }
 
-// UpdateFor is Update with a block-timestep active mask: active marks, by
-// original particle index, the particles that may have moved since the
-// previous maintenance pass. tree.Update then restricts its migrant census
-// and (when no migrant is found) its geometry refresh to the marked
-// particles' ancestor chains, zeroing the drift of untouched nodes so plan
-// revalidation does not re-consume drift an earlier refresh recorded.
-// Passing a mask that omits a moved particle is a contract violation. A
-// nil mask is Update.
-func (e *Evaluator) UpdateFor(pos []vec.V3, active []bool) (RebuildKind, error) {
-	t := e.Tree
-	if len(pos) != len(t.Pos) {
-		return RebuildFull, fmt.Errorf("core: %d positions for %d particles", len(pos), len(t.Pos))
+// refitted revalidates the cached interaction plans against a refit's
+// drift before evaluation resumes: when the decomposition changed, the
+// leaf list is refreshed and the store realigned to it; then each node's
+// recorded geometry drift is consumed against the slack every plan entry
+// was cached with.
+func (e *Evaluator) refitted(migrants int) {
+	if migrants > 0 {
+		e.leaves = e.Tree.Leaves()
 	}
-	start := time.Now()
-	sp := e.Cfg.Obs.Start("core/refit")
-	c := sp.Child("tree")
-	st, err := t.Update(pos, tree.UpdateOpts{Workers: e.Cfg.Workers, Active: active})
-	c.End()
-	if err != nil {
-		sp.End()
-		return RebuildFull, err
-	}
-	if st.NeedRebuild {
-		sp.End()
-		e.Cfg.Obs.AddRefit(obs.RefitMetrics{Updates: 1, Rebuilds: 1,
-			Migrants: int64(st.Migrants), RadiusInflationMax: st.MaxInflation})
-		e.Cfg.Obs.AddEvent(obs.EventRebuildFallback, st.RebuildReason(), float64(st.Migrants))
-		if e.plans != nil {
-			// Full invalidation: the rebuilt tree shares no nodes with the
-			// cached plans, so every leaf re-traverses from scratch.
-			e.Cfg.Obs.AddPlanDrop("full rebuild: "+st.RebuildReason(), int64(len(e.plans)))
-		}
-		return RebuildFull, e.construct(e.snapshotSet(pos))
-	}
-	if st.Migrants > 0 {
-		// The decomposition changed: leaves split or merged, cluster
-		// charges moved between boxes. Re-select degrees and rebuild the
-		// carried-degree map and leaf list for the new shape.
-		c = sp.Child("degrees")
-		clear(e.upDegree)
-		e.selectDegrees()
-		e.maxP = 0
-		for _, d := range e.upDegree {
-			if d > e.maxP {
-				e.maxP = d
-			}
-		}
-		e.leaves = t.Leaves()
-		c.End()
-	}
-	// Revalidate cached interaction plans against this refit's drift before
-	// handing back to evaluation: realign the store when the decomposition
-	// changed, then consume each node's recorded geometry drift against the
-	// slack every plan entry was cached with.
-	c = sp.Child("plans")
-	e.revalidatePlans(st.Migrants)
-	c.End()
-	c = sp.Child("upward")
-	e.upward(e.Cfg.Workers)
-	c.End()
-	sp.End()
-	e.buildT = time.Since(start)
-	e.Cfg.Obs.AddRefit(obs.RefitMetrics{Updates: 1, Refits: 1,
-		Migrants: int64(st.Migrants), Splits: int64(st.Splits), Merges: int64(st.Merges),
-		RadiusInflationMax: st.MaxInflation})
-	return RebuildRefit, nil
+	e.revalidatePlans(migrants)
 }
-
-// snapshotSet reassembles a points.Set in original particle order from the
-// new positions and the tree's (permuted) charges, for the full-rebuild
-// fallback.
-func (e *Evaluator) snapshotSet(pos []vec.V3) *points.Set {
-	t := e.Tree
-	ps := make([]points.Particle, len(pos))
-	for i, orig := range t.Perm {
-		ps[orig] = points.Particle{Pos: pos[orig], Charge: t.Q[i]}
-	}
-	return &points.Set{Particles: ps}
-}
-
-// MaxSelectedDegree returns the largest degree selected for any node. It
-// equals the largest carried degree (carrying only propagates selections
-// downward), so callers sizing evaluation scratch — e.g. the softened
-// n-body path — read it instead of re-walking the tree.
-func (e *Evaluator) MaxSelectedDegree() int { return e.maxP }
-
-// selectDegrees assigns every node its evaluation degree (Theorem 3 for the
-// adaptive method) and the degree its expansion must be carried at.
-func (e *Evaluator) selectDegrees() {
-	var sel *bounds.DegreeSelector
-	if e.Cfg.Method == Adaptive {
-		var aRef, sRef float64
-		var ok bool
-		if e.Cfg.RefQuantile > 0 {
-			aRef, sRef, ok = e.Tree.LeafStatsQuantile(e.Cfg.RefQuantile)
-		} else {
-			aRef, sRef, ok = e.Tree.MinLeafStats()
-		}
-		if ok {
-			sel = bounds.NewDegreeSelector(e.Cfg.Alpha, e.Cfg.Degree, e.Cfg.MaxDegree, aRef, sRef)
-		}
-	}
-	e.Tree.Walk(func(n *tree.Node) {
-		if sel != nil {
-			n.Degree = sel.Degree(n.AbsCharge, n.Size())
-		} else {
-			n.Degree = e.Cfg.Degree
-		}
-	})
-	if sel != nil {
-		// Surface silent accuracy loss: selections stopped at the Legendre
-		// stability cap show up in the metrics instead of vanishing.
-		e.Cfg.Obs.AddDegreeClamps(sel.ClampCount())
-	}
-	// Upward-carry degree: expansions must be accurate enough for every
-	// ancestor's M2M, so carry max(own, parent's carry).
-	var down func(n *tree.Node, carry int)
-	down = func(n *tree.Node, carry int) {
-		if n.Degree > carry {
-			carry = n.Degree
-		}
-		e.upDegree[n] = carry
-		for _, c := range n.Children {
-			down(c, carry)
-		}
-	}
-	down(e.Tree.Root, 0)
-}
-
-// Upward runs the upward multipole pass (P2M at leaves, M2M to parents)
-// level-synchronized on the work-stealing pool: all nodes of the deepest
-// level first, so every M2M reads fully-built children. Each worker carries
-// one spherical-harmonics scratch buffer; per-node arithmetic (own range in
-// tree order, children in fixed order) never depends on the schedule, so
-// the expansions are bitwise identical at any worker count. New() calls it
-// once; it is exported so recharge paths and benchmarks can rerun it after
-// charges change.
-func (e *Evaluator) Upward() {
-	sp := e.Cfg.Obs.Start("core/upward")
-	defer sp.End()
-	e.upward(e.Cfg.Workers)
-}
-
-func (e *Evaluator) upward(workers int) {
-	t := e.Tree
-	tree.LevelSyncUp(t, workers,
-		func() []complex128 { return make([]complex128, harmonics.Len(e.maxP)) },
-		func(n *tree.Node, buf []complex128) {
-			p := e.upDegree[n]
-			if n.Mp == nil || n.Mp.Degree != p {
-				n.Mp = multipole.NewExpansion(n.Center, p)
-			} else {
-				// Recharge/refit path: same degree, reuse the coefficient
-				// storage instead of reallocating. Clear keeps the old
-				// center, and a refit may have moved the node's, so
-				// re-anchor explicitly.
-				n.Mp.Clear()
-				n.Mp.Center = n.Center
-			}
-			if n.IsLeaf() {
-				for i := n.Start; i < n.End; i++ {
-					n.Mp.AddParticleAt(t.Pos[i], t.Q[i], buf[:harmonics.Len(p)])
-				}
-				return
-			}
-			for _, c := range n.Children {
-				n.Mp.AccumulateTranslatedBuf(c.Mp, buf[:harmonics.Len(p)])
-			}
-			// The translated radius estimate (child radius + shift) can
-			// overshoot the true cluster radius; the tree's exact value is
-			// available, so keep the tighter of the two.
-			if n.Radius < n.Mp.Radius {
-				n.Mp.Radius = n.Radius
-			}
-		})
-}
-
-// SetCharges replaces the particle charges (given in the original order used
-// to build the evaluator) and reruns the upward pass. The tree geometry and
-// degree selection are kept: degrees are a property of the decomposition
-// chosen at construction, exactly as the paper prescribes for iterative
-// solvers where only the source strengths change per iteration.
-func (e *Evaluator) SetCharges(q []float64) error {
-	t := e.Tree
-	if len(q) != len(t.Q) {
-		return fmt.Errorf("core: %d charges for %d particles", len(q), len(t.Q))
-	}
-	sp := e.Cfg.Obs.Start("core/recharge")
-	defer sp.End()
-	for i, orig := range t.Perm {
-		t.Q[i] = q[orig]
-	}
-	// Refresh node charge statistics bottom-up — leaves rescan their own
-	// range, internal nodes sum children — O(nodes + n) instead of the old
-	// O(n·depth) per-node rescan. Centers are kept: moving expansion
-	// centers would change the decomposition the degrees were chosen for.
-	c := sp.Child("stats")
-	t.RefreshChargeStats(e.Cfg.Workers)
-	c.End()
-	c = sp.Child("upward")
-	e.upward(e.Cfg.Workers)
-	c.End()
-	return nil
-}
-
-// BuildTime returns the construction (tree + upward pass) time.
-func (e *Evaluator) BuildTime() time.Duration { return e.buildT }
 
 // Potentials returns the potential at every particle (self-interaction
 // excluded), in the original particle order, along with evaluation stats.
@@ -674,18 +442,12 @@ func (e *Evaluator) FieldsFor(active []bool) ([]float64, []vec.V3, *Stats) {
 
 func (e *Evaluator) newStats() *Stats {
 	s := &Stats{
-		TreeHeight: e.Tree.Height,
-		TreeNodes:  e.Tree.NNodes,
-		TreeLeaves: e.Tree.NLeaves,
-		BuildTime:  e.buildT,
+		TreeHeight:  e.Tree.Height,
+		TreeNodes:   e.Tree.NNodes,
+		TreeLeaves:  e.Tree.NLeaves,
+		BuildTime:   e.buildT,
+		UpwardTerms: e.UpwardTerms(),
 	}
-	e.Tree.Walk(func(n *tree.Node) {
-		if n.IsLeaf() {
-			s.UpwardTerms += int64(n.Count()) * multipole.Terms(e.upDegree[n])
-		} else {
-			s.UpwardTerms += multipole.Terms(e.upDegree[n])
-		}
-	})
 	return s
 }
 

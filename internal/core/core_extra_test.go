@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -233,26 +234,12 @@ func TestChunkSizeInvariance(t *testing.T) {
 	}
 }
 
-func TestMortonTreeOption(t *testing.T) {
-	set, _ := points.Generate(points.Uniform, 2000, 30)
-	a, err := New(set, Config{Degree: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(set, Config{Degree: 4, MortonTree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, sa := a.Potentials()
-	pb, sb := b.Potentials()
-	// Identical decomposition => identical interaction counts; potentials
-	// agree to rounding (summation order inside leaves may differ).
-	if sa.PC != sb.PC || sa.PP != sb.PP {
-		t.Fatalf("Morton tree changed interactions: %d/%d vs %d/%d", sa.PC, sa.PP, sb.PC, sb.PP)
-	}
-	for i := range pa {
-		if math.Abs(pa[i]-pb[i]) > 1e-9*(1+math.Abs(pa[i])) {
-			t.Fatalf("Morton tree changed potential %d: %v vs %v", i, pa[i], pb[i])
-		}
+// TestNewRejectsNonFinite: one NaN coordinate among 200 points used to
+// build silently and return NaN for every target; New now fails instead.
+func TestNewRejectsNonFinite(t *testing.T) {
+	set, _ := points.Generate(points.Uniform, 200, 5)
+	set.Particles[17].Pos.X = math.NaN()
+	if _, err := New(set, Config{}); !errors.Is(err, points.ErrNonFinite) {
+		t.Fatalf("New returned %v, want ErrNonFinite", err)
 	}
 }

@@ -1,0 +1,338 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"treecode/internal/bounds"
+	"treecode/internal/harmonics"
+	"treecode/internal/multipole"
+	"treecode/internal/obs"
+	"treecode/internal/points"
+	"treecode/internal/tree"
+	"treecode/internal/vec"
+)
+
+// EngineConfig is the source-side share of an evaluator's configuration:
+// everything the octree, the Theorem 3 degrees and the upward pass depend
+// on. Evaluators hand the engine a function that derives it from their own
+// Config, and the engine calls it on every operation, so settings changed
+// on a live evaluator (Workers, Obs) apply from the next call on.
+type EngineConfig struct {
+	// Name prefixes the engine's obs spans ("core/build", "fmm/refit") and
+	// its error messages.
+	Name        string
+	Method      Method
+	Alpha       float64
+	Degree      int
+	MaxDegree   int
+	LeafCap     int
+	Workers     int
+	RefQuantile float64
+	Obs         *obs.Collector
+}
+
+// start opens the top-level span Name/phase; nil (and no allocation) when
+// obs is off.
+func (c *EngineConfig) start(phase string) *obs.Span {
+	if c.Obs == nil {
+		return nil
+	}
+	return c.Obs.Start(c.Name + "/" + phase)
+}
+
+// Engine is the source side shared by the treecode and the FMM: the
+// octree, the per-node Theorem 3 degrees, and the multipole expansions
+// carried upward at the largest degree any ancestor needs. It owns the
+// whole source lifecycle — construction, refit with full-rebuild fallback,
+// recharge — and both evaluators embed it; only their target sides differ.
+type Engine struct {
+	Tree *tree.Tree
+
+	upDegree map[*tree.Node]int // degree expansions are carried at
+	maxP     int                // largest carried degree (scratch sizing)
+	buildT   time.Duration
+
+	cfg func() EngineConfig // the owning evaluator's settings, read per call
+
+	// owner is the treecode that embeds this engine, whose leaf list and
+	// cached interaction plans follow every construction and refit (the
+	// evaluator-specific share of the lifecycle). Nil for the FMM, which
+	// re-traverses on every evaluation.
+	owner *Evaluator
+}
+
+// Init builds the octree over set, selects degrees and runs the upward
+// pass. cfg supplies the owning evaluator's settings on every later call.
+func (g *Engine) Init(set *points.Set, cfg func() EngineConfig) error {
+	g.cfg = cfg
+	return g.build(set, "")
+}
+
+// build constructs the source side from scratch — shared by Init and the
+// refit's full-rebuild fallback.
+func (g *Engine) build(set *points.Set, rebuild string) error {
+	c := g.cfg()
+	start := time.Now()
+	bsp := c.start("build")
+	sp := bsp.Child("tree")
+	tr, err := tree.Build(set, tree.Config{LeafCap: c.LeafCap, Workers: c.Workers})
+	sp.End()
+	if err != nil {
+		bsp.End()
+		return err
+	}
+	g.Tree = tr
+	g.upDegree = make(map[*tree.Node]int, tr.NNodes)
+	sp = bsp.Child("degrees")
+	g.selectDegrees(&c)
+	sp.End()
+	bsp.End()
+	g.Upward()
+	if g.owner != nil {
+		g.owner.built(rebuild)
+	}
+	g.buildT = time.Since(start)
+	return nil
+}
+
+// Update moves the engine to new particle positions (given in the
+// original order used to build it), keeping it alive across timesteps.
+// The octree is maintained in place by tree.Update — particles that stayed
+// inside their leaf keep their slot, migrants re-bucket locally,
+// statistics and conservative radii refresh bottom-up — and the upward
+// pass reuses expansion storage exactly like SetCharges, so the
+// steady-state (zero-migrant) path allocates next to nothing. When the
+// drift policy detects too much motion, Update falls back to a full
+// parallel rebuild; the returned RebuildKind reports which path ran.
+//
+// Conservative radii only make both the treecode's acceptance test and
+// the FMM's separation test stricter, so refitted interactions stay within
+// the fresh-build error bound. Degrees are re-selected only when the
+// decomposition changed (any migrant): Theorem 3 degrees depend on cluster
+// charges and box sizes, not on where particles sit inside their boxes.
+// It must not run concurrently with evaluation calls.
+func (g *Engine) Update(pos []vec.V3) (RebuildKind, error) {
+	return g.UpdateFor(pos, nil)
+}
+
+// UpdateFor is Update with a block-timestep active mask: active marks, by
+// original particle index, the particles that may have moved since the
+// previous maintenance pass. tree.Update then restricts its migrant census
+// and (when no migrant is found) its geometry refresh to the marked
+// particles' ancestor chains, zeroing the drift of untouched nodes so plan
+// revalidation does not re-consume drift an earlier refresh recorded.
+// Passing a mask that omits a moved particle is a contract violation. A
+// nil mask is Update.
+func (g *Engine) UpdateFor(pos []vec.V3, active []bool) (RebuildKind, error) {
+	c := g.cfg()
+	t := g.Tree
+	if len(pos) != len(t.Pos) {
+		return RebuildFull, fmt.Errorf("%s: %d positions for %d particles", c.Name, len(pos), len(t.Pos))
+	}
+	start := time.Now()
+	sp := c.start("refit")
+	ch := sp.Child("tree")
+	st, err := t.Update(pos, tree.UpdateOpts{Workers: c.Workers, Active: active})
+	ch.End()
+	if err != nil {
+		sp.End()
+		return RebuildFull, err
+	}
+	if st.NeedRebuild {
+		sp.End()
+		c.Obs.AddRefit(obs.RefitMetrics{Updates: 1, Rebuilds: 1,
+			Migrants: int64(st.Migrants), RadiusInflationMax: st.MaxInflation})
+		c.Obs.AddEvent(obs.EventRebuildFallback, st.RebuildReason(), float64(st.Migrants))
+		return RebuildFull, g.build(g.snapshotSet(pos), st.RebuildReason())
+	}
+	if st.Migrants > 0 {
+		// The decomposition changed: leaves split or merged, cluster
+		// charges moved between boxes. Re-select degrees and rebuild the
+		// carried-degree map for the new shape.
+		ch = sp.Child("degrees")
+		clear(g.upDegree)
+		g.selectDegrees(&c)
+		ch.End()
+	}
+	if g.owner != nil {
+		// Inside the refit span, after the tree update and any degree
+		// re-selection: plans revalidate against this refit's drift.
+		ch = sp.Child("plans")
+		g.owner.refitted(st.Migrants)
+		ch.End()
+	}
+	ch = sp.Child("upward")
+	g.upward(&c)
+	ch.End()
+	sp.End()
+	g.buildT = time.Since(start)
+	c.Obs.AddRefit(obs.RefitMetrics{Updates: 1, Refits: 1,
+		Migrants: int64(st.Migrants), Splits: int64(st.Splits), Merges: int64(st.Merges),
+		RadiusInflationMax: st.MaxInflation})
+	return RebuildRefit, nil
+}
+
+// snapshotSet reassembles a points.Set in original particle order from the
+// new positions and the tree's (permuted) charges, for the full-rebuild
+// fallback.
+func (g *Engine) snapshotSet(pos []vec.V3) *points.Set {
+	t := g.Tree
+	ps := make([]points.Particle, len(pos))
+	for i, orig := range t.Perm {
+		ps[orig] = points.Particle{Pos: pos[orig], Charge: t.Q[i]}
+	}
+	return &points.Set{Particles: ps}
+}
+
+// MaxSelectedDegree returns the largest degree selected for any node. It
+// equals the largest carried degree (carrying only propagates selections
+// downward), so callers sizing evaluation scratch — e.g. the softened
+// n-body path — read it instead of re-walking the tree.
+func (g *Engine) MaxSelectedDegree() int { return g.maxP }
+
+// BuildTime returns the duration of the last construction or refit (tree
+// plus upward pass).
+func (g *Engine) BuildTime() time.Duration { return g.buildT }
+
+// selectDegrees assigns every node its evaluation degree (Theorem 3 for the
+// adaptive method) and the degree its expansion must be carried at.
+func (g *Engine) selectDegrees(c *EngineConfig) {
+	var sel *bounds.DegreeSelector
+	if c.Method == Adaptive {
+		var aRef, sRef float64
+		var ok bool
+		if c.RefQuantile > 0 {
+			aRef, sRef, ok = g.Tree.LeafStatsQuantile(c.RefQuantile)
+		} else {
+			aRef, sRef, ok = g.Tree.MinLeafStats()
+		}
+		if ok {
+			sel = bounds.NewDegreeSelector(c.Alpha, c.Degree, c.MaxDegree, aRef, sRef)
+		}
+	}
+	g.Tree.Walk(func(n *tree.Node) {
+		if sel != nil {
+			n.Degree = sel.Degree(n.AbsCharge, n.Size())
+		} else {
+			n.Degree = c.Degree
+		}
+	})
+	if sel != nil {
+		// Surface silent accuracy loss: selections stopped at the Legendre
+		// stability cap show up in the metrics instead of vanishing.
+		c.Obs.AddDegreeClamps(sel.ClampCount())
+	}
+	// Upward-carry degree: expansions must be accurate enough for every
+	// ancestor's M2M, so carry max(own, parent's carry).
+	var down func(n *tree.Node, carry int)
+	down = func(n *tree.Node, carry int) {
+		if n.Degree > carry {
+			carry = n.Degree
+		}
+		g.upDegree[n] = carry
+		for _, ch := range n.Children {
+			down(ch, carry)
+		}
+	}
+	down(g.Tree.Root, 0)
+	g.maxP = 0
+	for _, d := range g.upDegree {
+		if d > g.maxP {
+			g.maxP = d
+		}
+	}
+}
+
+// Upward runs the upward multipole pass (P2M at leaves, M2M to parents)
+// level-synchronized on the work-stealing pool: all nodes of the deepest
+// level first, so every M2M reads fully-built children. Each worker carries
+// one spherical-harmonics scratch buffer; per-node arithmetic (own range in
+// tree order, children in fixed order) never depends on the schedule, so
+// the expansions are bitwise identical at any worker count. Construction
+// calls it once; it is exported so benchmarks can rerun it.
+func (g *Engine) Upward() {
+	c := g.cfg()
+	sp := c.start("upward")
+	defer sp.End()
+	g.upward(&c)
+}
+
+func (g *Engine) upward(c *EngineConfig) {
+	t := g.Tree
+	tree.LevelSyncUp(t, c.Workers,
+		func() []complex128 { return make([]complex128, harmonics.Len(g.maxP)) },
+		func(n *tree.Node, buf []complex128) {
+			p := g.upDegree[n]
+			if n.Mp == nil || n.Mp.Degree != p {
+				n.Mp = multipole.NewExpansion(n.Center, p)
+			} else {
+				// Recharge/refit path: same degree, reuse the coefficient
+				// storage instead of reallocating. Clear keeps the old
+				// center, and a refit may have moved the node's, so
+				// re-anchor explicitly.
+				n.Mp.Clear()
+				n.Mp.Center = n.Center
+			}
+			if n.IsLeaf() {
+				for i := n.Start; i < n.End; i++ {
+					n.Mp.AddParticleAt(t.Pos[i], t.Q[i], buf[:harmonics.Len(p)])
+				}
+				return
+			}
+			for _, ch := range n.Children {
+				n.Mp.AccumulateTranslatedBuf(ch.Mp, buf[:harmonics.Len(p)])
+			}
+			// The translated radius estimate (child radius + shift) can
+			// overshoot the true cluster radius; the tree's exact value is
+			// available, so keep the tighter of the two.
+			if n.Radius < n.Mp.Radius {
+				n.Mp.Radius = n.Radius
+			}
+		})
+}
+
+// SetCharges replaces the particle charges (given in the original order
+// used to build the engine) and reruns the upward pass. Node charge
+// statistics refresh bottom-up — leaves rescan their own range, internal
+// nodes sum children, O(nodes + n) — and expansion storage is reused. The
+// tree geometry and degree selection are kept: degrees are a property of
+// the decomposition chosen at construction, exactly as the paper
+// prescribes for iterative solvers where only the source strengths change
+// per iteration. Centers are kept too: moving them would change the
+// decomposition the degrees were chosen for. It must not run concurrently
+// with evaluation calls.
+func (g *Engine) SetCharges(q []float64) error {
+	c := g.cfg()
+	t := g.Tree
+	if len(q) != len(t.Q) {
+		return fmt.Errorf("%s: %d charges for %d particles", c.Name, len(q), len(t.Q))
+	}
+	sp := c.start("recharge")
+	defer sp.End()
+	for i, orig := range t.Perm {
+		t.Q[i] = q[orig]
+	}
+	ch := sp.Child("stats")
+	t.RefreshChargeStats(c.Workers)
+	ch.End()
+	ch = sp.Child("upward")
+	g.upward(&c)
+	ch.End()
+	return nil
+}
+
+// UpwardTerms returns the multipole terms the upward pass computes: each
+// leaf's particles times its carried degree's terms (P2M), plus one
+// carried expansion per internal node (M2M).
+func (g *Engine) UpwardTerms() int64 {
+	var terms int64
+	g.Tree.Walk(func(n *tree.Node) {
+		if n.IsLeaf() {
+			terms += int64(n.Count()) * multipole.Terms(g.upDegree[n])
+		} else {
+			terms += multipole.Terms(g.upDegree[n])
+		}
+	})
+	return terms
+}

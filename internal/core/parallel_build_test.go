@@ -11,34 +11,32 @@ import (
 // claim of the parallel construction pipeline: with the tree build, degree
 // selection, and upward pass all keyed off Config.Workers, the computed
 // potentials must be bitwise identical at every worker count, for both
-// evaluation modes and both tree constructions.
+// evaluation modes.
 func TestPotentialsInvariantAcrossBuildWorkers(t *testing.T) {
 	set, err := points.GenerateCharged(points.Gaussian, 4000, 13, 4000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, morton := range []bool{false, true} {
-		for _, mode := range []EvalMode{EvalWalk, EvalBatched} {
-			var ref []float64
-			for _, w := range []int{1, 3, 8} {
-				e, err := New(set, Config{
-					Method: Adaptive, Alpha: 0.6, Degree: 3,
-					Workers: w, Eval: mode, MortonTree: morton,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Evaluate serially so only the construction varies.
-				phi, _ := e.PotentialsWithWorkers(1)
-				if ref == nil {
-					ref = phi
-					continue
-				}
-				for i := range phi {
-					if phi[i] != ref[i] { //lint:ignore floatcmp bitwise identity across worker counts is the property under test
-						t.Fatalf("morton=%v mode=%v workers=%d: phi[%d]=%v != %v",
-							morton, mode, w, i, phi[i], ref[i])
-					}
+	for _, mode := range []EvalMode{EvalWalk, EvalBatched} {
+		var ref []float64
+		for _, w := range []int{1, 3, 8} {
+			e, err := New(set, Config{
+				Method: Adaptive, Alpha: 0.6, Degree: 3,
+				Workers: w, Eval: mode,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Evaluate serially so only the construction varies.
+			phi, _ := e.PotentialsWithWorkers(1)
+			if ref == nil {
+				ref = phi
+				continue
+			}
+			for i := range phi {
+				if phi[i] != ref[i] { //lint:ignore floatcmp bitwise identity across worker counts is the property under test
+					t.Fatalf("mode=%v workers=%d: phi[%d]=%v != %v",
+						mode, w, i, phi[i], ref[i])
 				}
 			}
 		}

@@ -29,14 +29,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"treecode/internal/bounds"
 	"treecode/internal/core"
-	"treecode/internal/harmonics"
 	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
 	"treecode/internal/tree"
-	"treecode/internal/vec"
 )
 
 // Config controls the FMM evaluator.
@@ -111,16 +108,23 @@ type Stats struct {
 	TreeNodes  int
 }
 
-// Evaluator is a constructed FMM ready to evaluate potentials. After New
-// returns, the evaluator is immutable, so concurrent Potentials calls are
-// safe: all per-evaluation state lives in a sweep.
+// Evaluator is a constructed FMM ready to evaluate potentials. Its source
+// side — tree, degrees, expansions, and the Update/SetCharges lifecycle —
+// is the treecode's core.Engine; the FMM adds only the target side, the
+// dual-tree traversal and its local expansions. Between Update or
+// SetCharges calls the evaluator is immutable, so concurrent Potentials
+// calls are safe: all per-evaluation state lives in a sweep.
+//
+// Unlike the treecode's batched evaluator, the FMM re-derives its M2L/P2P
+// pair lists by a fresh dual-tree traversal on every evaluation: the
+// separation test rA + rB <= alpha*d has the same signed-margin structure
+// the plan cache revalidates in core (internal/core/plan.go), so the same
+// slack bookkeeping would carry the pair lists across refits, but the FMM
+// traversal is a far smaller share of its evaluation time (M2L dominates),
+// so the cache has not been mirrored here.
 type Evaluator struct {
-	Cfg  Config
-	Tree *tree.Tree
-
-	upDegree map[*tree.Node]int
-	maxP     int // largest carried degree (upward scratch sizing)
-	buildT   time.Duration
+	Cfg Config
+	core.Engine
 }
 
 // sweep is the mutable state of one Potentials call (task lists from the
@@ -140,210 +144,20 @@ func New(set *points.Set, cfg Config) (*Evaluator, error) {
 		return nil, err
 	}
 	e := &Evaluator{Cfg: cfg}
-	if err := e.construct(set); err != nil {
+	if err := e.Init(set, e.engineConfig); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// construct builds the octree, selects degrees, and runs the upward pass —
-// shared by New and Update's full-rebuild fallback.
-func (e *Evaluator) construct(set *points.Set) error {
-	start := time.Now()
-	bsp := e.Cfg.Obs.Start("fmm/build")
-	sp := bsp.Child("tree")
-	tr, err := tree.Build(set, tree.Config{LeafCap: e.Cfg.LeafCap, Workers: e.Cfg.Workers})
-	sp.End()
-	if err != nil {
-		bsp.End()
-		return err
-	}
-	e.Tree = tr
-	e.upDegree = make(map[*tree.Node]int, tr.NNodes)
-	sp = bsp.Child("degrees")
-	e.selectDegrees()
-	sp.End()
-	bsp.End()
-	e.maxP = 0
-	for _, d := range e.upDegree {
-		if d > e.maxP {
-			e.maxP = d
-		}
-	}
-	usp := e.Cfg.Obs.Start("fmm/upward")
-	e.upward()
-	usp.End()
-	e.buildT = time.Since(start)
-	return nil
-}
-
-// Update moves the evaluator to new particle positions (given in the
-// original order used to build it) — the FMM mirror of the treecode's
-// persistent-engine path. The octree is maintained in place by
-// tree.Update with conservative radii (the separation criterion
-// rA + rB <= alpha*d only sees larger radii, so well-separated pairs stay
-// within the fresh-build error bound) and the upward pass reuses expansion
-// storage; the drift policy falls back to a full parallel rebuild. It must
-// not run concurrently with Potentials.
-//
-// Unlike the treecode's batched evaluator, the FMM re-derives its M2L/P2P
-// pair lists by a fresh dual-tree traversal on every evaluation: the
-// separation test rA + rB <= alpha*d has the same signed-margin structure
-// the plan cache revalidates in core (internal/core/plan.go), so the same
-// slack bookkeeping would carry the pair lists across refits, but the FMM
-// traversal is a far smaller share of its evaluation time (M2L dominates),
-// so the cache has not been mirrored here.
-func (e *Evaluator) Update(pos []vec.V3) (core.RebuildKind, error) {
-	return e.UpdateFor(pos, nil)
-}
-
-// UpdateFor is Update with a block-timestep active mask (original particle
-// indices): tree.Update restricts its migrant census and, in the
-// zero-migrant case, its geometry refresh to the marked particles'
-// ancestor chains. Inactive particles' positions must be unchanged since
-// the previous pass. A nil mask is Update.
-func (e *Evaluator) UpdateFor(pos []vec.V3, active []bool) (core.RebuildKind, error) {
-	t := e.Tree
-	if len(pos) != len(t.Pos) {
-		return core.RebuildFull, fmt.Errorf("fmm: %d positions for %d particles", len(pos), len(t.Pos))
-	}
-	start := time.Now()
-	sp := e.Cfg.Obs.Start("fmm/refit")
-	c := sp.Child("tree")
-	st, err := t.Update(pos, tree.UpdateOpts{Workers: e.Cfg.Workers, Active: active})
-	c.End()
-	if err != nil {
-		sp.End()
-		return core.RebuildFull, err
-	}
-	if st.NeedRebuild {
-		sp.End()
-		e.Cfg.Obs.AddRefit(obs.RefitMetrics{Updates: 1, Rebuilds: 1,
-			Migrants: int64(st.Migrants), RadiusInflationMax: st.MaxInflation})
-		e.Cfg.Obs.AddEvent(obs.EventRebuildFallback, st.RebuildReason(), float64(st.Migrants))
-		return core.RebuildFull, e.construct(e.snapshotSet(pos))
-	}
-	if st.Migrants > 0 {
-		c = sp.Child("degrees")
-		clear(e.upDegree)
-		e.selectDegrees()
-		e.maxP = 0
-		for _, d := range e.upDegree {
-			if d > e.maxP {
-				e.maxP = d
-			}
-		}
-		c.End()
-	}
-	c = sp.Child("upward")
-	e.upward()
-	c.End()
-	sp.End()
-	e.buildT = time.Since(start)
-	e.Cfg.Obs.AddRefit(obs.RefitMetrics{Updates: 1, Refits: 1,
-		Migrants: int64(st.Migrants), Splits: int64(st.Splits), Merges: int64(st.Merges),
-		RadiusInflationMax: st.MaxInflation})
-	return core.RebuildRefit, nil
-}
-
-// snapshotSet reassembles a points.Set in original particle order from the
-// new positions and the tree's (permuted) charges, for the full-rebuild
-// fallback.
-func (e *Evaluator) snapshotSet(pos []vec.V3) *points.Set {
-	t := e.Tree
-	ps := make([]points.Particle, len(pos))
-	for i, orig := range t.Perm {
-		ps[orig] = points.Particle{Pos: pos[orig], Charge: t.Q[i]}
-	}
-	return &points.Set{Particles: ps}
-}
-
-func (e *Evaluator) selectDegrees() {
-	var sel *bounds.DegreeSelector
-	if e.Cfg.Method == core.Adaptive {
-		if aRef, sRef, ok := e.Tree.MinLeafStats(); ok {
-			sel = bounds.NewDegreeSelector(e.Cfg.Alpha, e.Cfg.Degree, e.Cfg.MaxDegree, aRef, sRef)
-		}
-	}
-	e.Tree.Walk(func(n *tree.Node) {
-		if sel != nil {
-			n.Degree = sel.Degree(n.AbsCharge, n.Size())
-		} else {
-			n.Degree = e.Cfg.Degree
-		}
-	})
-	if sel != nil {
-		e.Cfg.Obs.AddDegreeClamps(sel.ClampCount())
-	}
-	var down func(n *tree.Node, carry int)
-	down = func(n *tree.Node, carry int) {
-		if n.Degree > carry {
-			carry = n.Degree
-		}
-		e.upDegree[n] = carry
-		for _, c := range n.Children {
-			down(c, carry)
-		}
-	}
-	down(e.Tree.Root, 0)
-}
-
-// upward runs the P2M/M2M pass level-synchronized on the work-stealing
-// pool, with one spherical-harmonics scratch buffer per worker. Per-node
-// arithmetic has a fixed operand order, so the expansions are bitwise
-// identical at any worker count.
-func (e *Evaluator) upward() {
-	t := e.Tree
-	tree.LevelSyncUp(t, e.Cfg.Workers,
-		func() []complex128 { return make([]complex128, harmonics.Len(e.maxP)) },
-		func(n *tree.Node, buf []complex128) {
-			p := e.upDegree[n]
-			if n.Mp == nil || n.Mp.Degree != p {
-				n.Mp = multipole.NewExpansion(n.Center, p)
-			} else {
-				// Clear keeps the old center and a refit may have moved
-				// the node's, so re-anchor explicitly.
-				n.Mp.Clear()
-				n.Mp.Center = n.Center
-			}
-			if n.IsLeaf() {
-				for i := n.Start; i < n.End; i++ {
-					n.Mp.AddParticleAt(t.Pos[i], t.Q[i], buf[:harmonics.Len(p)])
-				}
-				return
-			}
-			for _, c := range n.Children {
-				n.Mp.AccumulateTranslatedBuf(c.Mp, buf[:harmonics.Len(p)])
-			}
-			if n.Radius < n.Mp.Radius {
-				n.Mp.Radius = n.Radius
-			}
-		})
-}
-
-// SetCharges replaces the particle charges (given in the original order
-// used to build the evaluator) and reruns the upward pass — node charge
-// statistics refresh bottom-up from children and expansion storage is
-// reused, so the per-call cost is O(nodes + n) plus the upward pass. The
-// tree geometry and degree selection are kept, as for the treecode's
-// recharge path. It must not run concurrently with Potentials.
-func (e *Evaluator) SetCharges(q []float64) error {
-	t := e.Tree
-	if len(q) != len(t.Q) {
-		return fmt.Errorf("fmm: %d charges for %d particles", len(q), len(t.Q))
-	}
-	sp := e.Cfg.Obs.Start("fmm/recharge")
-	defer sp.End()
-	for i, orig := range t.Perm {
-		t.Q[i] = q[orig]
-	}
-	c := sp.Child("stats")
-	t.RefreshChargeStats(e.Cfg.Workers)
-	c.End()
-	c = sp.Child("upward")
-	e.upward()
-	c.End()
-	return nil
+// engineConfig is the source-side view of Cfg, read by the engine on every
+// call. The Theorem 3 reference is the smallest-charge deepest leaf
+// (reference quantile 0), the theorem's own choice.
+func (e *Evaluator) engineConfig() core.EngineConfig {
+	c := &e.Cfg
+	return core.EngineConfig{Name: "fmm", Method: c.Method, Alpha: c.Alpha,
+		Degree: c.Degree, MaxDegree: c.MaxDegree, LeafCap: c.LeafCap,
+		Workers: c.Workers, Obs: c.Obs}
 }
 
 // Potentials evaluates the potential at every particle (self-excluded), in
@@ -352,14 +166,7 @@ func (e *Evaluator) Potentials() ([]float64, *Stats) {
 	t := e.Tree
 	n := len(t.Pos)
 	out := make([]float64, n) // tree order during the sweep
-	st := &Stats{TreeHeight: t.Height, TreeNodes: t.NNodes, BuildTime: e.buildT}
-	t.Walk(func(nd *tree.Node) {
-		if nd.IsLeaf() {
-			st.UpTerms += int64(nd.Count()) * multipole.Terms(e.upDegree[nd])
-		} else {
-			st.UpTerms += multipole.Terms(e.upDegree[nd])
-		}
-	})
+	st := &Stats{TreeHeight: t.Height, TreeNodes: t.NNodes, BuildTime: e.BuildTime(), UpTerms: e.UpwardTerms()}
 	start := time.Now()
 
 	// Phase 1 (serial, cheap): dual-tree traversal collecting the M2L and
@@ -377,13 +184,13 @@ func (e *Evaluator) Potentials() ([]float64, *Stats) {
 	s.traverse(t.Root, t.Root, st)
 	sp.End()
 	sp = esp.Child("m2l")
-	s.runM2L(st)
+	s.runM2L()
 	sp.End()
 	sp = esp.Child("p2p")
-	s.runP2P(out, st)
+	s.runP2P(out)
 	sp.End()
 	sp = esp.Child("downward")
-	s.downward(t.Root, nil, out, st)
+	s.downward(t.Root, nil, out)
 	sp.End()
 	esp.End()
 
@@ -432,7 +239,7 @@ func (s *sweep) traverse(a, b *tree.Node, st *Stats) {
 // runM2L executes all multipole-to-local conversions, one goroutine per
 // chunk of target nodes (each target's local is touched by exactly one
 // task list, so no synchronization on the expansions is needed).
-func (s *sweep) runM2L(st *Stats) {
+func (s *sweep) runM2L() {
 	e := s.e
 	targets := make([]*tree.Node, 0, len(s.m2lTasks))
 	// Deterministic order: tree order by Start index, ties by level.
@@ -452,12 +259,11 @@ func (s *sweep) runM2L(st *Stats) {
 		s.locals[a] = la
 		mu.Unlock()
 	})
-	_ = st
 }
 
 // runP2P executes all near-field direct sums, one target leaf at a time
 // (out slots of distinct leaves are disjoint).
-func (s *sweep) runP2P(out []float64, st *Stats) {
+func (s *sweep) runP2P(out []float64) {
 	e := s.e
 	t := e.Tree
 	leaves := make([]*tree.Node, 0, len(s.p2pTasks))
@@ -486,7 +292,6 @@ func (s *sweep) runP2P(out []float64, st *Stats) {
 			out[i] += phi
 		}
 	})
-	_ = st
 }
 
 // parallelOver runs f(i) for i in [0,n) on the configured worker count.
@@ -524,7 +329,7 @@ func (e *Evaluator) parallelOver(n int, f func(int)) {
 
 // downward pushes local expansions to children and evaluates them at leaf
 // particles.
-func (s *sweep) downward(n *tree.Node, inherited *multipole.Local, out []float64, st *Stats) {
+func (s *sweep) downward(n *tree.Node, inherited *multipole.Local, out []float64) {
 	l := s.locals[n]
 	if inherited != nil {
 		shifted := inherited.Translate(n.Center, n.Degree)
@@ -544,7 +349,7 @@ func (s *sweep) downward(n *tree.Node, inherited *multipole.Local, out []float64
 		return
 	}
 	for _, c := range n.Children {
-		s.downward(c, l, out, st)
+		s.downward(c, l, out)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fmm
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -168,6 +169,16 @@ func TestFMMRepeatedEvaluation(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("repeated evaluation differs")
 		}
+	}
+}
+
+// TestNewRejectsNonFinite: a non-finite charge fails construction rather
+// than poisoning every expansion above its leaf.
+func TestNewRejectsNonFinite(t *testing.T) {
+	set, _ := points.Generate(points.Uniform, 200, 5)
+	set.Particles[17].Charge = math.Inf(1)
+	if _, err := New(set, Config{}); !errors.Is(err, points.ErrNonFinite) {
+		t.Fatalf("New returned %v, want ErrNonFinite", err)
 	}
 }
 

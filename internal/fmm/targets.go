@@ -31,7 +31,7 @@ func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st 
 	n := len(t.Pos)
 	outP := make([]float64, n)
 	outF := make([]vec.V3, n)
-	st = &Stats{TreeHeight: t.Height, TreeNodes: t.NNodes, BuildTime: e.buildT}
+	st = &Stats{TreeHeight: t.Height, TreeNodes: t.NNodes, BuildTime: e.BuildTime()}
 	start := time.Now()
 
 	s := &sweep{
@@ -41,7 +41,7 @@ func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st 
 		p2pTasks: make(map[*tree.Node][]*tree.Node),
 	}
 	s.traverse(t.Root, t.Root, st)
-	s.runM2L(st)
+	s.runM2L()
 
 	// Near field with forces; leaves without an active target are skipped
 	// entirely.
@@ -141,7 +141,7 @@ func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st 
 // to the largest source degree it receives, so the adaptive method's
 // accuracy carries over to off-particle evaluation.
 func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
-	st := &Stats{TreeHeight: e.Tree.Height, TreeNodes: e.Tree.NNodes, BuildTime: e.buildT}
+	st := &Stats{TreeHeight: e.Tree.Height, TreeNodes: e.Tree.NNodes, BuildTime: e.BuildTime()}
 	if len(targets) == 0 {
 		return nil, st, nil
 	}

@@ -51,7 +51,7 @@ func TestFMMUpdateRefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.Tree.RefreshGeometry(ref.Cfg.Workers)
-	ref.upward()
+	ref.Upward()
 	want, _ := ref.Potentials()
 
 	same := movedPositions(e, nil, 0)

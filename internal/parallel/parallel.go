@@ -2,7 +2,9 @@
 // treecode. The paper parallelizes by exploiting the independence of each
 // particle's tree traversal: particles are sorted in a proximity-preserving
 // (Peano-Hilbert) order and force computations for runs of w particles are
-// aggregated into a single thread.
+// aggregated into a single thread. Here the runs are consecutive in tree
+// order — the octree's depth-first particle permutation, which is equally
+// proximity-preserving — rather than along a Hilbert curve.
 //
 // Two tools live here:
 //

@@ -7,6 +7,7 @@
 package points
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -65,6 +66,25 @@ func (s *Set) Bounds() geom.AABB {
 	}
 	return b
 }
+
+// ErrNonFinite reports a particle whose position or charge is NaN or
+// infinite. Every quantity the treecode derives from such a particle —
+// bounding box, charge moments, expansions — is garbage, so construction
+// rejects it instead.
+var ErrNonFinite = errors.New("non-finite particle position or charge")
+
+// CheckFinite returns an error wrapping ErrNonFinite that names the first
+// particle with a NaN or infinite coordinate or charge, or nil.
+func (s *Set) CheckFinite() error {
+	for i, p := range s.Particles {
+		if !finite(p.Pos.X) || !finite(p.Pos.Y) || !finite(p.Pos.Z) || !finite(p.Charge) {
+			return fmt.Errorf("%w: particle %d at %v with charge %v", ErrNonFinite, i, p.Pos, p.Charge)
+		}
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {

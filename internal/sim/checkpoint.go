@@ -56,6 +56,10 @@ func (s *Simulator) Save(w io.Writer) error {
 // configuration for subsequent steps. Version-1 checkpoints (pre
 // block-timestep) load with empty rung state; a block-mode continuation
 // then re-seeds its rungs on the first step, exactly like a fresh run.
+// Rung state is untrusted input: a non-empty rung or acceleration table
+// whose length is not the particle count is an error, and so, when the
+// continuing configuration runs block timesteps, is any rung outside
+// [0, MaxRungs-1].
 func Load(r io.Reader, force Config) (*Simulator, error) {
 	var c checkpoint
 	if err := gob.NewDecoder(r).Decode(&c); err != nil {
@@ -71,8 +75,22 @@ func Load(r io.Reader, force Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := len(c.Particles)
+	if len(c.Rungs) > 0 && len(c.Rungs) != n {
+		return nil, fmt.Errorf("sim: checkpoint has %d rungs for %d particles", len(c.Rungs), n)
+	}
+	if len(c.BlockAcc) > 0 && len(c.BlockAcc) != n {
+		return nil, fmt.Errorf("sim: checkpoint has %d block accelerations for %d particles", len(c.BlockAcc), n)
+	}
+	if rungs := cfg.Block.MaxRungs; rungs > 0 {
+		for i, r := range c.Rungs {
+			if r < 0 || r >= rungs {
+				return nil, fmt.Errorf("sim: checkpoint rung %d of particle %d outside [0,%d]", r, i, rungs-1)
+			}
+		}
+	}
 	sim.Steps = c.Steps
-	if len(c.Rungs) == len(c.Particles) && len(c.BlockAcc) == len(c.Particles) {
+	if len(c.Rungs) == n && len(c.BlockAcc) == n {
 		sim.rung = c.Rungs
 		sim.blockAcc = c.BlockAcc
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -78,5 +79,63 @@ func TestLoadErrors(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Load(bytes.NewReader(trunc), Config{}); err == nil {
 		t.Error("truncated checkpoint should fail")
+	}
+}
+
+// TestLoadRejectsCorruptRungState feeds Load hand-encoded version-2
+// checkpoints. Out-of-range rungs used to index past the rung tables on
+// the first Step, and a short rung table was silently dropped; both are
+// now load errors. Empty rung state still loads and re-seeds, and a valid
+// table continues.
+func TestLoadRejectsCorruptRungState(t *testing.T) {
+	set, _ := points.Generate(points.Plummer, 64, 4)
+	n := set.N()
+	rungs := func(bad int) []int {
+		r := make([]int, n)
+		for i := range r {
+			r[i] = i % 3
+		}
+		r[5] = bad
+		return r
+	}
+	acc := make([]vec.V3, n)
+	for i := range acc {
+		acc[i] = vec.V3{X: 1, Y: -1, Z: 0.5}
+	}
+	cfg := Config{Force: core.Config{Degree: 3}, Block: BlockConfig{MaxRungs: 3}}
+	for _, tc := range []struct {
+		name     string
+		rungs    []int
+		acc      []vec.V3
+		wantLoad bool
+	}{
+		{"rung above MaxRungs-1", rungs(5), acc, false},
+		{"negative rung", rungs(-1), acc, false},
+		{"rung table one short", rungs(0)[:n-1], acc, false},
+		{"acceleration table one short", rungs(0), acc[:n-1], false},
+		{"empty rung state re-seeds", nil, nil, true},
+		{"valid rung state", rungs(2), acc, true},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(checkpoint{
+			Version: checkpointVersion, Steps: 4, Dt: 1e-3,
+			Particles: set.Particles, Vel: make([]vec.V3, n),
+			Rungs: tc.rungs, BlockAcc: tc.acc,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Load(&buf, cfg)
+		if !tc.wantLoad {
+			if err == nil {
+				t.Errorf("%s: Load accepted the checkpoint", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := s.Step(); err != nil {
+			t.Fatalf("%s: step after load: %v", tc.name, err)
+		}
 	}
 }

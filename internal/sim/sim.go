@@ -164,6 +164,9 @@ func New(st State, cfg Config) (*Simulator, error) {
 	if st.Set == nil || st.Set.N() == 0 {
 		return nil, fmt.Errorf("sim: empty system")
 	}
+	if err := st.Set.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	if len(st.Vel) != st.Set.N() {
 		return nil, fmt.Errorf("sim: %d velocities for %d particles", len(st.Vel), st.Set.N())
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -135,6 +136,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(State{Set: &points.Set{}, Vel: nil}, Config{Dt: 0.1}); err == nil {
 		t.Error("empty system should fail")
+	}
+	set.Particles[4].Pos.X = math.NaN()
+	if _, err := New(State{Set: set, Vel: make([]vec.V3, 10)}, Config{Dt: 0.1}); !errors.Is(err, points.ErrNonFinite) {
+		t.Errorf("NaN position: New returned %v, want ErrNonFinite", err)
 	}
 }
 

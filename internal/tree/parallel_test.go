@@ -54,29 +54,25 @@ func sameTree(t *testing.T, a, b *Tree) bool {
 	return ok
 }
 
-// TestBuildWorkerInvariance pins the tentpole determinism claim: Build and
-// BuildMorton produce bitwise identical trees at every worker count.
+// TestBuildWorkerInvariance pins the tentpole determinism claim: Build
+// produces bitwise identical trees at every worker count.
 func TestBuildWorkerInvariance(t *testing.T) {
 	for _, dist := range []points.Distribution{points.Uniform, points.Gaussian} {
 		set, err := points.GenerateCharged(dist, 5000, 11, 5000, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, build := range map[string]func(*points.Set, Config) (*Tree, error){
-			"recursive": Build, "morton": BuildMorton,
-		} {
-			ref, err := build(set, Config{LeafCap: 8, Workers: 1})
+		ref, err := Build(set, Config{LeafCap: 8, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{3, 8} {
+			got, err := Build(set, Config{LeafCap: 8, Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{3, 8} {
-				got, err := build(set, Config{LeafCap: 8, Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameTree(t, ref, got) {
-					t.Fatalf("%s/%s: workers=%d differs from serial build", dist, name, w)
-				}
+			if !sameTree(t, ref, got) {
+				t.Fatalf("%s: workers=%d differs from serial build", dist, w)
 			}
 		}
 	}
@@ -87,16 +83,14 @@ func TestBuildWorkerInvariance(t *testing.T) {
 // leaf capacities).
 func TestBuildWorkerInvarianceQuick(t *testing.T) {
 	f := func(in arbitrarySet) bool {
-		for _, build := range []func(*points.Set, Config) (*Tree, error){Build, BuildMorton} {
-			ref, err := build(in.set, Config{LeafCap: in.leafCap, Workers: 1})
-			if err != nil {
+		ref, err := Build(in.set, Config{LeafCap: in.leafCap, Workers: 1})
+		if err != nil {
+			return false
+		}
+		for _, w := range []int{3, 8} {
+			got, err := Build(in.set, Config{LeafCap: in.leafCap, Workers: w})
+			if err != nil || !sameTree(t, ref, got) {
 				return false
-			}
-			for _, w := range []int{3, 8} {
-				got, err := build(in.set, Config{LeafCap: in.leafCap, Workers: w})
-				if err != nil || !sameTree(t, ref, got) {
-					return false
-				}
 			}
 		}
 		return true

@@ -119,10 +119,9 @@ type Config struct {
 	// leaves of 32-64 particles are used in practice for cache performance;
 	// smaller values give deeper trees. Default 8.
 	LeafCap int
-	// Workers is the number of goroutines building subtrees (and, for the
-	// Morton construction, sorting keys); 0 means GOMAXPROCS. The built
-	// tree — decomposition, permutation, and every cluster statistic — is
-	// bitwise identical at any worker count.
+	// Workers is the number of goroutines building subtrees; 0 means
+	// GOMAXPROCS. The built tree — decomposition, permutation, and every
+	// cluster statistic — is bitwise identical at any worker count.
 	Workers int
 }
 
@@ -181,11 +180,13 @@ func applyMoments(n *Node, m *moments) {
 	}
 }
 
-// newTree allocates the permuted particle arrays and the root cube shared
-// by both constructions.
-func newTree(set *points.Set, cfg *Config) (*Tree, geom.AABB, error) {
+// Build constructs the octree for the particle set.
+func Build(set *points.Set, cfg Config) (*Tree, error) {
 	if set == nil || set.N() == 0 {
-		return nil, geom.AABB{}, fmt.Errorf("tree: empty particle set")
+		return nil, fmt.Errorf("tree: empty particle set")
+	}
+	if err := set.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("tree: %w", err)
 	}
 	if cfg.LeafCap <= 0 {
 		cfg.LeafCap = 8
@@ -216,16 +217,6 @@ func newTree(set *points.Set, cfg *Config) (*Tree, geom.AABB, error) {
 		d := vec.V3{X: 0.5, Y: 0.5, Z: 0.5}
 		rootBox = geom.AABB{Lo: c.Sub(d), Hi: c.Add(d)}
 	}
-	return t, rootBox, nil
-}
-
-// Build constructs the octree for the particle set.
-func Build(set *points.Set, cfg Config) (*Tree, error) {
-	t, rootBox, err := newTree(set, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	n := set.N()
 	// The root is the only node without a parent scan to inherit moments
 	// from: one extra pass over all particles.
 	var rm moments
@@ -409,8 +400,8 @@ func (t *Tree) radiiScan(n *Node) {
 }
 
 // scanMoments accumulates the charge moments of range [lo, hi) in tree
-// order — the leaf-side statistic source for constructions without a
-// parent partition scan (Morton build, recharge).
+// order — the statistic source where no parent partition scan supplies
+// it (refit restructuring and geometry refresh).
 func (t *Tree) scanMoments(lo, hi int) moments {
 	var m moments
 	for i := lo; i < hi; i++ {

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -198,6 +199,25 @@ func TestEmptySetFails(t *testing.T) {
 	}
 	if _, err := Build(nil, Config{}); err == nil {
 		t.Fatal("nil set should fail")
+	}
+}
+
+// TestBuildRejectsNonFinite: a NaN or infinite coordinate or charge would
+// poison the root box and every charge moment above it, so Build refuses
+// the set with points.ErrNonFinite instead of returning a garbage tree.
+func TestBuildRejectsNonFinite(t *testing.T) {
+	for name, corrupt := range map[string]func(*points.Particle){
+		"nan x":      func(p *points.Particle) { p.Pos.X = math.NaN() },
+		"+inf y":     func(p *points.Particle) { p.Pos.Y = math.Inf(1) },
+		"-inf z":     func(p *points.Particle) { p.Pos.Z = math.Inf(-1) },
+		"nan charge": func(p *points.Particle) { p.Charge = math.NaN() },
+		"inf charge": func(p *points.Particle) { p.Charge = math.Inf(-1) },
+	} {
+		set, _ := points.Generate(points.Uniform, 200, 3)
+		corrupt(&set.Particles[37])
+		if _, err := Build(set, Config{}); !errors.Is(err, points.ErrNonFinite) {
+			t.Errorf("%s: Build returned %v, want ErrNonFinite", name, err)
+		}
 	}
 }
 
