@@ -123,7 +123,9 @@ func (g *Engine) Update(pos []vec.V3) (RebuildKind, error) {
 // particles' ancestor chains, zeroing the drift of untouched nodes so plan
 // revalidation does not re-consume drift an earlier refresh recorded.
 // Passing a mask that omits a moved particle is a contract violation. A
-// nil mask is Update.
+// nil mask is Update. A non-finite position (any particle, active or not)
+// is rejected with an error wrapping points.ErrNonFinite before anything
+// is written, so the engine keeps evaluating the previous positions.
 func (g *Engine) UpdateFor(pos []vec.V3, active []bool) (RebuildKind, error) {
 	c := g.cfg()
 	t := g.Tree
@@ -300,13 +302,17 @@ func (g *Engine) upward(c *EngineConfig) {
 // the decomposition chosen at construction, exactly as the paper
 // prescribes for iterative solvers where only the source strengths change
 // per iteration. Centers are kept too: moving them would change the
-// decomposition the degrees were chosen for. It must not run concurrently
-// with evaluation calls.
+// decomposition the degrees were chosen for. A non-finite charge is
+// rejected with an error wrapping points.ErrNonFinite before anything is
+// written. It must not run concurrently with evaluation calls.
 func (g *Engine) SetCharges(q []float64) error {
 	c := g.cfg()
 	t := g.Tree
 	if len(q) != len(t.Q) {
 		return fmt.Errorf("%s: %d charges for %d particles", c.Name, len(q), len(t.Q))
+	}
+	if err := points.CheckFiniteCharges(q); err != nil {
+		return fmt.Errorf("%s: %w", c.Name, err)
 	}
 	sp := c.start("recharge")
 	defer sp.End()

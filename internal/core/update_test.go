@@ -79,49 +79,53 @@ func TestEvaluatorUpdateIdentityBitwise(t *testing.T) {
 }
 
 // TestEvaluatorUpdateRefitWithinBound checks Theorem 2 budget transfer
-// across a migrating refit: the refit evaluator and a fresh build at the
-// same final positions both report per-target bound totals, and their
-// potentials must agree within the sum of the two budgets (each is within
-// its own budget of the exact potential, and ||x||_2 <= ||x||_1).
+// across a migrating refit in both eval modes: the refit evaluator and a
+// fresh build at the same final positions both report per-target bound
+// totals, and their potentials must agree within the sum of the two
+// budgets (each is within its own budget of the exact potential, and
+// ||x||_2 <= ||x||_1). In batched mode each refit after the first also
+// revalidates the interaction plans the previous step's evaluation cached.
 func TestEvaluatorUpdateRefitWithinBound(t *testing.T) {
 	set, _ := points.Generate(points.Plummer, 1200, 4)
-	cfg := Config{Method: Adaptive, Degree: 5, Alpha: 0.5, Workers: 2}
-	e, err := New(set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	var refitted bool
-	for step := 0; step < 4; step++ {
-		// Steps small relative to the dense Plummer core's leaf size, as a
-		// real timestep would be: a few percent of particles migrate.
-		pos := newPositions(e, rng, 1e-3)
-		kind, err := e.Update(pos)
+	for _, mode := range []EvalMode{EvalWalk, EvalBatched} {
+		cfg := Config{Method: Adaptive, Degree: 5, Alpha: 0.5, Workers: 2, Eval: mode}
+		e, err := New(set, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind != RebuildRefit {
-			continue // drift policy rebuilt; nothing to compare
+		rng := rand.New(rand.NewSource(9))
+		var refitted bool
+		for step := 0; step < 4; step++ {
+			// Steps small relative to the dense Plummer core's leaf size, as a
+			// real timestep would be: a few percent of particles migrate.
+			pos := newPositions(e, rng, 1e-3)
+			kind, err := e.Update(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind != RebuildRefit {
+				continue // drift policy rebuilt; nothing to compare
+			}
+			refitted = true
+			phiR, stR := e.Potentials()
+			fresh, err := New(setAt(e, pos), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phiF, stF := fresh.Potentials()
+			var diff2 float64
+			for i := range phiR {
+				d := phiR[i] - phiF[i]
+				diff2 += d * d
+			}
+			if diff := math.Sqrt(diff2); diff > stR.BoundSum+stF.BoundSum {
+				t.Fatalf("%s step %d: refit vs fresh L2 gap %g exceeds combined budget %g",
+					mode, step, diff, stR.BoundSum+stF.BoundSum)
+			}
 		}
-		refitted = true
-		phiR, stR := e.Potentials()
-		fresh, err := New(setAt(e, pos), cfg)
-		if err != nil {
-			t.Fatal(err)
+		if !refitted {
+			t.Fatalf("%s: no step took the refit path; test is vacuous", mode)
 		}
-		phiF, stF := fresh.Potentials()
-		var diff2 float64
-		for i := range phiR {
-			d := phiR[i] - phiF[i]
-			diff2 += d * d
-		}
-		if diff := math.Sqrt(diff2); diff > stR.BoundSum+stF.BoundSum {
-			t.Fatalf("step %d: refit vs fresh L2 gap %g exceeds combined budget %g",
-				step, diff, stR.BoundSum+stF.BoundSum)
-		}
-	}
-	if !refitted {
-		t.Fatal("no step took the refit path; test is vacuous")
 	}
 }
 

@@ -84,6 +84,30 @@ func (s *Set) CheckFinite() error {
 	return nil
 }
 
+// CheckFinitePositions returns an error wrapping ErrNonFinite that names the
+// first position with a NaN or infinite coordinate, or nil. Callers that
+// move an existing structure to new positions run it before the first
+// write, so a rejected move leaves that structure as it was.
+func CheckFinitePositions(pos []vec.V3) error {
+	for i, p := range pos {
+		if !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
+			return fmt.Errorf("%w: particle %d at %v", ErrNonFinite, i, p)
+		}
+	}
+	return nil
+}
+
+// CheckFiniteCharges returns an error wrapping ErrNonFinite that names the
+// first NaN or infinite charge, or nil.
+func CheckFiniteCharges(q []float64) error {
+	for i, c := range q {
+		if !finite(c) {
+			return fmt.Errorf("%w: particle %d with charge %v", ErrNonFinite, i, c)
+		}
+	}
+	return nil
+}
+
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Clone returns a deep copy of the set.

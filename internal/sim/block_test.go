@@ -144,6 +144,80 @@ func TestBlockMultiRungReducesEvals(t *testing.T) {
 	}
 }
 
+// TestBlockRefitWithinBudget runs an unsoftened multi-rung Plummer sphere
+// on one persistent engine in both eval modes, so the batched run takes
+// the active-task path and keeps inactive leaves' plans across active-only
+// refits. At the final, macro-synchronized positions the engine's
+// potentials must agree with a fresh construction within the sum of the
+// two Theorem 2 budgets (each is within its own budget of the exact
+// potential, and ||x||_2 <= ||x||_1), and FieldsFor must return exactly
+// the Fields entries of its active targets. The run must have refitted
+// without a rebuild and occupied at least two rungs; otherwise the budget
+// check compares a fresh build with itself.
+func TestBlockRefitWithinBudget(t *testing.T) {
+	for _, mode := range []core.EvalMode{core.EvalWalk, core.EvalBatched} {
+		col := obs.New()
+		force := core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.5, Eval: mode}
+		cfg := Config{Dt: 0.002, Force: force, Block: BlockConfig{MaxRungs: 5, Eta: 0.3}}
+		cfg.Force.Obs = col
+		s, err := New(plummerState(t, 2000), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(4); err != nil {
+			t.Fatal(err)
+		}
+		m := col.Metrics()
+		if m.Refit.Refits == 0 || m.Refit.Rebuilds != 0 {
+			t.Fatalf("%s: %d refits, %d rebuilds; want refits only", mode, m.Refit.Refits, m.Refit.Rebuilds)
+		}
+		occupied := 0
+		for _, c := range m.Block.Occupancy {
+			if c > 0 {
+				occupied++
+			}
+		}
+		if occupied < 2 {
+			t.Fatalf("%s: occupancy %v; want at least two rungs", mode, m.Block.Occupancy)
+		}
+		if mode == core.EvalBatched && m.Plan.EntriesReused == 0 {
+			t.Fatalf("batched run reused no plan entries")
+		}
+
+		eng := s.Engine()
+		phiR, stR := eng.Potentials()
+		fresh, err := core.New(s.State.Set, force)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phiF, stF := fresh.Potentials()
+		var gap2 float64
+		for i := range phiR {
+			d := phiR[i] - phiF[i]
+			gap2 += d * d
+		}
+		gap, budget := math.Sqrt(gap2), stR.BoundSum+stF.BoundSum
+		t.Logf("%s: %d refits, occupancy %v, %d plan entries reused, gap %.3g, budget %.3g",
+			mode, m.Refit.Refits, m.Block.Occupancy, m.Plan.EntriesReused, gap, budget)
+		if gap > budget {
+			t.Fatalf("%s: refit vs fresh L2 gap %g exceeds combined budget %g", mode, gap, budget)
+		}
+
+		// The fine rungs are the targets of a typical substep.
+		active := make([]bool, len(phiR))
+		for i, r := range s.Rungs() {
+			active[i] = r > 0
+		}
+		phiA, fieldA, _ := eng.FieldsFor(active)
+		phi, field, _ := eng.Fields()
+		for i, on := range active {
+			if on && (math.Float64bits(phiA[i]) != math.Float64bits(phi[i]) || fieldA[i] != field[i]) { //lint:ignore floatcmp FieldsFor's contract is bitwise identity with Fields
+				t.Fatalf("%s: FieldsFor target %d: %v %v, Fields %v %v", mode, i, phiA[i], fieldA[i], phi[i], field[i])
+			}
+		}
+	}
+}
+
 // TestBlockStepSeriesAndKind pins the block path's per-step telemetry and
 // the opening-eval-kind rule: every macro step appends one sample carrying
 // the substep, force-eval, occupancy, and per-rung budget fields; the

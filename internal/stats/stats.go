@@ -59,15 +59,6 @@ func MeanAbsErr(aPrime, a []float64) float64 {
 	return s / float64(len(a))
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Table accumulates rows and renders a fixed-width text table, enough for
 // the experiment drivers to print paper-style tables.
 type Table struct {

@@ -37,12 +37,6 @@ func TestMaxAbsErr(t *testing.T) {
 	}
 }
 
-func TestNorm2(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-15 {
-		t.Errorf("Norm2 = %v", got)
-	}
-}
-
 func TestTable(t *testing.T) {
 	tb := NewTable("n", "error", "terms")
 	tb.AddRow(1000, 1.5e-7, "12 million")

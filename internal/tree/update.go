@@ -42,6 +42,7 @@ import (
 	"math"
 	"runtime"
 
+	"treecode/internal/points"
 	"treecode/internal/sched"
 	"treecode/internal/vec"
 )
@@ -131,11 +132,16 @@ func (st UpdateStats) RebuildReason() string {
 // the leaf a fresh build would choose; all node statistics refresh
 // bottom-up with conservative radii (see the package comment). When the
 // returned stats report NeedRebuild the caller should discard the tree and
-// build fresh from the new positions.
+// build fresh from the new positions. A NaN or infinite position is
+// rejected with an error wrapping points.ErrNonFinite before anything is
+// written, so the tree stays as it was.
 func (t *Tree) Update(pos []vec.V3, opts UpdateOpts) (UpdateStats, error) {
 	var st UpdateStats
 	if len(pos) != len(t.Pos) {
 		return st, fmt.Errorf("tree: %d positions for %d particles", len(pos), len(t.Pos))
+	}
+	if err := points.CheckFinitePositions(pos); err != nil {
+		return st, fmt.Errorf("tree: %w", err)
 	}
 	opts.fill()
 	t.seq++
