@@ -10,8 +10,7 @@
 // rejects, opening ratios), the degree histogram, the Theorem 2 predicted
 // error budget per level against the realized truncation error, the
 // end-to-end error against the direct O(n^2) sum, and the phase-span tree
-// are all printed; -obsjson FILE additionally exports the raw trace and
-// -obsaddr serves the live snapshot, /metrics, expvar, and pprof.
+// are all printed; -obsjson FILE additionally exports the raw trace.
 package main
 
 import (
@@ -51,11 +50,7 @@ func main() {
 	}
 	cfg := core.Config{Method: m, Eval: ev, Degree: *degree, Alpha: *alpha}
 	ob.Force = *obsOn // -obs prints the census even without an export flag
-	col, err := ob.Start("treecode.analyze")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	col := ob.Start()
 	cfg.Obs = col
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -32,17 +32,14 @@ func main() {
 	sample := flag.Int("sample", 2000, "reference sample size for large n")
 	exactMax := flag.Int("exactmax", 20000, "largest n for full direct reference")
 	out := flag.String("o", "", "output file (default stdout)")
-	obsJSON := flag.String("obsjson", "", "write the obs trace as JSON to FILE (- for stdout)")
+	ob := cliio.ObsFlagVars()
 	flag.Parse()
 
 	if err := (core.Config{Degree: *degree, Alpha: *alpha}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var col *obs.Collector // nil keeps the evaluators uninstrumented
-	if *obsJSON != "" {
-		col = obs.New()
-	}
+	col := ob.Start()
 
 	w, werr := cliio.Create(*out)
 	if werr != nil {
@@ -71,11 +68,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figure2: writing %s: %v\n", w.Name(), err)
 		os.Exit(1)
 	}
-	if *obsJSON != "" {
-		if err := obs.WriteJSON(col, *obsJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "figure2: writing obs trace: %v\n", err)
-			os.Exit(1)
-		}
+	if err := ob.Finish(); err != nil {
+		fmt.Fprintf(os.Stderr, "figure2: writing obs trace: %v\n", err)
+		os.Exit(1)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 	"strings"
 
 	"treecode/internal/bounds"
+	"treecode/internal/cliio"
 	"treecode/internal/core"
 	"treecode/internal/mac"
-	"treecode/internal/obs"
 	"treecode/internal/points"
 	"treecode/internal/stats"
 	"treecode/internal/tree"
@@ -27,13 +27,10 @@ func main() {
 	dist := flag.String("dist", "uniform", "distribution")
 	alphas := flag.String("alphas", "0.3,0.5,0.7", "comma-separated alpha values")
 	seed := flag.Int64("seed", 1, "seed")
-	obsJSON := flag.String("obsjson", "", "write the obs trace as JSON to FILE (- for stdout)")
+	ob := cliio.ObsFlagVars()
 	flag.Parse()
 
-	var col *obs.Collector // nil keeps the evaluators uninstrumented
-	if *obsJSON != "" {
-		col = obs.New()
-	}
+	col := ob.Start()
 
 	alphaList := splitFloats(*alphas)
 	for _, alpha := range alphaList {
@@ -92,11 +89,9 @@ func main() {
 	fmt.Println("== Figure 1 / Lemmas 1-2: empirical interaction geometry ==")
 	fmt.Println("(d/s ratios must lie within [lo, hi]; per-size counts below K)")
 	fmt.Println(tb)
-	if *obsJSON != "" {
-		if err := obs.WriteJSON(col, *obsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "lemma1: writing obs trace:", err)
-			os.Exit(1)
-		}
+	if err := ob.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "lemma1: writing obs trace:", err)
+		os.Exit(1)
 	}
 }
 

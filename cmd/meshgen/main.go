@@ -11,7 +11,6 @@ import (
 	"treecode/internal/cliio"
 	"treecode/internal/mesh"
 	"treecode/internal/meshio"
-	"treecode/internal/obs"
 	"treecode/internal/vec"
 	"treecode/internal/vtk"
 )
@@ -22,13 +21,10 @@ func main() {
 	blades := flag.Int("blades", 3, "propeller blade count")
 	format := flag.String("format", "off", "off|vtk")
 	out := flag.String("o", "", "output file (default stdout)")
-	obsJSON := flag.String("obsjson", "", "write the obs trace as JSON to FILE (- for stdout)")
+	ob := cliio.ObsFlagVars()
 	flag.Parse()
 
-	var col *obs.Collector // nil disables the phase spans
-	if *obsJSON != "" {
-		col = obs.New()
-	}
+	col := ob.Start()
 
 	sp := col.Start("meshgen/generate")
 	var m *mesh.Mesh
@@ -68,10 +64,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *obsJSON != "" {
-		if err := obs.WriteJSON(col, *obsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "meshgen: writing obs trace:", err)
-			os.Exit(1)
-		}
+	if err := ob.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "meshgen: writing obs trace:", err)
+		os.Exit(1)
 	}
 }

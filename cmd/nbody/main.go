@@ -45,11 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	col, err := ob.Start("treecode.nbody")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	col := ob.Start()
 	cfg := core.Config{Method: m, Eval: ev, Degree: *degree, Alpha: *alpha, LeafCap: *leafCap, Workers: *workers, Obs: col}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

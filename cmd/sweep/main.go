@@ -36,11 +36,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	col, err := ob.Start("treecode.sweep")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	col := ob.Start()
 
 	degs, alphaVals := splitInts(*degrees), splitFloats(*alphas)
 	for _, deg := range degs {

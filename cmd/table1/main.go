@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 
+	"treecode/internal/cliio"
 	"treecode/internal/core"
 	"treecode/internal/direct"
 	"treecode/internal/obs"
@@ -40,17 +41,14 @@ func main() {
 	sample := flag.Int("sample", 2000, "reference sample size for large n")
 	exactMax := flag.Int("exactmax", 20000, "largest n for full direct reference")
 	refq := flag.Float64("refq", 0, "Theorem 3 reference-cluster quantile (0 = theorem's minimum)")
-	obsJSON := flag.String("obsjson", "", "write the obs trace as JSON to FILE (- for stdout)")
+	ob := cliio.ObsFlagVars()
 	flag.Parse()
 
 	if err := (core.Config{Degree: *degree, Alpha: *alpha, RefQuantile: *refq}).Validate(); err != nil {
 		fmt.Println(err)
 		return
 	}
-	var col *obs.Collector // nil keeps the evaluators uninstrumented
-	if *obsJSON != "" {
-		col = obs.New()
-	}
+	col := ob.Start()
 
 	for _, d := range strings.Split(*dists, ",") {
 		dist := points.Distribution(strings.TrimSpace(d))
@@ -75,11 +73,9 @@ func main() {
 		}
 		fmt.Println(tb)
 	}
-	if *obsJSON != "" {
-		if err := obs.WriteJSON(col, *obsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "table1: writing obs trace:", err)
-			os.Exit(1)
-		}
+	if err := ob.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "table1: writing obs trace:", err)
+		os.Exit(1)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 	"os"
 	"runtime"
 
+	"treecode/internal/cliio"
 	"treecode/internal/core"
-	"treecode/internal/obs"
 	"treecode/internal/parallel"
 	"treecode/internal/points"
 	"treecode/internal/stats"
@@ -36,7 +36,7 @@ func main() {
 	procs := flag.Int("procs", 32, "simulated processor count")
 	w := flag.Int("w", 64, "particles per chunk")
 	seed := flag.Int64("seed", 1, "workload seed")
-	obsJSON := flag.String("obsjson", "", "write the obs trace as JSON to FILE (- for stdout)")
+	ob := cliio.ObsFlagVars()
 	flag.Parse()
 
 	ev, err := core.ParseEvalMode(*eval)
@@ -48,10 +48,7 @@ func main() {
 		fmt.Println("error:", err)
 		return
 	}
-	var col *obs.Collector // nil keeps the runs uninstrumented
-	if *obsJSON != "" {
-		col = obs.New()
-	}
+	col := ob.Start()
 
 	type workload struct {
 		name string
@@ -114,10 +111,8 @@ func main() {
 		}
 	}
 	fmt.Println(tb2)
-	if *obsJSON != "" {
-		if err := obs.WriteJSON(col, *obsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "table2: writing obs trace:", err)
-			os.Exit(1)
-		}
+	if err := ob.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "table2: writing obs trace:", err)
+		os.Exit(1)
 	}
 }

@@ -18,10 +18,10 @@ import (
 	"time"
 
 	"treecode/internal/bem"
+	"treecode/internal/cliio"
 	"treecode/internal/core"
 	"treecode/internal/krylov"
 	"treecode/internal/mesh"
-	"treecode/internal/obs"
 	"treecode/internal/stats"
 )
 
@@ -32,17 +32,14 @@ func main() {
 	refDegree := flag.Int("refdegree", 9, "reference expansion degree (paper: 9)")
 	exact := flag.Bool("exact", false, "also compute the exact direct-summation product")
 	gmres := flag.Bool("gmres", true, "also run a GMRES(10) solve with the improved method")
-	obsJSON := flag.String("obsjson", "", "write the obs trace as JSON to FILE (- for stdout)")
+	ob := cliio.ObsFlagVars()
 	flag.Parse()
 
 	if err := (core.Config{Degree: *refDegree, Alpha: *alpha}).Validate(); err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	var col *obs.Collector // nil keeps the operators uninstrumented
-	if *obsJSON != "" {
-		col = obs.New()
-	}
+	col := ob.Start()
 
 	type surf struct {
 		name string
@@ -137,10 +134,8 @@ func main() {
 				res.Iterations, stats.FormatFloat(res.Residual), res.Converged, time.Since(start).Seconds())
 		}
 	}
-	if *obsJSON != "" {
-		if err := obs.WriteJSON(col, *obsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "table3: writing obs trace:", err)
-			os.Exit(1)
-		}
+	if err := ob.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "table3: writing obs trace:", err)
+		os.Exit(1)
 	}
 }

@@ -2,73 +2,52 @@ package cliio
 
 import (
 	"flag"
-	"fmt"
-	"io"
-	"os"
 
 	"treecode/internal/obs"
 )
 
-// ObsFlags bundles the observability flags every driver shares — -obsjson
-// (export the trace as JSON) and -obsaddr (serve the live snapshot,
-// Prometheus /metrics, expvar, and pprof over localhost HTTP) — together
-// with the collector lifecycle around them, so drivers don't copy-paste
-// the same setup.  Usage:
+// ObsFlags is the -obsjson flag every driver shares (export the run's obs
+// trace as JSON, the format cmd/obsreport renders), together with the
+// collector lifecycle around it, so all drivers export a trace the same
+// way. Usage:
 //
 //	ob := cliio.ObsFlagVars()
 //	flag.Parse()
-//	col, err := ob.Start("treecode.mytool")
+//	col := ob.Start()
 //	...
 //	if err := ob.Finish(); err != nil { ... }
 type ObsFlags struct {
 	JSONPath string // -obsjson destination ("" disables, "-" is stdout)
-	Addr     string // -obsaddr listen address ("" disables)
-	// Force enables the collector even when neither flag was given —
-	// for drivers with their own switch (analyze's -obs) that print the
-	// census without exporting it.
+	// Force enables the collector even without -obsjson — for drivers
+	// with their own switch (analyze's -obs) that print the census
+	// without exporting it.
 	Force bool
 
 	col *obs.Collector
-	srv io.Closer
 }
 
-// ObsFlagVars registers -obsjson and -obsaddr on the default flag set and
-// returns the holder to Start after flag.Parse.
+// ObsFlagVars registers -obsjson on the default flag set and returns the
+// holder to Start after flag.Parse.
 func ObsFlagVars() *ObsFlags {
 	o := &ObsFlags{}
 	flag.StringVar(&o.JSONPath, "obsjson", "", "write the obs trace as JSON to FILE (- for stdout)")
-	flag.StringVar(&o.Addr, "obsaddr", "", "serve the obs snapshot, Prometheus /metrics, expvar, and pprof on this localhost address (e.g. 127.0.0.1:0)")
 	return o
 }
 
-// Start creates the collector when any of the flags (or Force) asks for
-// one — nil otherwise, keeping the run uninstrumented and free — and, with
-// Addr set, publishes it under expvarName and starts the HTTP sidecar.
-func (o *ObsFlags) Start(expvarName string) (*obs.Collector, error) {
-	if o.JSONPath == "" && o.Addr == "" && !o.Force {
-		return nil, nil
+// Start creates the collector when -obsjson (or Force) asks for one — nil
+// otherwise, keeping the run uninstrumented and free.
+func (o *ObsFlags) Start() *obs.Collector {
+	if o.JSONPath == "" && !o.Force {
+		return nil
 	}
 	o.col = obs.New()
-	if o.Addr != "" {
-		o.col.Publish(expvarName)
-		srv, addr, err := obs.Serve(o.Addr, o.col)
-		if err != nil {
-			return nil, err
-		}
-		o.srv = srv
-		fmt.Fprintf(os.Stderr, "obs: serving snapshot, /metrics, expvar, and pprof on http://%s\n", addr)
-	}
-	return o.col, nil
+	return o.col
 }
 
-// Finish writes the JSON trace when -obsjson asked for one and shuts the
-// HTTP sidecar down. Safe to call when Start returned nil (no-op) and to
-// call more than once (the trace is rewritten, capturing later activity).
+// Finish writes the JSON trace when -obsjson asked for one. Safe to call
+// when Start returned nil (no-op) and to call more than once (the trace is
+// rewritten, capturing later activity).
 func (o *ObsFlags) Finish() error {
-	if o.srv != nil {
-		_ = o.srv.Close() // best-effort: the sidecar dies with the process anyway
-		o.srv = nil
-	}
 	if o.col != nil && o.JSONPath != "" {
 		return obs.WriteJSON(o.col, o.JSONPath)
 	}

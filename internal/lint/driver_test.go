@@ -19,8 +19,8 @@ func TestExpandPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dirs) != 11 {
-		t.Fatalf("expanded to %d dirs, want 11: %v", len(dirs), dirs)
+	if len(dirs) != 10 {
+		t.Fatalf("expanded to %d dirs, want 10: %v", len(dirs), dirs)
 	}
 	single, err := ExpandPatterns(cwd, []string{"./testdata/src/floatcmp"})
 	if err != nil {

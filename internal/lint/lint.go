@@ -14,7 +14,6 @@
 //	floatcmp    exact ==/!= between floating-point expressions
 //	droppederr  discarded error return values
 //	mathdomain  math.Sqrt/Log/Acos/... on arguments not provably in-domain
-//	syncbyvalue sync.Mutex/WaitGroup/... passed or copied by value
 //	hotalloc    allocations (fmt, boxing, growing append) in //treecode:hot code
 //
 // Findings can be suppressed with a trailing or preceding comment
@@ -107,7 +106,6 @@ func All() []*Analyzer {
 		FloatCmp,
 		DroppedErr,
 		MathDomain,
-		SyncByValue,
 		HotAlloc,
 		LockBalance,
 		WaitGroup,

@@ -71,7 +71,7 @@ func lintFixture(t *testing.T, name string) *Result {
 // else is flagged.
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, rule := range []string{
-		"floatcmp", "droppederr", "mathdomain", "syncbyvalue", "hotalloc",
+		"floatcmp", "droppederr", "mathdomain", "hotalloc",
 		"lockbalance", "waitgroup", "goroleak", "sharedcapture", "nanflow",
 	} {
 		t.Run(rule, func(t *testing.T) {

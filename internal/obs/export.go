@@ -3,13 +3,8 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"expvar"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"sync"
 )
 
 // SnapshotSchema versions the exported trace document. v1 was the
@@ -169,73 +164,4 @@ func WriteJSON(c *Collector, path string) (err error) {
 		return f.Close()
 	}
 	return nil
-}
-
-// published maps expvar names to their current collector. The indirection
-// lets Publish rebind a name to a newer collector without tripping
-// expvar.Publish's panic on duplicate registration.
-var published = struct {
-	sync.Mutex
-	collectors map[string]*Collector
-}{collectors: map[string]*Collector{}}
-
-// Publish registers the collector under the given expvar name (e.g.
-// "treecode.obs"); repeated calls with the same name rebind the name to
-// the latest collector. Nil-safe (publishes empty snapshots).
-func (c *Collector) Publish(name string) {
-	published.Lock()
-	defer published.Unlock()
-	_, rebind := published.collectors[name]
-	published.collectors[name] = c
-	if rebind {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		published.Lock()
-		cur := published.collectors[name]
-		published.Unlock()
-		return cur.Snapshot()
-	}))
-}
-
-// Serve starts an HTTP server on addr (pass a localhost address such as
-// "127.0.0.1:6060"; an empty port picks a free one) exposing:
-//
-//	/obs          the collector snapshot as JSON
-//	/obs/spans    the human-readable span tree
-//	/metrics      Prometheus text-format exposition of the metrics
-//	/debug/vars   expvar (including anything published via Publish)
-//	/debug/pprof  the standard pprof handlers
-//
-// It returns the server and the resolved listen address. The caller owns
-// the server's lifetime; for short-lived drivers it simply dies with the
-// process.
-func Serve(addr string, c *Collector) (*http.Server, string, error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/obs", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(c.Snapshot()) // best-effort: client may hang up
-	})
-	mux.HandleFunc("/obs/spans", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = fmt.Fprint(w, c.RenderSpans())
-	})
-	mux.Handle("/metrics", PrometheusHandler(c))
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	srv := &http.Server{Handler: mux}
-	go func() {
-		_ = srv.Serve(ln) // ErrServerClosed on shutdown; nothing to do for a sidecar
-	}()
-	return srv, ln.Addr().String(), nil
 }

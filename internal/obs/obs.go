@@ -36,9 +36,8 @@
 //     O(retention), not O(steps).
 //
 //   - Snapshots: a JSON document of everything above, written to a file
-//     (-obsjson in every driver) or served over localhost HTTP alongside
-//     expvar, net/http/pprof, and a Prometheus text-format /metrics
-//     endpoint (-obsaddr, wired by cliio.ObsFlagVars in the drivers).
+//     (-obsjson in every driver, wired by cliio.ObsFlagVars) and rendered
+//     by cmd/obsreport.
 package obs
 
 import (

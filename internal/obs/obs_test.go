@@ -2,9 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
 	"math"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -208,66 +206,5 @@ func TestWriteJSONAndSnapshot(t *testing.T) {
 	}
 	if snap.Metrics.OpenRatio.Mean != 0.3 {
 		t.Fatalf("open ratio mean wrong: %+v", snap.Metrics.OpenRatio)
-	}
-}
-
-func TestServeEndpoints(t *testing.T) {
-	c := New()
-	sh := c.NewShard()
-	sh.Accept(0, 3, 16, 0.5, 1e-5)
-	sh.Merge()
-	c.Publish("treecode.obs.test")
-
-	srv, addr, err := Serve("127.0.0.1:0", c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", path, resp.Status)
-		}
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(get("/obs")), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Metrics.Accepts != 1 {
-		t.Fatalf("served snapshot wrong: %+v", snap.Metrics)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, "treecode.obs.test") {
-		t.Fatal("expvar missing published collector")
-	}
-	if body := get("/debug/pprof/cmdline"); body == "" {
-		t.Fatal("pprof cmdline empty")
-	}
-}
-
-func TestPublishRebind(t *testing.T) {
-	c1 := New()
-	sh := c1.NewShard()
-	sh.Accept(0, 2, 9, 0.1, 0)
-	sh.Merge()
-	c1.Publish("treecode.obs.rebind")
-	c2 := New()
-	c2.Publish("treecode.obs.rebind") // must not panic, must rebind
-	published.Lock()
-	cur := published.collectors["treecode.obs.rebind"]
-	published.Unlock()
-	if cur != c2 {
-		t.Fatal("publish did not rebind to the newest collector")
 	}
 }

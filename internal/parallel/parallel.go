@@ -272,15 +272,21 @@ func placeChunks(profiles []chunkProfile, procs int, sched Schedule) []int {
 
 // Measure times the real goroutine evaluation at the given worker count and
 // returns the wall-clock duration of one full potential evaluation. The
-// worker count is passed per-call, so Measure never mutates the evaluator
-// and is safe to run concurrently with other evaluations.
+// worker count is passed per call and leaves the evaluator's Config alone;
+// the concurrency contract is core.Evaluator.PotentialsWithWorkers'. In
+// walk mode Measure does not mutate the evaluator and may run concurrently
+// with other evaluations. In batched mode the first evaluation after
+// core.New or Update builds or repairs the persistent interaction plans, so
+// such a call must not overlap another evaluation (or Update); once the
+// plan store is warm, further calls only read it and may run concurrently.
 func Measure(e *core.Evaluator, workers int) time.Duration {
 	return MeasureTraced(e, workers, nil)
 }
 
 // MeasureTraced is Measure with an observability collector: the timed
 // evaluation is wrapped in a "parallel/measure" span (the evaluator's own
-// phase spans, if it carries a collector, nest independently).
+// phase spans, if it carries a collector, nest independently). It has
+// Measure's concurrency contract.
 func MeasureTraced(e *core.Evaluator, workers int, col *obs.Collector) time.Duration {
 	sp := col.Start("parallel/measure")
 	start := time.Now()

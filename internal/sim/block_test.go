@@ -342,8 +342,8 @@ func TestBlockCheckpointContinuation(t *testing.T) {
 }
 
 // TestBlockRungJournal verifies rung transitions surface as coalesced
-// journal events and Prometheus-visible counters rather than vanishing
-// into the integrator.
+// journal events and block-metric counters rather than vanishing into the
+// integrator.
 func TestBlockRungJournal(t *testing.T) {
 	col := obs.New()
 	st := plummerState(t, 400)
