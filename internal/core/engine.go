@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"treecode/internal/bounds"
@@ -52,6 +53,12 @@ type Engine struct {
 	upDegree map[*tree.Node]int // degree expansions are carried at
 	maxP     int                // largest carried degree (scratch sizing)
 	buildT   time.Duration
+
+	// upBuf is the upward pass's per-worker spherical-harmonics scratch,
+	// kept across recharges and refits so that a steady-state pass
+	// allocates none; upScratch regrows it with the worker count or the
+	// largest carried degree.
+	upBuf [][]complex128
 
 	cfg func() EngineConfig // the owning evaluator's settings, read per call
 
@@ -249,10 +256,11 @@ func (g *Engine) selectDegrees(c *EngineConfig) {
 // Upward runs the upward multipole pass (P2M at leaves, M2M to parents)
 // level-synchronized on the work-stealing pool: all nodes of the deepest
 // level first, so every M2M reads fully-built children. Each worker carries
-// one spherical-harmonics scratch buffer; per-node arithmetic (own range in
-// tree order, children in fixed order) never depends on the schedule, so
-// the expansions are bitwise identical at any worker count. Construction
-// calls it once; it is exported so benchmarks can rerun it.
+// one spherical-harmonics scratch buffer, owned by the engine; per-node
+// arithmetic (own range in tree order, children in fixed order) never
+// depends on the schedule, so the expansions are bitwise identical at any
+// worker count. Construction calls it once; it is exported so benchmarks
+// can rerun it.
 func (g *Engine) Upward() {
 	c := g.cfg()
 	sp := c.start("upward")
@@ -262,8 +270,7 @@ func (g *Engine) Upward() {
 
 func (g *Engine) upward(c *EngineConfig) {
 	t := g.Tree
-	tree.LevelSyncUp(t, c.Workers,
-		func() []complex128 { return make([]complex128, harmonics.Len(g.maxP)) },
+	tree.LevelSyncUp(t, g.upScratch(c.Workers),
 		func(n *tree.Node, buf []complex128) {
 			p := g.upDegree[n]
 			if n.Mp == nil || n.Mp.Degree != p {
@@ -292,6 +299,23 @@ func (g *Engine) upward(c *EngineConfig) {
 				n.Mp.Radius = n.Radius
 			}
 		})
+}
+
+// upScratch returns one scratch buffer of length >= harmonics.Len(g.maxP)
+// per upward worker (0 workers means GOMAXPROCS), reusing the engine's
+// buffers when they are large enough.
+func (g *Engine) upScratch(workers int) [][]complex128 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	n := harmonics.Len(g.maxP)
+	if len(g.upBuf) < workers || len(g.upBuf[0]) < n {
+		g.upBuf = make([][]complex128, workers)
+		for i := range g.upBuf {
+			g.upBuf[i] = make([]complex128, n)
+		}
+	}
+	return g.upBuf[:workers]
 }
 
 // SetCharges replaces the particle charges (given in the original order

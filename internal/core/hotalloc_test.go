@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -192,5 +193,44 @@ func TestBatchedLeafKernelZeroAllocs(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("steady-state leafFields pass allocates %v times", a)
+	}
+}
+
+// TestSetChargesSteadyStateAllocs pins the recharge of an iterative solve
+// (one per GMRES matvec): the engine keeps its upward scratch across
+// passes, so a steady-state SetCharges allocates only the scheduler's few
+// per-level closures — less than one spherical-harmonics buffer at the
+// carried degree, whatever that degree is. Re-allocating the scratch on
+// every pass fails it.
+func TestSetChargesSteadyStateAllocs(t *testing.T) {
+	set, err := points.Generate(points.Gaussian, 3000, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(set, Config{Method: Adaptive, Degree: 12, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := make([]float64, set.N())
+	for i := range q {
+		q[i] = float64(i%7) - 3
+	}
+	if err := e.SetCharges(q); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	const calls = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if err := e.SetCharges(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	scratch := uint64(harmonics.Len(e.MaxSelectedDegree()) * 16)
+	if perCall >= scratch {
+		t.Fatalf("steady-state SetCharges allocates %d B per call, at least one %d B upward scratch buffer (max degree %d)",
+			perCall, scratch, e.MaxSelectedDegree())
 	}
 }

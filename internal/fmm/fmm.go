@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"treecode/internal/core"
+	"treecode/internal/harmonics"
 	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
@@ -128,13 +129,38 @@ type Evaluator struct {
 }
 
 // sweep is the mutable state of one Potentials call (task lists from the
-// dual-tree traversal and the accumulated local expansions), kept per-call
-// so concurrent evaluations on one Evaluator do not share maps.
+// dual-tree traversal, the accumulated local expansions and the per-worker
+// scratch of the translation kernels), kept per-call so concurrent
+// evaluations on one Evaluator share neither maps nor scratch.
 type sweep struct {
 	e        *Evaluator
 	locals   map[*tree.Node]*multipole.Local
 	m2lTasks map[*tree.Node][]*tree.Node
 	p2pTasks map[*tree.Node][]*tree.Node
+	bufs     [][]complex128 // one per worker; see sweepScratch
+}
+
+// newSweep returns the empty state of one evaluation.
+func (e *Evaluator) newSweep() *sweep {
+	return &sweep{
+		e:        e,
+		locals:   make(map[*tree.Node]*multipole.Local, e.Tree.NNodes),
+		m2lTasks: make(map[*tree.Node][]*tree.Node),
+		p2pTasks: make(map[*tree.Node][]*tree.Node),
+		bufs:     e.sweepScratch(),
+	}
+}
+
+// sweepScratch returns one harmonics buffer per worker, long enough for an
+// M2L between the largest local and source degrees of an evaluation, and
+// so for each of its L2L and L2P steps too.
+func (e *Evaluator) sweepScratch() [][]complex128 {
+	p := max(e.Cfg.Degree, e.MaxSelectedDegree())
+	bufs := make([][]complex128, e.workers())
+	for i := range bufs {
+		bufs[i] = make([]complex128, harmonics.Len(2*p))
+	}
+	return bufs
 }
 
 // New builds the tree, selects degrees and runs the upward pass.
@@ -173,12 +199,7 @@ func (e *Evaluator) Potentials() ([]float64, *Stats) {
 	// P2P task lists. Phase 2/3 (parallel): execute them — each target
 	// node's local expansion and each target leaf's direct sums are
 	// independent, so results are bit-identical for any worker count.
-	s := &sweep{
-		e:        e,
-		locals:   make(map[*tree.Node]*multipole.Local, t.NNodes),
-		m2lTasks: make(map[*tree.Node][]*tree.Node),
-		p2pTasks: make(map[*tree.Node][]*tree.Node),
-	}
+	s := e.newSweep()
 	esp := e.Cfg.Obs.Start("fmm/eval")
 	sp := esp.Child("traverse")
 	s.traverse(t.Root, t.Root, st)
@@ -249,11 +270,11 @@ func (s *sweep) runM2L() {
 		}
 	})
 	var mu sync.Mutex
-	e.parallelOver(len(targets), func(i int) {
+	e.parallelOver(len(targets), func(w, i int) {
 		a := targets[i]
 		la := multipole.NewLocal(a.Center, a.Degree)
 		for _, b := range s.m2lTasks[a] {
-			la.Add(b.Mp.M2L(a.Center, la.Degree))
+			la.AccumulateM2L(b.Mp, s.bufs[w])
 		}
 		mu.Lock()
 		s.locals[a] = la
@@ -272,7 +293,7 @@ func (s *sweep) runP2P(out []float64) {
 			leaves = append(leaves, n)
 		}
 	})
-	e.parallelOver(len(leaves), func(li int) {
+	e.parallelOver(len(leaves), func(_, li int) {
 		a := leaves[li]
 		for i := a.Start; i < a.End; i++ {
 			xi := t.Pos[i]
@@ -294,18 +315,22 @@ func (s *sweep) runP2P(out []float64) {
 	})
 }
 
-// parallelOver runs f(i) for i in [0,n) on the configured worker count.
-func (e *Evaluator) parallelOver(n int, f func(int)) {
-	workers := e.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// workers returns the configured worker count (0 means GOMAXPROCS).
+func (e *Evaluator) workers() int {
+	if e.Cfg.Workers > 0 {
+		return e.Cfg.Workers
 	}
-	if workers > n {
-		workers = n
-	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// parallelOver runs f(w, i) for i in [0,n) on at most e.workers()
+// goroutines; w < e.workers() numbers the goroutine making the call, so f
+// may use per-worker scratch indexed by w.
+func (e *Evaluator) parallelOver(n int, f func(w, i int)) {
+	workers := min(e.workers(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			f(0, i)
 		}
 		return
 	}
@@ -313,37 +338,29 @@ func (e *Evaluator) parallelOver(n int, f func(int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= n {
 					return
 				}
-				f(i)
+				f(w, i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }
 
 // downward pushes local expansions to children and evaluates them at leaf
-// particles.
+// particles. It runs on one goroutine, with worker 0's scratch.
 func (s *sweep) downward(n *tree.Node, inherited *multipole.Local, out []float64) {
-	l := s.locals[n]
-	if inherited != nil {
-		shifted := inherited.Translate(n.Center, n.Degree)
-		if l == nil {
-			l = shifted
-		} else {
-			l.Add(shifted)
-		}
-	}
+	l := s.inherit(n, inherited)
 	if n.IsLeaf() {
 		if l != nil {
 			t := s.e.Tree
 			for i := n.Start; i < n.End; i++ {
-				out[i] += l.Evaluate(t.Pos[i])
+				out[i] += l.EvaluateBuf(t.Pos[i], s.bufs[0])
 			}
 		}
 		return
@@ -351,6 +368,21 @@ func (s *sweep) downward(n *tree.Node, inherited *multipole.Local, out []float64
 	for _, c := range n.Children {
 		s.downward(c, l, out)
 	}
+}
+
+// inherit returns n's local expansion after the downward L2L: n's own M2L
+// local (nil if it has none) plus the parent's local re-expanded about
+// n.Center.
+func (s *sweep) inherit(n *tree.Node, parent *multipole.Local) *multipole.Local {
+	l := s.locals[n]
+	if parent == nil {
+		return l
+	}
+	if l == nil {
+		l = multipole.NewLocal(n.Center, n.Degree)
+	}
+	l.AccumulateL2L(parent, s.bufs[0])
+	return l
 }
 
 // RelativeCost returns the FMM's expansion-work terms (M2L source terms plus

@@ -34,12 +34,7 @@ func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st 
 	st = &Stats{TreeHeight: t.Height, TreeNodes: t.NNodes, BuildTime: e.BuildTime()}
 	start := time.Now()
 
-	s := &sweep{
-		e:        e,
-		locals:   make(map[*tree.Node]*multipole.Local, t.NNodes),
-		m2lTasks: make(map[*tree.Node][]*tree.Node),
-		p2pTasks: make(map[*tree.Node][]*tree.Node),
-	}
+	s := e.newSweep()
 	s.traverse(t.Root, t.Root, st)
 	s.runM2L()
 
@@ -64,7 +59,7 @@ func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st 
 		}
 		leaves = append(leaves, nd)
 	})
-	e.parallelOver(len(leaves), func(li int) {
+	e.parallelOver(len(leaves), func(_, li int) {
 		a := leaves[li]
 		for i := a.Start; i < a.End; i++ {
 			if active != nil && !active[t.Perm[i]] {
@@ -96,22 +91,14 @@ func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st 
 	// Far field: locals flow down and evaluate with gradients.
 	var down func(n *tree.Node, inherited *multipole.Local)
 	down = func(n *tree.Node, inherited *multipole.Local) {
-		l := s.locals[n]
-		if inherited != nil {
-			shifted := inherited.Translate(n.Center, n.Degree)
-			if l == nil {
-				l = shifted
-			} else {
-				l.Add(shifted)
-			}
-		}
+		l := s.inherit(n, inherited)
 		if n.IsLeaf() {
 			if l != nil {
 				for i := n.Start; i < n.End; i++ {
 					if active != nil && !active[t.Perm[i]] {
 						continue
 					}
-					p, g := l.EvaluateField(t.Pos[i])
+					p, g := l.EvaluateFieldBuf(t.Pos[i], s.bufs[0])
 					outP[i] += p
 					outF[i] = outF[i].Add(g.Neg()) // E = -grad(phi)
 				}
@@ -192,8 +179,9 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
 			tgtNodes = append(tgtNodes, n)
 		}
 	})
+	bufs := e.sweepScratch()
 	var localsMu sync.Mutex
-	e.parallelOver(len(tgtNodes), func(i int) {
+	e.parallelOver(len(tgtNodes), func(w, i int) {
 		a := tgtNodes[i]
 		p := e.Cfg.Degree
 		for _, b := range m2l[a] {
@@ -203,7 +191,7 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
 		}
 		la := multipole.NewLocal(a.Center, p)
 		for _, b := range m2l[a] {
-			la.Add(b.Mp.M2L(a.Center, p))
+			la.AccumulateM2L(b.Mp, bufs[w])
 		}
 		localsMu.Lock()
 		locals[a] = la
@@ -219,7 +207,7 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
 		}
 	})
 	src := e.Tree
-	e.parallelOver(len(tLeaves), func(li int) {
+	e.parallelOver(len(tLeaves), func(_, li int) {
 		a := tLeaves[li]
 		for i := a.Start; i < a.End; i++ {
 			x := tt.Pos[i]
@@ -237,29 +225,29 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
 		}
 	})
 
-	// Downward on the target tree. Inherited locals may have a different
-	// degree than the child's own; Translate handles the resize.
+	// Downward on the target tree. Inherited locals may have a higher
+	// degree than the child's own; the child's local then grows to it.
 	var down func(n *tree.Node, inherited *multipole.Local)
 	down = func(n *tree.Node, inherited *multipole.Local) {
 		l := locals[n]
 		if inherited != nil {
-			deg := e.Cfg.Degree
-			if l != nil && l.Degree > deg {
-				deg = l.Degree
-			}
-			if inherited.Degree > deg {
-				deg = inherited.Degree
-			}
-			shifted := inherited.Translate(n.Center, deg)
+			deg := max(e.Cfg.Degree, inherited.Degree)
 			if l != nil {
-				shifted.Add(l)
+				deg = max(deg, l.Degree)
 			}
-			l = shifted
+			if l == nil || l.Degree < deg {
+				grown := multipole.NewLocal(n.Center, deg)
+				if l != nil {
+					copy(grown.Coeff, l.Coeff)
+				}
+				l = grown
+			}
+			l.AccumulateL2L(inherited, bufs[0])
 		}
 		if n.IsLeaf() {
 			if l != nil {
 				for i := n.Start; i < n.End; i++ {
-					out[i] += l.Evaluate(tt.Pos[i])
+					out[i] += l.EvaluateBuf(tt.Pos[i], bufs[0])
 				}
 			}
 			return

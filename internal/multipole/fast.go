@@ -2,14 +2,17 @@
 // identical to its O(p^4) counterpart in multipole.go but routes through
 // internal/rotation: align the shift with +z, shift axially (O(p^3)),
 // rotate back. Building a rotation Plan costs O(p^4) with the explicit
-// Wigner sum, so the fast path pays off when a plan is reused across
-// translations with the same polar angle — callers translating along many
-// distinct directions can pass nil to build one per call and still win for
-// large p because the constant is small.
+// Wigner sum, so the fast path pays off only when one plan is reused across
+// translations with the same polar angle. Passing nil builds a plan per
+// call, which never wins: the repository benchmark's cold-plan M2M probe
+// costs 1,410-5,301 ns per term at p 8-13, against 79-213 for the
+// convolution. Expansion centers are charge-weighted centroids, so the
+// shifts of a tree almost never share an angle; the convolutions are the
+// production operators, and these remain a tested reference and a
+// benchmark probe.
 package multipole
 
 import (
-	"treecode/internal/harmonics"
 	"treecode/internal/rotation"
 	"treecode/internal/vec"
 )
@@ -94,6 +97,3 @@ func (l *Local) TranslateRot(newCenter vec.V3, pOut int, plan *rotation.Plan) *L
 	rotation.RotateZ(out.Coeff, pOut, phi, rotation.Local)
 	return out
 }
-
-// ensure harmonics import is used even if future edits drop Get usage here.
-var _ = harmonics.Idx

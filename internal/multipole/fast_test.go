@@ -130,11 +130,12 @@ func TestRotDegreeChange(t *testing.T) {
 	coeffsClose(t, "M2L truncating", lFast.Coeff, lSlow.Coeff, 1e-10)
 }
 
-func BenchmarkM2LSlowP16(b *testing.B) {
+func BenchmarkM2LP16(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	pos, q := randomCluster(rng, 30, vec.V3{}, 0.5)
 	e := P2M(pos, q, vec.V3{}, 16)
 	dst := vec.V3{X: 4, Y: 1, Z: 2}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.M2L(dst, 16)
@@ -148,6 +149,7 @@ func BenchmarkM2LRotP16(b *testing.B) {
 	dst := vec.V3{X: 4, Y: 1, Z: 2}
 	_, theta, _ := dst.Spherical()
 	plan := rotation.NewPlan(16, theta)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.M2LRot(dst, 16, plan)
@@ -159,6 +161,7 @@ func BenchmarkM2LRotP16NoPlan(b *testing.B) {
 	pos, q := randomCluster(rng, 30, vec.V3{}, 0.5)
 	e := P2M(pos, q, vec.V3{}, 16)
 	dst := vec.V3{X: 4, Y: 1, Z: 2}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.M2LRot(dst, 16, nil)

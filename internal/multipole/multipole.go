@@ -115,24 +115,57 @@ func (e *Expansion) AccumulateTranslated(src *Expansion) {
 // AccumulateTranslatedBuf is AccumulateTranslated with a caller-provided
 // scratch buffer of length >= harmonics.Len(e.Degree) (nil allocates).
 // Useful in upward passes that translate many children per scratch.
+//
+// The convolution M'_n^m += sum_{j,k} conj(R_j^k) M_{n-j}^{m-k} reads both
+// tables in their triangular m >= 0 storage. For each (n, m, j) the range
+// of k splits where an order changes sign:
+//
+//	k < 0:        conj(R_j^k) = (-1)^k R_j^{-k}
+//	0 <= k <= m:  both orders stored
+//	k > m:        M_{n-j}^{m-k} = (-1)^{k-m} conj(M_{n-j}^{k-m})
+//
+// so each segment is a multiply-accumulate with no branch in its loop, and
+// conjugation and the (-1)^k factors are exact sign flips. The terms are
+// summed in the (n, m, j, k) order of the symmetric formula, so every
+// coefficient is bitwise the Get-indexed convolution's (oracle_test.go).
+// Source rows above src.Degree are zero and skipped.
+//
+//treecode:hot
 func (e *Expansion) AccumulateTranslatedBuf(src *Expansion, buf []complex128) {
 	t := src.Center.Sub(e.Center)
 	rt := harmonics.Regular(buf, t, e.Degree)
+	mc := src.Coeff
+	in := 0 // harmonics.Idx(n, 0)
 	for n := 0; n <= e.Degree; n++ {
 		for m := 0; m <= n; m++ {
-			var sum complex128
-			for j := 0; j <= n; j++ {
-				for k := -j; k <= j; k++ {
-					mk := m - k
-					if mk > n-j || -mk > n-j {
-						continue
-					}
-					sum += cmplx.Conj(harmonics.Get(rt, e.Degree, j, k)) *
-						harmonics.Get(src.Coeff, src.Degree, n-j, mk)
+			var sr, si float64
+			for j := max(0, n-src.Degree); j <= n; j++ {
+				q := n - j
+				ij, iq := j*(j+1)/2, q*(q+1)/2 // rows R_j and M_q
+				lo, hi := max(-j, m-q), min(j, m+q)
+				s := 1 - 2*float64(lo&1) // (-1)^k
+				for k := lo; k < 0; k++ {
+					r, a := rt[ij-k], mc[iq+m-k]
+					sr += s * (real(r)*real(a) - imag(r)*imag(a))
+					si += s * (real(r)*imag(a) + imag(r)*real(a))
+					s = -s
+				}
+				for k := max(lo, 0); k <= min(hi, m); k++ {
+					r, a := rt[ij+k], mc[iq+m-k]
+					sr += real(r)*real(a) + imag(r)*imag(a)
+					si += real(r)*imag(a) - imag(r)*real(a)
+				}
+				s = -1 // (-1)^(k-m)
+				for k := m + 1; k <= hi; k++ {
+					r, a := rt[ij+k], mc[iq+k-m]
+					sr += s * (real(r)*real(a) - imag(r)*imag(a))
+					si -= s * (real(r)*imag(a) + imag(r)*real(a))
+					s = -s
 				}
 			}
-			e.Coeff[harmonics.Idx(n, m)] += sum
+			e.Coeff[in+m] += complex(sr, si)
 		}
+		in += n + 1
 	}
 	e.AbsCharge += src.AbsCharge
 	if r := src.Radius + t.Norm(); r > e.Radius {
@@ -403,25 +436,73 @@ func (l *Local) Clear() {
 // greater than the cluster radius plus the evaluation radius.
 func (e *Expansion) M2L(center vec.V3, pOut int) *Local {
 	l := NewLocal(center, pOut)
-	t := center.Sub(e.Center)
-	st := harmonics.Irregular(nil, t, pOut+e.Degree)
-	for j := 0; j <= pOut; j++ {
-		sign := 1.0
-		if j%2 == 1 {
-			sign = -1
-		}
-		for k := 0; k <= j; k++ {
-			var sum complex128
-			for n := 0; n <= e.Degree; n++ {
-				for m := -n; m <= n; m++ {
-					sum += harmonics.Get(e.Coeff, e.Degree, n, m) *
-						harmonics.Get(st, pOut+e.Degree, j+n, k+m)
-				}
-			}
-			l.Coeff[harmonics.Idx(j, k)] = complex(sign, 0) * sum
-		}
+	// Accumulate onto -0, the additive identity of every float (+0 is not:
+	// +0 + -0 = +0), so each coefficient is the converted value to the bit,
+	// sign of zero included.
+	negZero := complex(math.Copysign(0, -1), math.Copysign(0, -1))
+	for i := range l.Coeff {
+		l.Coeff[i] = negZero
 	}
+	l.AccumulateM2L(e, nil)
 	return l
+}
+
+// AccumulateM2L adds the local expansion of src about l.Center, truncated
+// at l.Degree, into l: the M2L of one entry of an FMM target's interaction
+// list. buf is scratch of length >= harmonics.Len(src.Degree+l.Degree)
+// (nil allocates).
+//
+// The convolution L_j^k += (-1)^j sum_{n,m} M_n^m S_{j+n}^{k+m} reads both
+// tables in their triangular storage. For each (j, k, n) the range of m
+// splits where an order changes sign:
+//
+//	m < -k:        M_n^m S_{j+n}^{k+m} = (-1)^k conj(M_n^{-m} S_{j+n}^{-k-m})
+//	-k <= m < 0:   M_n^m = (-1)^m conj(M_n^{-m})
+//	m >= 0:        both orders stored
+//
+// so each segment is a multiply-accumulate with no branch in its loop, and
+// the terms are summed in the (j, k, n, m) order of the symmetric formula:
+// every converted coefficient is bitwise the Get-indexed convolution's, and
+// l gains it with one addition (oracle_test.go).
+//
+//treecode:hot
+func (l *Local) AccumulateM2L(src *Expansion, buf []complex128) {
+	t := l.Center.Sub(src.Center)
+	st := harmonics.Irregular(buf, t, l.Degree+src.Degree)
+	mc := src.Coeff
+	ij := 0 // harmonics.Idx(j, 0)
+	for j := 0; j <= l.Degree; j++ {
+		sign := 1 - 2*float64(j&1) // (-1)^j
+		for k := 0; k <= j; k++ {
+			var sr, si float64
+			sk := 1 - 2*float64(k&1) // (-1)^k
+			in := 0                  // harmonics.Idx(n, 0)
+			for n := 0; n <= src.Degree; n++ {
+				is := (j + n) * (j + n + 1) / 2 // row S_{j+n}
+				for m := -n; m < -k; m++ {
+					a, c := mc[in-m], st[is-k-m]
+					sr += sk * (real(a)*real(c) - imag(a)*imag(c))
+					si -= sk * (real(a)*imag(c) + imag(a)*real(c))
+				}
+				lo := max(-n, -k)
+				s := 1 - 2*float64(lo&1) // (-1)^m
+				for m := lo; m < 0; m++ {
+					a, c := mc[in-m], st[is+k+m]
+					sr += s * (real(a)*real(c) + imag(a)*imag(c))
+					si += s * (real(a)*imag(c) - imag(a)*real(c))
+					s = -s
+				}
+				for m := 0; m <= n; m++ {
+					a, c := mc[in+m], st[is+k+m]
+					sr += real(a)*real(c) - imag(a)*imag(c)
+					si += real(a)*imag(c) + imag(a)*real(c)
+				}
+				in += n + 1
+			}
+			l.Coeff[ij+k] += complex(sign, 0) * complex(sr, si)
+		}
+		ij += j + 1
+	}
 }
 
 // AddP2L accumulates the local expansion of a single distant charge (P2L),
@@ -442,41 +523,76 @@ func (l *Local) AddP2L(pos vec.V3, q float64) {
 // equals the truncation of the original series re-expanded.
 func (l *Local) Translate(newCenter vec.V3, pOut int) *Local {
 	out := NewLocal(newCenter, pOut)
-	w := newCenter.Sub(l.Center)
-	rw := harmonics.Regular(nil, w, l.Degree)
-	for n := 0; n <= pOut; n++ {
-		for m := 0; m <= n; m++ {
-			var sum complex128
-			for j := n; j <= l.Degree; j++ {
-				for k := -j; k <= j; k++ {
-					km := k - m
-					if km > j-n || -km > j-n {
-						continue
-					}
-					sum += harmonics.Get(l.Coeff, l.Degree, j, k) *
-						cmplx.Conj(harmonics.Get(rw, l.Degree, j-n, km))
-				}
-			}
-			out.Coeff[harmonics.Idx(n, m)] = sum
-		}
-	}
+	out.AccumulateL2L(l, nil)
 	return out
 }
 
-// Add accumulates src into l. Centers must match; degrees may differ.
-func (l *Local) Add(src *Local) {
-	n := len(src.Coeff)
-	if len(l.Coeff) < n {
-		n = len(l.Coeff)
-	}
-	for i := 0; i < n; i++ {
-		l.Coeff[i] += src.Coeff[i]
+// AccumulateL2L adds src, re-expanded about l.Center and truncated at
+// l.Degree, into l: the L2L of an FMM downward pass. buf is scratch of
+// length >= harmonics.Len(src.Degree) (nil allocates).
+//
+// The convolution L'_n^m += sum_{j>=n,k} L_j^k conj(R_{j-n}^{k-m}) reads
+// both tables in their triangular storage. For each (n, m, j) the range of
+// k splits where an order changes sign:
+//
+//	k < 0:       L_j^k conj(R_{j-n}^{k-m}) = (-1)^m conj(L_j^{-k}) R_{j-n}^{m-k}
+//	0 <= k < m:  conj(R_{j-n}^{k-m}) = (-1)^{m-k} R_{j-n}^{m-k}
+//	k >= m:      both orders stored
+//
+// so each segment is a multiply-accumulate with no branch in its loop, and
+// the terms are summed in the (n, m, j, k) order of the symmetric formula:
+// every coefficient is bitwise the Get-indexed convolution's
+// (oracle_test.go).
+//
+//treecode:hot
+func (l *Local) AccumulateL2L(src *Local, buf []complex128) {
+	w := l.Center.Sub(src.Center)
+	rw := harmonics.Regular(buf, w, src.Degree)
+	lc := src.Coeff
+	in := 0 // harmonics.Idx(n, 0)
+	for n := 0; n <= l.Degree; n++ {
+		for m := 0; m <= n; m++ {
+			var sr, si float64
+			sm := 1 - 2*float64(m&1) // (-1)^m
+			for j := n; j <= src.Degree; j++ {
+				q := j - n
+				ij, iq := j*(j+1)/2, q*(q+1)/2 // rows L_j and R_q
+				for k := m - q; k < 0; k++ {
+					b, c := lc[ij-k], rw[iq+m-k]
+					sr += sm * (real(b)*real(c) + imag(b)*imag(c))
+					si += sm * (real(b)*imag(c) - imag(b)*real(c))
+				}
+				lo := max(0, m-q)
+				s := 1 - 2*float64((m-lo)&1) // (-1)^(m-k)
+				for k := lo; k < m; k++ {
+					b, c := lc[ij+k], rw[iq+m-k]
+					sr += s * (real(b)*real(c) - imag(b)*imag(c))
+					si += s * (real(b)*imag(c) + imag(b)*real(c))
+					s = -s
+				}
+				for k := m; k <= m+q; k++ {
+					b, c := lc[ij+k], rw[iq+k-m]
+					sr += real(b)*real(c) + imag(b)*imag(c)
+					si += imag(b)*real(c) - real(b)*imag(c)
+				}
+			}
+			l.Coeff[in+m] += complex(sr, si)
+		}
+		in += n + 1
 	}
 }
 
 // Evaluate computes the potential at x from the local expansion (L2P).
 func (l *Local) Evaluate(x vec.V3) float64 {
-	r := harmonics.Regular(nil, x.Sub(l.Center), l.Degree)
+	return l.EvaluateBuf(x, nil)
+}
+
+// EvaluateBuf is Evaluate with a caller-provided scratch buffer of length
+// >= harmonics.Len(l.Degree) (nil allocates).
+//
+//treecode:hot
+func (l *Local) EvaluateBuf(x vec.V3, buf []complex128) float64 {
+	r := harmonics.Regular(buf, x.Sub(l.Center), l.Degree)
 	var phi float64
 	for n := 0; n <= l.Degree; n++ {
 		base := harmonics.Idx(n, 0)
@@ -490,8 +606,16 @@ func (l *Local) Evaluate(x vec.V3) float64 {
 
 // EvaluateField computes the potential and gradient at x (L2P with forces).
 func (l *Local) EvaluateField(x vec.V3) (phi float64, grad vec.V3) {
+	return l.EvaluateFieldBuf(x, nil)
+}
+
+// EvaluateFieldBuf is EvaluateField with a caller-provided scratch buffer of
+// length >= harmonics.Len(l.Degree) (nil allocates).
+//
+//treecode:hot
+func (l *Local) EvaluateFieldBuf(x vec.V3, buf []complex128) (phi float64, grad vec.V3) {
 	p := l.Degree
-	r := harmonics.Regular(nil, x.Sub(l.Center), p)
+	r := harmonics.Regular(buf, x.Sub(l.Center), p)
 	var gx, gy, gz complex128
 	for n := 0; n <= p; n++ {
 		for m := -n; m <= n; m++ {

@@ -1,12 +1,14 @@
 package multipole
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"treecode/internal/harmonics"
 	"treecode/internal/vec"
 )
 
@@ -385,8 +387,51 @@ func BenchmarkM2L(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	pos, q := randomCluster(rng, 64, vec.V3{}, 0.5)
 	e := P2M(pos, q, vec.V3{}, 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.M2L(vec.V3{X: 3, Y: 1, Z: 2}, 8)
+	}
+}
+
+// translationDegrees are the degrees of the accumulate-form benchmarks:
+// fmm-uniform's fixed degree and bem-sphere's carried root degree.
+var translationDegrees = []int{8, 13}
+
+// BenchmarkM2M times one child-to-parent M2M of the upward pass at its
+// documented scratch size.
+func BenchmarkM2M(b *testing.B) {
+	for _, p := range translationDegrees {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(14))
+			pos, q := randomCluster(rng, 64, vec.V3{}, 0.2)
+			src := P2M(pos, q, vec.V3{}, p)
+			dst := NewExpansion(vec.V3{X: 0.05, Y: -0.03, Z: 0.08}, p)
+			buf := make([]complex128, harmonics.Len(p))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst.AccumulateTranslatedBuf(src, buf)
+			}
+		})
+	}
+}
+
+// BenchmarkAccumulateM2L times one M2L of an FMM interaction list into the
+// target's local at its documented scratch size.
+func BenchmarkAccumulateM2L(b *testing.B) {
+	for _, p := range translationDegrees {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(15))
+			pos, q := randomCluster(rng, 64, vec.V3{}, 0.5)
+			src := P2M(pos, q, vec.V3{}, p)
+			l := NewLocal(vec.V3{X: 3, Y: 1, Z: 2}, p)
+			buf := make([]complex128, harmonics.Len(2*p))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.AccumulateM2L(src, buf)
+			}
+		})
 	}
 }

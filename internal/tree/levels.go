@@ -32,28 +32,22 @@ func (t *Tree) Levels() [][]*Node {
 // parallel on the work-stealing pool) before any node of the level above.
 // Children therefore always complete before their parent — the dependency
 // order of the upward multipole pass (P2M at leaves, M2M at internal
-// nodes) — without per-node synchronization. Each worker gets one scratch
-// value S for its lifetime (e.g. a spherical-harmonics buffer), so visit
-// may scribble on it freely.
+// nodes) — without per-node synchronization. It runs len(scratch) >= 1
+// workers, and worker i owns scratch[i] for the whole pass (e.g. a
+// spherical-harmonics buffer), so visit may scribble on it freely. The
+// caller owns the scratch, so a caller that reruns the pass can keep it.
 //
 // visit must only write to its node and its scratch; under that contract
 // the result is bitwise identical at any worker count, because every
 // per-node computation reads only the node's own range and its (already
 // complete) children in fixed order.
-func LevelSyncUp[S any](t *Tree, workers int, scratch func() S, visit func(n *Node, s S)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func LevelSyncUp[S any](t *Tree, scratch []S, visit func(n *Node, s S)) {
 	levels := t.Levels()
-	bufs := make([]S, workers)
-	for i := range bufs {
-		bufs[i] = scratch()
-	}
 	for l := len(levels) - 1; l >= 0; l-- {
 		nodes := levels[l]
-		sched.Run(len(nodes), workers, func(id int, next func() (int, bool)) {
+		sched.Run(len(nodes), len(scratch), func(id int, next func() (int, bool)) {
 			for i, ok := next(); ok; i, ok = next() {
-				visit(nodes[i], bufs[id])
+				visit(nodes[i], scratch[id])
 			}
 		})
 	}
@@ -67,7 +61,10 @@ func LevelSyncUp[S any](t *Tree, workers int, scratch func() S, visit func(n *No
 // were selected for, exactly as the paper prescribes for iterative solvers
 // where only the source strengths change between matrix applications.
 func (t *Tree) RefreshChargeStats(workers int) {
-	LevelSyncUp(t, workers, func() struct{} { return struct{}{} }, func(n *Node, _ struct{}) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	LevelSyncUp(t, make([]struct{}, workers), func(n *Node, _ struct{}) {
 		var q, absQ float64
 		if n.IsLeaf() {
 			for i := n.Start; i < n.End; i++ {

@@ -205,7 +205,7 @@ func TestLevelSyncUpOrdering(t *testing.T) {
 	mu = make(chan struct{}, 1)
 	mu <- struct{}{}
 	bad := 0
-	LevelSyncUp(tr, 8, func() struct{} { return struct{}{} }, func(n *Node, _ struct{}) {
+	LevelSyncUp(tr, make([]struct{}, 8), func(n *Node, _ struct{}) {
 		<-mu
 		for _, c := range n.Children {
 			if !visited[c] {
