@@ -55,12 +55,21 @@ func InteractionBound(A, a, r float64, p int) float64 {
 }
 
 // AlphaBound is the Theorem 2 worst-case form of the bound under the
-// alpha-criterion a/r <= alpha: A * alpha^{p+1} / (r(1-alpha)).
+// alpha-criterion a/r <= alpha: A * alpha^{p+1} / (r(1-alpha)). The
+// integer power is taken by binary exponentiation, not math.Pow: the traced
+// evaluator calls this once per accepted interaction.
 func AlphaBound(A, r, alpha float64, p int) float64 {
 	if alpha <= 0 || alpha >= 1 || r <= 0 {
 		return math.Inf(1)
 	}
-	return A * math.Pow(alpha, float64(p+1)) / (r * (1 - alpha))
+	pow := 1.0
+	for x, n := alpha, p+1; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			pow *= x
+		}
+		x *= x
+	}
+	return A * pow / (r * (1 - alpha))
 }
 
 // WorstCaseBound is the Theorem 2 bound at the closest admissible distance

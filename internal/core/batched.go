@@ -115,7 +115,7 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 		w := &batchWorker{
 			worker: worker{
 				e:     e,
-				buf:   make([]complex128, harmonics.Len(e.maxP+1)),
+				buf:   make([]complex128, harmonics.Len(e.maxP)),
 				shard: e.Cfg.Obs.NewShard(),
 			},
 			smac:   smac,
@@ -297,9 +297,10 @@ func (w *batchWorker) fusedM2P(n *tree.Node, x vec.V3) float64 {
 	if p > w.stats.MaxDegree {
 		w.stats.MaxDegree = p
 	}
-	w.stats.BoundSum += multipole.TruncationBoundFast(n.Mp.AbsCharge, n.Mp.Radius, x.Dist(n.Mp.Center), p)
+	r := x.Dist(n.Mp.Center)
+	w.stats.BoundSum += multipole.TruncationBoundFast(n.Mp.AbsCharge, n.Mp.Radius, r, p)
 	if w.shard != nil {
-		w.recordAccept(n, x, p)
+		w.recordAccept(n, r, p)
 	}
 	return n.Mp.EvaluateFused(x, p)
 }

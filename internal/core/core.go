@@ -464,7 +464,7 @@ type worker struct {
 func (e *Evaluator) newWorker() *worker {
 	return &worker{
 		e:     e,
-		buf:   make([]complex128, harmonics.Len(e.maxP+1)),
+		buf:   make([]complex128, harmonics.Len(e.maxP)),
 		shard: e.Cfg.Obs.NewShard(),
 	}
 }
@@ -557,9 +557,10 @@ func (w *worker) acceptM2P(n *tree.Node, x vec.V3) float64 {
 	if p > w.stats.MaxDegree {
 		w.stats.MaxDegree = p
 	}
-	w.stats.BoundSum += n.Mp.BoundAt(x, p)
+	r := x.Dist(n.Mp.Center)
+	w.stats.BoundSum += multipole.TruncationBound(n.Mp.AbsCharge, n.Mp.Radius, r, p)
 	if w.shard != nil {
-		w.recordAccept(n, x, p)
+		w.recordAccept(n, r, p)
 	}
 	return n.Mp.EvaluatePrefix(x, p, w.buf)
 }
@@ -608,13 +609,12 @@ func (w *worker) direct(n *tree.Node, x vec.V3, self int) (float64, int64) {
 	return phi, pp
 }
 
-// recordAccept feeds one accepted interaction to the worker's obs shard:
-// level, degree, series terms, the opening ratio a/r actually realized,
-// and the Theorem 2 predicted bound A alpha^{p+1}/(r(1-alpha)). Only
-// called when the shard exists, so the distance is not recomputed on
-// un-instrumented runs.
-func (w *worker) recordAccept(n *tree.Node, x vec.V3, p int) {
-	r := x.Dist(n.Center)
+// recordAccept feeds one accepted interaction at distance r from the
+// cluster's center to the worker's obs shard: level, degree, series terms,
+// the opening ratio a/r actually realized, and the Theorem 2 predicted
+// bound A alpha^{p+1}/(r(1-alpha)). The caller passes the distance its own
+// Theorem 1 bound used, so a traced interaction computes it once.
+func (w *worker) recordAccept(n *tree.Node, r float64, p int) {
 	ratio := 0.0
 	if r > 0 {
 		ratio = n.Radius / r
@@ -641,7 +641,10 @@ func (w *worker) walkField(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
 	return w.walkFieldBelow(n, x, self)
 }
 
-// acceptM2PField is acceptM2P's potential+field counterpart.
+// acceptM2PField is acceptM2P's potential+field counterpart and the one
+// accept step of every field evaluation: the walk, the batched shared M2P
+// list and the batched refinement band. It runs the single-pass
+// EvaluateFieldFused kernel and the exponentiation-by-squaring bound.
 //
 //treecode:hot
 func (w *worker) acceptM2PField(n *tree.Node, x vec.V3) (float64, vec.V3) {
@@ -651,11 +654,12 @@ func (w *worker) acceptM2PField(n *tree.Node, x vec.V3) (float64, vec.V3) {
 	if p > w.stats.MaxDegree {
 		w.stats.MaxDegree = p
 	}
-	w.stats.BoundSum += n.Mp.BoundAt(x, p)
+	r := x.Dist(n.Mp.Center)
+	w.stats.BoundSum += multipole.TruncationBoundFast(n.Mp.AbsCharge, n.Mp.Radius, r, p)
 	if w.shard != nil {
-		w.recordAccept(n, x, p)
+		w.recordAccept(n, r, p)
 	}
-	phi, grad := n.Mp.EvaluateFieldBuf(x, p, w.buf)
+	phi, grad := n.Mp.EvaluateFieldFused(x, p)
 	return phi, grad.Neg()
 }
 

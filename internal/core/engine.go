@@ -155,6 +155,9 @@ func (g *Engine) UpdateFor(pos []vec.V3, active []bool) (RebuildKind, error) {
 		c.Obs.AddEvent(obs.EventRebuildFallback, st.RebuildReason(), float64(st.Migrants))
 		return RebuildFull, g.build(g.snapshotSet(pos), st.RebuildReason())
 	}
+	if st.RootGrown {
+		c.Obs.AddEvent(obs.EventRootGrow, "out-of-root", float64(st.OutOfRoot))
+	}
 	if st.Migrants > 0 {
 		// The decomposition changed: leaves split or merged, cluster
 		// charges moved between boxes. Re-select degrees and rebuild the
@@ -196,8 +199,8 @@ func (g *Engine) snapshotSet(pos []vec.V3) *points.Set {
 
 // MaxSelectedDegree returns the largest degree selected for any node. It
 // equals the largest carried degree (carrying only propagates selections
-// downward), so callers sizing evaluation scratch — e.g. the softened
-// n-body path — read it instead of re-walking the tree.
+// downward), so callers sizing evaluation scratch — e.g. the FMM's M2L
+// sweep buffers — read it instead of re-walking the tree.
 func (g *Engine) MaxSelectedDegree() int { return g.maxP }
 
 // BuildTime returns the duration of the last construction or refit (tree

@@ -36,6 +36,8 @@ package core
 // Invalidation lattice, coarsest to finest:
 //
 //	construct (New, full-rebuild fallback)  -> whole store dropped
+//	Update that grew the root               -> every plan re-collected
+//	                                           (plans start at the root)
 //	Update with migrants (splits/merges)    -> plans realigned by leaf
 //	                                           identity; restructured nodes
 //	                                           invalidate by Shape stamp
@@ -198,6 +200,20 @@ func (e *Evaluator) revalidatePlans(migrants int) {
 	}
 	if migrants > 0 {
 		e.realignPlans()
+	}
+	// A plan starts at the root it was collected from. When the pass grew
+	// the root (tree.Update), the plan lacks the new root's decision and
+	// the branches beside the old root: it empties, keeping its backing
+	// array, and the next evaluation re-collects it.
+	var dropped int64
+	for i := range e.plans {
+		if pl := &e.plans[i]; len(pl.entries) > 0 && pl.entries[0].node != e.Tree.Root {
+			pl.entries, pl.invalid = pl.entries[:0], 0
+			dropped++
+		}
+	}
+	if dropped > 0 {
+		e.Cfg.Obs.AddPlanDrop("root grown", dropped)
 	}
 	seq := e.Tree.Seq()
 	workers := e.Cfg.Workers

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -129,6 +130,75 @@ func TestPlanCacheMultiStepDriftBitwise(t *testing.T) {
 	}
 	if pm.EntriesReused == 0 {
 		t.Fatalf("no plan entries reused across the drift run: %+v", pm)
+	}
+}
+
+// TestPlanCacheRootGrowthBitwise follows one particle flying out of the
+// cluster at a constant step of a fifth of the root's side, as a particle
+// ejected by a close encounter does. Every Update must refit, growing the
+// root when the particle leaves it, never fall back to a full rebuild, and
+// after each one the cached-plan evaluation must be bitwise identical to a
+// from-scratch traversal of the same engine state. At the end the refitted
+// potentials must agree with a fresh build's within the two budgets.
+func TestPlanCacheRootGrowthBitwise(t *testing.T) {
+	set, err := points.Generate(points.Plummer, 1500, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.New()
+	cfg := Config{Method: Adaptive, Degree: 4, Alpha: 0.5, Eval: EvalBatched, Workers: 2, Obs: col}
+	e, err := New(set, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Potentials() // build every leaf's plan
+
+	box := e.Tree.Root.Box
+	step := box.MaxDim() / 5
+	var pos []vec.V3
+	for k := 1; k <= 12; k++ {
+		pos = newPositions(e, nil, 0)
+		pos[0] = vec.V3{X: box.Hi.X + float64(k-1)*step, Y: box.Center().Y, Z: box.Center().Z}
+		kind, err := e.Update(pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != RebuildRefit {
+			t.Fatalf("step %d: escaping particle forced %v", k, kind)
+		}
+		label := fmt.Sprintf("step %d", k)
+		phiCached, stCached := e.Potentials()
+		cached := e.plans
+		e.plans = nil
+		phiFresh, stFresh := e.Potentials()
+		comparePlanStructure(t, label, cached, e.plans)
+		bitsEqual(t, phiCached, phiFresh, label)
+		if stCached.Terms != stFresh.Terms || stCached.PC != stFresh.PC || stCached.PP != stFresh.PP {
+			t.Fatalf("%s: stats diverge: cached {Terms %d PC %d PP %d}, fresh {Terms %d PC %d PP %d}",
+				label, stCached.Terms, stCached.PC, stCached.PP, stFresh.Terms, stFresh.PC, stFresh.PP)
+		}
+		e.plans = cached
+	}
+	if n := col.EventCounts()[obs.EventRootGrow]; n < 2 {
+		t.Fatalf("trajectory grew the root %d times, want at least 2", n)
+	}
+	if m := col.Metrics(); m.Refit.Rebuilds != 0 || m.Plan.Drops == 0 {
+		t.Fatalf("root growth rebuilt or kept stale plans: refit %+v, plan %+v", m.Refit, m.Plan)
+	}
+
+	phi, st := e.Potentials()
+	fresh, err := New(setAt(e, pos), Config{Method: Adaptive, Degree: 4, Alpha: 0.5, Eval: EvalBatched, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phiF, stF := fresh.Potentials()
+	var diff2 float64
+	for i := range phi {
+		d := phi[i] - phiF[i]
+		diff2 += d * d
+	}
+	if diff := math.Sqrt(diff2); diff > st.BoundSum+stF.BoundSum {
+		t.Fatalf("grown-root vs fresh L2 gap %g exceeds combined budget %g", diff, st.BoundSum+stF.BoundSum)
 	}
 }
 

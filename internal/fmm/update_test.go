@@ -113,3 +113,42 @@ func TestFMMUpdateRefit(t *testing.T) {
 		t.Fatal("no step took the refit path; test is vacuous")
 	}
 }
+
+// TestFMMUpdateRootGrowth: a particle leaving the root cube by less than its
+// side grows the shared engine's root instead of rebuilding, and the FMM
+// over the grown tree stays as accurate against direct summation as a
+// fresh build at the same positions.
+func TestFMMUpdateRootGrowth(t *testing.T) {
+	set, _ := points.Generate(points.Gaussian, 1200, 5)
+	cfg := Config{Method: core.Adaptive, Degree: 5, Alpha: 0.5, Workers: 2}
+	e, err := New(set, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := e.Tree.Root
+	box := old.Box
+	pos := movedPositions(e, nil, 0)
+	pos[0].X = box.Hi.X + 0.4*box.MaxDim()
+	kind, err := e.Update(pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != core.RebuildRefit || e.Tree.Root == old {
+		t.Fatalf("near escape took %v path, root grown: %v", kind, e.Tree.Root != old)
+	}
+	got, _ := e.Potentials()
+	moved := &points.Set{Particles: make([]points.Particle, len(pos))}
+	for i, orig := range e.Tree.Perm {
+		moved.Particles[orig] = points.Particle{Pos: pos[orig], Charge: e.Tree.Q[i]}
+	}
+	want := direct.SelfPotentials(moved, 0)
+	fresh, err := New(moved, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := fresh.Potentials()
+	reGrown, reFresh := stats.RelErr2(got, want), stats.RelErr2(ref, want)
+	if reGrown > 1e-4 || reGrown > 5*reFresh+1e-9 {
+		t.Fatalf("grown-root FMM error %v (fresh build %v)", reGrown, reFresh)
+	}
+}

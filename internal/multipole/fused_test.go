@@ -1,6 +1,7 @@
 package multipole
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,6 +61,14 @@ func TestEvaluateFusedAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("TruncationBoundFast allocates %v times per call", a)
 	}
+	for _, p := range []int{8, 13} {
+		e := P2M(pos, q, center, p)
+		if a := testing.AllocsPerRun(100, func() {
+			e.EvaluateFieldFused(x, p)
+		}); a != 0 {
+			t.Fatalf("EvaluateFieldFused at degree %d allocates %v times per call", p, a)
+		}
+	}
 }
 
 // TestTruncationBoundFastMatchesPow: the fast bound must agree with the
@@ -112,4 +121,149 @@ func BenchmarkEvaluateFused(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.EvaluateFused(x, 6)
 	}
+}
+
+// fieldSink keeps the field benchmarks' results live.
+var fieldSink vec.V3
+
+// benchmarkField times one field kernel at degrees 4, 8 and 13, the
+// benchmark's kernel-probe degrees.
+func benchmarkField(b *testing.B, eval func(e *Expansion, x vec.V3, p int) vec.V3) {
+	rng := rand.New(rand.NewSource(5))
+	pos, q := randomCluster(rng, 40, vec.V3{}, 0.5)
+	x := vec.V3{X: 2, Y: 0.5, Z: -1}
+	for _, p := range []int{4, 8, 13} {
+		e := P2M(pos, q, vec.V3{}, p)
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fieldSink = eval(e, x, p)
+			}
+		})
+	}
+}
+
+func BenchmarkEvaluateFieldFused(b *testing.B) {
+	benchmarkField(b, func(e *Expansion, x vec.V3, p int) vec.V3 {
+		_, g := e.EvaluateFieldFused(x, p)
+		return g
+	})
+}
+
+func BenchmarkEvaluateFieldBuf(b *testing.B) {
+	buf := make([]complex128, 128)
+	benchmarkField(b, func(e *Expansion, x vec.V3, p int) vec.V3 {
+		_, g := e.EvaluateFieldBuf(x, p, buf)
+		return g
+	})
+}
+
+// fieldFusedCase builds a degree-deg expansion of a fixed mixed-sign cluster
+// and a target in direction dir (unit length) at the distance where the
+// expansion's a/r equals ratio, everything scaled by scale. The expansion
+// is assembled by M2M from an off-center P2M, as the upward pass builds
+// internal nodes, so its m = 0 coefficients carry that pass's roundoff.
+func fieldFusedCase(deg int, dir vec.V3, ratio, scale float64) (*Expansion, vec.V3) {
+	rng := rand.New(rand.NewSource(17))
+	center := vec.V3{X: 0.3, Y: -0.1, Z: 0.2}.Scale(scale)
+	off := center.Add(vec.V3{X: 0.05, Y: 0.02, Z: -0.04}.Scale(scale))
+	pos, q := randomCluster(rng, 24, off, 0.4*scale)
+	e := NewExpansion(center, deg)
+	e.AccumulateTranslated(P2M(pos, q, off, deg))
+	return e, center.Add(dir.Scale(e.Radius / ratio))
+}
+
+// fieldFusedMismatch compares EvaluateFieldFused with the two-pass
+// EvaluateFieldBuf at prefix degree p. The tolerance is 1e-12 of the
+// Theorem 1 scale of each series: A/(r-a) for the potential and A/(r-a)^2
+// for each gradient component. It returns "" on agreement.
+func fieldFusedMismatch(e *Expansion, x vec.V3, p int) string {
+	phi, g := e.EvaluateFieldFused(x, p)
+	wantPhi, wantG := e.EvaluateFieldBuf(x, p, nil)
+	gap := x.Dist(e.Center) - e.Radius
+	tolPhi := 1e-12 * e.AbsCharge / gap
+	tolG := tolPhi / gap
+	for _, v := range []float64{phi, g.X, g.Y, g.Z} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Sprintf("non-finite result phi %v grad %v", phi, g)
+		}
+	}
+	if d := math.Abs(phi - wantPhi); !(d <= tolPhi) {
+		return fmt.Sprintf("phi %v, reference %v (diff %g > %g)", phi, wantPhi, d, tolPhi)
+	}
+	for _, c := range [][2]float64{{g.X, wantG.X}, {g.Y, wantG.Y}, {g.Z, wantG.Z}} {
+		if d := math.Abs(c[0] - c[1]); !(d <= tolG) {
+			return fmt.Sprintf("grad %v, reference %v (diff %g > %g)", g, wantG, d, tolG)
+		}
+	}
+	return ""
+}
+
+// TestEvaluateFieldFusedMatchesBuf: the single-pass field kernel agrees with
+// the two-pass reference on the Theorem 1 scale at degrees 0-20, prefix
+// degrees below, at and above the expansion's (clamping), targets on and
+// off the z axis, a/r from 0.01 to 0.99 and lengths from 1e-8 to 1e8.
+func TestEvaluateFieldFusedMatchesBuf(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	dirs := []vec.V3{{Z: 1}, {Z: -1}}
+	for len(dirs) < 6 {
+		d := vec.V3{X: 2*rng.Float64() - 1, Y: 2*rng.Float64() - 1, Z: 2*rng.Float64() - 1}
+		if n := d.Norm(); n > 0.1 && n <= 1 {
+			dirs = append(dirs, d.Scale(1/n))
+		}
+	}
+	for deg := 0; deg <= 20; deg++ {
+		for _, ratio := range []float64{0.01, 0.1, 0.5, 0.9, 0.99} {
+			for _, scale := range []float64{1e-8, 1e-3, 1, 1e3, 1e8} {
+				for _, dir := range dirs {
+					e, x := fieldFusedCase(deg, dir, ratio, scale)
+					for _, p := range []int{0, deg / 2, deg - 1, deg, deg + 1, deg + 4} {
+						if p < 0 {
+							continue
+						}
+						if msg := fieldFusedMismatch(e, x, p); msg != "" {
+							t.Fatalf("degree %d prefix %d a/r %v scale %v dir %v: %s", deg, p, ratio, scale, dir, msg)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzEvaluateFieldFused maps arbitrary inputs onto a field evaluation:
+// (dx, dy, dz) give the target's direction (the +z axis when they carry no
+// usable direction), the fractional parts of ratio and logScale pick a/r in
+// [0.01, 0.99) and a length scale in [1e-8, 1e8), and k picks the
+// expansion's degree (0-20) and the prefix degree (0-23, clamped). The
+// fused kernel must return finite values within fieldFusedMismatch's
+// tolerance of the two-pass reference.
+func FuzzEvaluateFieldFused(f *testing.F) {
+	f.Add(0.0, 0.0, 1.0, 0.5, 0.5, 8*21+8)    // +z axis, degree 8
+	f.Add(0.0, 0.0, -2.0, 0.3, 0.9, 13*21+13) // -z axis, degree 13
+	f.Add(1.0, -2.0, 0.5, 0.2, 0.1, 0)        // p = 0
+	f.Add(0.3, 0.4, -0.5, 0.99, 0.75, 20*21+20)
+	f.Add(-1.0, 0.5, 0.25, 0.9999, 0.0, 12*21+12) // a/r near 1
+	f.Fuzz(func(t *testing.T, dx, dy, dz, ratio, logScale float64, k int) {
+		frac := func(v float64) float64 {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0
+			}
+			v = math.Abs(v)
+			return v - math.Floor(v)
+		}
+		dir := vec.V3{Z: 1}
+		if m := math.Max(math.Abs(dx), math.Max(math.Abs(dy), math.Abs(dz))); m > 0 && !math.IsInf(m, 0) {
+			dir = vec.V3{X: dx / m, Y: dy / m, Z: dz / m}
+			dir = dir.Scale(1 / dir.Norm())
+		}
+		if k < 0 {
+			k = -(k + 1)
+		}
+		deg, p := k%21, (k/21)%24
+		e, x := fieldFusedCase(deg, dir, 0.01+0.98*frac(ratio), math.Pow(10, -8+16*frac(logScale)))
+		if msg := fieldFusedMismatch(e, x, p); msg != "" {
+			t.Fatalf("degree %d prefix %d at %v: %s", deg, p, x, msg)
+		}
+	})
 }

@@ -298,6 +298,106 @@ func (e *Expansion) EvaluateFieldBuf(x vec.V3, p int, buf []complex128) (phi flo
 	return phi, vec.V3{X: gx, Y: gy, Z: gz}
 }
 
+// EvaluateFieldFused computes the M2P potential and its gradient at x using
+// terms up to degree p (clamped to e.Degree): EvaluateFieldBuf's result in
+// one pass over the irregular harmonics, with no scratch table and no
+// allocation. Harmonics S_N^K, 0 <= K <= N <= p+1, come column by column
+// (fixed K, increasing N) from the same recurrences as EvaluateFused, and
+// each is consumed once, as it is produced, by the coefficients of row N-1
+// that the ladder identities pair it with:
+//
+//	phi      += w_K Re(M_{N-1}^K S_{N-1}^K)     (one row behind)
+//	dphi/dz  -= w_K Re(M_{N-1}^K S_N^K)
+//	gx + i gy += M_{N-1}^{K-1} S_N^K - conj(M_{N-1}^{K+1} S_N^K)
+//
+// with w_0 = 1 and w_K = 2 (the conjugate -K terms). The potential runs one
+// row behind and reuses the coefficient the z-derivative has just loaded,
+// so the degree p+1 row, which has no potential coefficient, needs no
+// special case. Each column peels its first two rows (N = K has only the
+// ladder term of M_{K-1}^{K-1}, and N = K+1 has no M_K^{K+1}), so the
+// steady rows K+2 <= N <= p+1 are one branch-free multiply-accumulate.
+// Column 0 is real, and the ladder reaches it only through M_{N-1}^1.
+// Column 1 multiplies the full complex M_{N-1}^0, where EvaluateFieldBuf
+// takes its real part; the imaginary part is zero up to the upward pass's
+// roundoff. Results agree with EvaluateFieldBuf to roundoff on the
+// Theorem 1 scale, A/(r-a) for the potential and A/(r-a)^2 for the
+// gradient (fused_test.go).
+//
+//treecode:hot
+func (e *Expansion) EvaluateFieldFused(x vec.V3, p int) (phi float64, grad vec.V3) {
+	if p > e.Degree {
+		p = e.Degree
+	}
+	c := e.Coeff
+	d := x.Sub(e.Center)
+	invR2 := 1 / d.Norm2()
+	zr := d.Z * invR2
+	var gx, gy, gz float64
+
+	// Column 0: S_N^0 is real, S_0^0 = 1/rho and S_1^0 = z S_0^0 / rho^2.
+	s0 := math.Sqrt(invR2)
+	qs, ps := s0, zr*s0
+	cphi, cgz := real(c[0])*qs, real(c[0])*ps
+	i := 0 // Idx(N-1, K)
+	for n := 2; n <= p+1; n++ {
+		// S_n^0 = ((2n-1) z S_{n-1}^0 - (n-1)^2 S_{n-2}^0) / rho^2
+		s := float64(2*n-1)*zr*ps - float64((n-1)*(n-1))*invR2*qs
+		i += n - 1
+		mid, right := c[i], c[i+1]
+		cphi += real(mid) * ps
+		cgz += real(mid) * s
+		gx -= real(right) * s
+		gy += imag(right) * s
+		qs, ps = ps, s
+	}
+	phi, gz = cphi, -cgz
+
+	smr, smi := s0, 0.0 // S_K^K
+	im := 0             // Idx(K, K)
+	for k := 1; ; k++ {
+		// Row k: S_k^k = -(2k-1) (x+iy) S_{k-1}^{k-1} / rho^2, paired
+		// with M_{k-1}^{k-1}.
+		f := float64(2*k-1) * invR2
+		ar, ai := -f*d.X, -f*d.Y
+		smr, smi = ar*smr-ai*smi, ar*smi+ai*smr
+		left := c[im]
+		gx += real(left)*smr - imag(left)*smi
+		gy += real(left)*smi + imag(left)*smr
+		if k > p {
+			return phi, vec.V3{X: gx, Y: gy, Z: gz}
+		}
+		im += k + 1
+		// Row k+1: S_{k+1}^k = (2k+1) z S_k^k / rho^2, paired with M_k^k
+		// and M_k^{k-1}.
+		f = float64(2*k+1) * zr
+		pr, pi := f*smr, f*smi
+		mid, left := c[im], c[im-1]
+		cphi = real(mid)*smr - imag(mid)*smi
+		cgz = real(mid)*pr - imag(mid)*pi
+		gx += real(left)*pr - imag(left)*pi
+		gy += real(left)*pi + imag(left)*pr
+		qr, qi := smr, smi
+		i = im
+		for n := k + 2; n <= p+1; n++ {
+			// S_n^k = ((2n-1) z S_{n-1}^k - (n+k-1)(n-k-1) S_{n-2}^k) / rho^2
+			c1 := float64(2*n-1) * zr
+			c2 := float64((n+k-1)*(n-k-1)) * invR2
+			nr, ni := c1*pr-c2*qr, c1*pi-c2*qi
+			i += n - 1
+			left, mid = c[i-1], c[i]
+			right := c[i+1]
+			cphi += real(mid)*pr - imag(mid)*pi
+			cgz += real(mid)*nr - imag(mid)*ni
+			gx += (real(left)-real(right))*nr - (imag(left)-imag(right))*ni
+			gy += (real(left)+real(right))*ni + (imag(left)+imag(right))*nr
+			qr, qi = pr, pi
+			pr, pi = nr, ni
+		}
+		phi += 2 * cphi
+		gz -= 2 * cgz
+	}
+}
+
 // EvaluateFused computes the M2P potential at x using terms up to degree p
 // (clamped to e.Degree), fusing the irregular-harmonic recurrence with the
 // coefficient dot product. Harmonics are consumed column-by-column (fixed

@@ -11,6 +11,10 @@ const (
 	// policy and fell back to a full reconstruction. Reason names the
 	// threshold that fired; Value is the migrant count.
 	EventRebuildFallback = "rebuild-fallback"
+	// EventRootGrow: a persistent-engine Update found particles outside
+	// the root cube and doubled the root to keep them instead of
+	// rebuilding. Value is the count of such particles.
+	EventRootGrow = "root-grow"
 	// EventDegreeClamp: a degree-selection pass was limited by the
 	// Legendre stability cap. Value is the clamp count of the pass.
 	EventDegreeClamp = "degree-clamp"

@@ -183,8 +183,9 @@ func (c *Collector) AddPlanRevalidate(checked, invalidated int64) {
 }
 
 // AddPlanDrop records one whole-store plan drop (a full tree rebuild
-// discarding plans leaf plans), journaling an EventPlanInvalidate with the
-// given reason. Nil-safe.
+// discarding plans leaf plans, or a root growth emptying them for
+// re-collection), journaling an EventPlanInvalidate with the given reason.
+// Nil-safe.
 func (c *Collector) AddPlanDrop(reason string, plans int64) {
 	if c == nil {
 		return

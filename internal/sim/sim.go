@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"treecode/internal/core"
-	"treecode/internal/harmonics"
 	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
@@ -138,12 +137,10 @@ type Simulator struct {
 	// feeding the per-step obs time series.
 	lastRebuild string
 
-	// Reused per-call scratch of the acceleration paths: accBuf backs the
-	// slice Accelerations returns (copy it to keep it across evaluations),
-	// harmBuf the softened path's multipole evaluation workspace. Both are
-	// sized on first use and grow monotonically.
-	accBuf  []vec.V3
-	harmBuf []complex128
+	// accBuf is the reused scratch behind the slice Accelerations returns
+	// (copy it to keep it across evaluations), sized on first use and grown
+	// monotonically.
+	accBuf []vec.V3
 
 	// Block-timestep state (nil outside block mode). rung, blockAcc, and
 	// nextSub are indexed by original particle index: the particle's
@@ -294,10 +291,6 @@ func (s *Simulator) softenedAccelFor(active []bool) ([]vec.V3, *core.Stats, erro
 		TreeNodes:  t.NNodes,
 		TreeLeaves: t.NLeaves,
 	}
-	if need := harmonics.Len(e.MaxSelectedDegree() + 1); cap(s.harmBuf) < need {
-		s.harmBuf = make([]complex128, need)
-	}
-	buf := s.harmBuf[:harmonics.Len(e.MaxSelectedDegree()+1)]
 	start := time.Now()
 	// The visitor closures are hoisted out of the particle loop (reaching
 	// the per-particle state through a and xi) so the loop allocates
@@ -312,8 +305,8 @@ func (s *Simulator) softenedAccelFor(active []bool) ([]vec.V3, *core.Stats, erro
 		if degree > st.MaxDegree {
 			st.MaxDegree = degree
 		}
-		st.BoundSum += nd.Mp.BoundAt(xi, degree)
-		_, grad := nd.Mp.EvaluateFieldBuf(xi, degree, buf)
+		st.BoundSum += nd.Mp.BoundAtFast(xi, degree)
+		_, grad := nd.Mp.EvaluateFieldFused(xi, degree)
 		a = a.Add(grad) // attractive: acc = +grad(phi) with phi = sum m/r
 	}
 	particle := func(j int) {

@@ -26,10 +26,16 @@
 // bound. The combine is a pure function of the current positions — it does
 // not compound across repeated refits, because leaves rescan exactly.
 //
-// A drift policy guards the refit: when particles leave the root cube, the
-// migrant fraction exceeds a threshold, or the conservative radii hit
-// their geometric caps too hard, Update reports NeedRebuild and leaves the
-// caller to run a full parallel rebuild instead.
+// A drift policy guards the refit: when particles leave the root cube
+// farther than the cube's side, the migrant fraction exceeds a threshold,
+// or the conservative radii hit their geometric caps too hard, Update
+// reports NeedRebuild and leaves the caller to run a full parallel rebuild
+// instead. Particles that leave the root cube by at most its side grow the
+// root: the old root becomes one octant of a new root twice its side
+// (twice over when they left on both sides of an axis), and they re-bucket
+// under it like any other migrant. A particle flung out by a close
+// encounter therefore costs a new level now and then, not a rebuild on
+// every step.
 //
 // Every phase is deterministic — the census, re-bucketing, and compaction
 // are serial scans in tree order; the bottom-up refresh is per-node pure
@@ -42,6 +48,7 @@ import (
 	"math"
 	"runtime"
 
+	"treecode/internal/geom"
 	"treecode/internal/points"
 	"treecode/internal/sched"
 	"treecode/internal/vec"
@@ -94,6 +101,10 @@ type UpdateStats struct {
 	OutOfRoot int // migrants that left the root cube entirely
 	Splits    int // leaves created by re-bucketing
 	Merges    int // leaves removed by re-bucketing
+	// RootGrown reports that the pass doubled the root cube, once or
+	// twice, to keep the OutOfRoot migrants: Tree.Root is a new node, and
+	// the old root's subtree sits as many levels deeper (see growRoot).
+	RootGrown bool
 	// MaxInflation is the largest radius-inflation ratio the bottom-up
 	// refresh observed (0 when the pass bailed out before refreshing).
 	MaxInflation float64
@@ -108,16 +119,16 @@ type UpdateStats struct {
 }
 
 // RebuildReason names the drift-policy threshold behind NeedRebuild, for
-// observability journals: "out-of-root" (a migrant escaped the root cube),
-// "radius-inflation" (the pass reached the geometry refresh, so the early
-// bail-outs did not fire, and the inflation cap tripped), or
-// "migrant-fraction" (the remaining early bail-out). Empty when the pass
-// did not ask for a rebuild.
+// observability journals: "out-of-root" (a migrant escaped the root cube
+// farther than growing the root reaches), "radius-inflation" (the pass
+// reached the geometry refresh, so the early bail-outs did not fire, and
+// the inflation cap tripped), or "migrant-fraction" (the remaining early
+// bail-out). Empty when the pass did not ask for a rebuild.
 func (st UpdateStats) RebuildReason() string {
 	switch {
 	case !st.NeedRebuild:
 		return ""
-	case st.OutOfRoot > 0:
+	case st.OutOfRoot > 0 && !st.RootGrown:
 		return "out-of-root"
 	case st.MaxInflation > 0:
 		return "radius-inflation"
@@ -129,10 +140,11 @@ func (st UpdateStats) RebuildReason() string {
 // Update moves the tree to new particle positions, given in the original
 // order used to build it (Pos[i] becomes pos[Perm[i]]). Particles that
 // stayed inside their leaf's box keep their slot; migrants re-bucket into
-// the leaf a fresh build would choose; all node statistics refresh
-// bottom-up with conservative radii (see the package comment). When the
-// returned stats report NeedRebuild the caller should discard the tree and
-// build fresh from the new positions. A NaN or infinite position is
+// the leaf a fresh build over the root cube would choose, after the root
+// grows if some of them left it (see growRoot); all node statistics
+// refresh bottom-up with conservative radii (see the package comment).
+// When the returned stats report NeedRebuild the caller should discard the
+// tree and build fresh from the new positions. A NaN or infinite position is
 // rejected with an error wrapping points.ErrNonFinite before anything is
 // written, so the tree stays as it was.
 func (t *Tree) Update(pos []vec.V3, opts UpdateOpts) (UpdateStats, error) {
@@ -172,9 +184,16 @@ func (t *Tree) Update(pos []vec.V3, opts UpdateOpts) (UpdateStats, error) {
 		}
 	})
 	st.Migrants = len(migrants)
-	if st.OutOfRoot > 0 || float64(st.Migrants) > opts.MaxMigrantFrac*float64(len(t.Pos)) {
+	if float64(st.Migrants) > opts.MaxMigrantFrac*float64(len(t.Pos)) {
 		st.NeedRebuild = true
 		return st, nil
+	}
+	if st.OutOfRoot > 0 {
+		if !t.growRoot(migrants) {
+			st.NeedRebuild = true
+			return st, nil
+		}
+		st.RootGrown = true
 	}
 	if st.Migrants > 0 {
 		t.relocate(migrants, &st)
@@ -192,6 +211,60 @@ func (t *Tree) Update(pos []vec.V3, opts UpdateOpts) (UpdateStats, error) {
 		st.NeedRebuild = true
 	}
 	return st, nil
+}
+
+// growRoot doubles the root cube toward the migrants that left it, once or
+// twice, until it contains them all. Each new root keeps the current root's
+// corner opposite the escape on every axis (axes without one grow upward),
+// so the current root is exactly one of its octants and keeps its whole
+// subtree, one level deeper. Two doublings reach one old side beyond every
+// face of the old root, escapes on both sides of an axis included. The new
+// roots are Shape-stamped (their child lists are new); relocate then
+// re-buckets the escaped migrants under them, creating their octant leaves.
+// It reports false, changing nothing, when an escape lies farther out than
+// one side of the old root, or the new levels would pass MaxDepth.
+func (t *Tree) growRoot(migrants []int) bool {
+	old := t.Root.Box
+	esc := old
+	for _, i := range migrants {
+		esc = esc.Extend(t.Pos[i])
+	}
+	side := old.MaxDim()
+	d := vec.V3{X: side, Y: side, Z: side}
+	if !(geom.AABB{Lo: old.Lo.Sub(d), Hi: old.Hi.Add(d)}).ContainsBox(esc) {
+		return false
+	}
+	var boxes []geom.AABB
+	for box := old; len(boxes) < 2 && !box.ContainsBox(esc); {
+		box = doubleToward(box, esc)
+		boxes = append(boxes, box)
+	}
+	k := len(boxes)
+	if !boxes[k-1].ContainsBox(esc) || t.Height+k > MaxDepth {
+		return false
+	}
+	t.Walk(func(n *Node) { n.Level += k })
+	for j, box := range boxes {
+		t.Root = &Node{Box: box, Level: k - 1 - j, Start: 0, End: len(t.Pos), Children: []*Node{t.Root}, Shape: t.seq}
+	}
+	return true
+}
+
+// doubleToward returns the box of twice b's side that keeps b as an
+// octant: on each axis it extends below b when c reaches below b, above b
+// otherwise.
+func doubleToward(b, c geom.AABB) geom.AABB {
+	s := b.MaxDim()
+	grow := func(lo, hi, clo float64) (float64, float64) {
+		if clo < lo {
+			return lo - s, hi
+		}
+		return lo, hi + s
+	}
+	b.Lo.X, b.Hi.X = grow(b.Lo.X, b.Hi.X, c.Lo.X)
+	b.Lo.Y, b.Hi.Y = grow(b.Lo.Y, b.Hi.Y, c.Lo.Y)
+	b.Lo.Z, b.Hi.Z = grow(b.Lo.Z, b.Hi.Z, c.Lo.Z)
+	return b
 }
 
 // destLeaf descends from the root to the leaf a fresh construction would

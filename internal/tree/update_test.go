@@ -261,8 +261,9 @@ func TestUpdateFallbackTriggers(t *testing.T) {
 		return tr
 	}
 
-	// A particle leaving the root cube forces a rebuild: no subtree of the
-	// existing decomposition can contain it.
+	// A particle leaving the root cube farther than the cube's side (one
+	// unit; the uniform set's root is just under one unit wide) forces a
+	// rebuild: two doublings of the root cannot reach it.
 	tr := build()
 	pos := origPositions(tr)
 	esc := tr.Root.Box.Hi.Add(vec.V3{X: 1, Y: 1, Z: 1})
@@ -306,6 +307,58 @@ func TestUpdateFallbackTriggers(t *testing.T) {
 	if _, err := tr.Update(make([]vec.V3, 3), UpdateOpts{}); err == nil {
 		t.Fatal("length mismatch not rejected")
 	}
+}
+
+// TestUpdateGrowsRootForNearEscapes: particles that leave the root cube by
+// less than its side re-bucket under a grown root instead of forcing a
+// rebuild. Escapes on both sides of X take two doublings: the old root
+// survives whole, two levels deeper, inside a root that contains every
+// escape, and the tree keeps the structural contract. An identity Update
+// afterwards refits without growing again.
+func TestUpdateGrowsRootForNearEscapes(t *testing.T) {
+	set, _ := points.Generate(points.Uniform, 400, 5)
+	var want float64
+	for _, p := range set.Particles {
+		want += math.Abs(p.Charge)
+	}
+	tr, err := Build(set, Config{LeafCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := tr.Root
+	box := old.Box
+	side := box.MaxDim()
+	pos := origPositions(tr)
+	pos[0].X, pos[0].Z = box.Hi.X+0.3*side, box.Hi.Z+0.5*side
+	pos[1].X = box.Lo.X - 0.2*side
+	st, err := tr.Update(pos, UpdateOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NeedRebuild || !st.RootGrown || st.OutOfRoot != 2 {
+		t.Fatalf("near escapes did not grow the root: %+v", st)
+	}
+	if tr.Root == old || tr.Root.Level != 0 || old.Level != 2 {
+		t.Fatalf("root not grown by two levels: new root level %d, old root level %d", tr.Root.Level, old.Level)
+	}
+	found := false
+	tr.Walk(func(n *Node) { found = found || n == old })
+	if !found {
+		t.Fatal("old root is not a descendant of the grown root")
+	}
+	if !tr.Root.Box.ContainsBox(box) || !tr.Root.Box.Contains(pos[0]) || !tr.Root.Box.Contains(pos[1]) {
+		t.Fatalf("grown root %v misses the old root %v or an escape", tr.Root.Box, box)
+	}
+	checkTreeInvariants(t, tr, want)
+
+	st, err = tr.Update(origPositions(tr), UpdateOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NeedRebuild || st.RootGrown || st.Migrants != 0 {
+		t.Fatalf("identity update after growth: %+v", st)
+	}
+	checkTreeInvariants(t, tr, want)
 }
 
 // TestRootBoxContainsExtremes is a regression test for the root-cube
