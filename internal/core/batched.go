@@ -47,9 +47,7 @@ import (
 	"runtime"
 	"sync"
 
-	"treecode/internal/harmonics"
 	"treecode/internal/mac"
-	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/sched"
 	"treecode/internal/tree"
@@ -113,11 +111,7 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 	st := sched.Run(count, workers, func(id int, next func() (int, bool)) {
 		sp := parent.ChildWorker("worker", id)
 		w := &batchWorker{
-			worker: worker{
-				e:     e,
-				buf:   make([]complex128, harmonics.Len(e.maxP)),
-				shard: e.Cfg.Obs.NewShard(),
-			},
+			worker: worker{e: e, shard: e.Cfg.Obs.NewShard()},
 			smac:   smac,
 			active: active,
 		}
@@ -209,7 +203,7 @@ func (w *batchWorker) leafPotentials(li int, out []float64) {
 			if w.active != nil && !w.active[t.Perm[i]] {
 				continue
 			}
-			out[t.Perm[i]] += w.fusedM2P(n, t.Pos[i])
+			out[t.Perm[i]] += w.acceptM2P(n, t.Pos[i])
 		}
 	}
 	for k := range entries {
@@ -284,27 +278,6 @@ func (w *batchWorker) census(entries []planEntry, count int64) {
 	w.shard.BatchLeaf(m2p, m2p*count)
 }
 
-// fusedM2P is acceptM2P with the batched mode's kernels: the fused
-// allocation-free M2P evaluation and the exponentiation-by-squaring
-// truncation bound. Stats and census accounting are identical to the
-// walk's; the numbers agree to roundoff.
-//
-//treecode:hot
-func (w *batchWorker) fusedM2P(n *tree.Node, x vec.V3) float64 {
-	p := n.Degree
-	w.stats.Terms += multipole.Terms(p)
-	w.stats.PC++
-	if p > w.stats.MaxDegree {
-		w.stats.MaxDegree = p
-	}
-	r := x.Dist(n.Mp.Center)
-	w.stats.BoundSum += multipole.TruncationBoundFast(n.Mp.AbsCharge, n.Mp.Radius, r, p)
-	if w.shard != nil {
-		w.recordAccept(n, r, p)
-	}
-	return n.Mp.EvaluateFused(x, p)
-}
-
 // refine applies the exact per-particle criterion to a refinement-band
 // cluster — the walk's own accept/reject step, plus the band tallies.
 //
@@ -313,7 +286,7 @@ func (w *batchWorker) refine(n *tree.Node, x vec.V3, self int) float64 {
 	w.refChecks++
 	if w.e.Cfg.MAC.Accept(x, n) {
 		w.refAccepts++
-		return w.fusedM2P(n, x)
+		return w.acceptM2P(n, x)
 	}
 	if w.shard != nil {
 		w.shard.Reject(n.Level)

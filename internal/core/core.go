@@ -5,12 +5,16 @@
 // O(total charge) to O(log n) at marginal extra cost.
 //
 // The evaluator owns an octree whose nodes carry multipole expansions built
-// in a bottom-up pass (P2M at leaves, M2M upward). Because a node's degree
-// can exceed its children's, expansions are carried upward at the maximum
-// degree any ancestor requires ("computed a-priori to the maximum required
-// degree", as the paper prescribes) — in triangular storage a lower-degree
-// expansion is a prefix of a higher-degree one, so evaluation simply reads
-// the prefix it needs.
+// in a bottom-up pass. A node's degree can exceed its children's, and an
+// M2M into a degree-P parent needs its children at degree P or more, so an
+// expansion may be carried above its own degree ("computed a-priori to the
+// maximum required degree", as the paper prescribes); in triangular storage
+// a lower-degree expansion is a prefix of a higher-degree one, so
+// evaluation simply reads the prefix it needs. Which nodes carry what is a
+// per-node choice: the engine builds each internal node by P2M over its
+// particles or by M2M from its children, whichever an operation count says
+// is cheaper, and only M2M-built parents raise their children's degree
+// (Engine.planUpward).
 //
 // Evaluation walks the tree per target with a multipole acceptance
 // criterion: accepted clusters contribute through M2P, rejected leaves
@@ -27,7 +31,6 @@ import (
 	"time"
 
 	"treecode/internal/bounds"
-	"treecode/internal/harmonics"
 	"treecode/internal/mac"
 	"treecode/internal/multipole"
 	"treecode/internal/obs"
@@ -456,17 +459,12 @@ func (e *Evaluator) newStats() *Stats {
 // `w.shard != nil` branch is the hot path's whole obs cost in that case.
 type worker struct {
 	e     *Evaluator
-	buf   []complex128
 	stats Stats
 	shard *obs.Shard
 }
 
 func (e *Evaluator) newWorker() *worker {
-	return &worker{
-		e:     e,
-		buf:   make([]complex128, harmonics.Len(e.maxP)),
-		shard: e.Cfg.Obs.NewShard(),
-	}
+	return &worker{e: e, shard: e.Cfg.Obs.NewShard()}
 }
 
 // parallelChunks runs body over [0,n) in ChunkSize blocks on the given
@@ -547,7 +545,11 @@ func (w *worker) walk(n *tree.Node, x vec.V3, self int) float64 {
 }
 
 // acceptM2P evaluates one accepted cluster interaction (M2P) with full
-// stats accounting, shared by the walk and batched traversals.
+// stats accounting, and is the one accept step of every potential
+// evaluation: the walk (Potentials in walk mode and PotentialsAt), the
+// batched shared M2P list and the batched refinement band. It runs the
+// single-pass EvaluateFused kernel and the exponentiation-by-squaring
+// bound.
 //
 //treecode:hot
 func (w *worker) acceptM2P(n *tree.Node, x vec.V3) float64 {
@@ -558,11 +560,11 @@ func (w *worker) acceptM2P(n *tree.Node, x vec.V3) float64 {
 		w.stats.MaxDegree = p
 	}
 	r := x.Dist(n.Mp.Center)
-	w.stats.BoundSum += multipole.TruncationBound(n.Mp.AbsCharge, n.Mp.Radius, r, p)
+	w.stats.BoundSum += multipole.TruncationBoundFast(n.Mp.AbsCharge, n.Mp.Radius, r, p)
 	if w.shard != nil {
 		w.recordAccept(n, r, p)
 	}
-	return n.Mp.EvaluatePrefix(x, p, w.buf)
+	return n.Mp.EvaluateFused(x, p)
 }
 
 // walkBelow accumulates the potential over the subtree at n for a target

@@ -43,16 +43,22 @@ func (c *EngineConfig) start(phase string) *obs.Span {
 }
 
 // Engine is the source side shared by the treecode and the FMM: the
-// octree, the per-node Theorem 3 degrees, and the multipole expansions
-// carried upward at the largest degree any ancestor needs. It owns the
-// whole source lifecycle — construction, refit with full-rebuild fallback,
-// recharge — and both evaluators embed it; only their target sides differ.
+// octree, the per-node Theorem 3 degrees, and the multipole expansions the
+// upward plan builds (planUpward). It owns the whole source lifecycle —
+// construction, refit with full-rebuild fallback, recharge — and both
+// evaluators embed it; only their target sides differ.
 type Engine struct {
 	Tree *tree.Tree
 
-	upDegree map[*tree.Node]int // degree expansions are carried at
-	maxP     int                // largest carried degree (scratch sizing)
-	buildT   time.Duration
+	up     map[*tree.Node]upStep // the upward plan: how each expansion is built
+	maxP   int                   // largest selected (and carried) degree
+	buildT time.Duration
+
+	// upCost and m2mOps are the plan's scratch, kept across selections so
+	// that re-planning after a refit allocates nothing: every node's cost
+	// row (planCost) and TranslateOps by degree.
+	upCost []int64
+	m2mOps []int64
 
 	// upBuf is the upward pass's per-worker spherical-harmonics scratch,
 	// kept across recharges and refits so that a steady-state pass
@@ -90,7 +96,6 @@ func (g *Engine) build(set *points.Set, rebuild string) error {
 		return err
 	}
 	g.Tree = tr
-	g.upDegree = make(map[*tree.Node]int, tr.NNodes)
 	sp = bsp.Child("degrees")
 	g.selectDegrees(&c)
 	sp.End()
@@ -160,10 +165,9 @@ func (g *Engine) UpdateFor(pos []vec.V3, active []bool) (RebuildKind, error) {
 	}
 	if st.Migrants > 0 {
 		// The decomposition changed: leaves split or merged, cluster
-		// charges moved between boxes. Re-select degrees and rebuild the
-		// carried-degree map for the new shape.
+		// charges moved between boxes. Re-select degrees and re-plan the
+		// upward pass for the new shape.
 		ch = sp.Child("degrees")
-		clear(g.upDegree)
 		g.selectDegrees(&c)
 		ch.End()
 	}
@@ -198,9 +202,10 @@ func (g *Engine) snapshotSet(pos []vec.V3) *points.Set {
 }
 
 // MaxSelectedDegree returns the largest degree selected for any node. It
-// equals the largest carried degree (carrying only propagates selections
-// downward), so callers sizing evaluation scratch — e.g. the FMM's M2L
-// sweep buffers — read it instead of re-walking the tree.
+// is also the largest degree any expansion is built at (the upward plan
+// carries a node at its own degree or an ancestor's), so callers sizing
+// evaluation scratch — e.g. the FMM's M2L sweep buffers — read it instead
+// of re-walking the tree.
 func (g *Engine) MaxSelectedDegree() int { return g.maxP }
 
 // BuildTime returns the duration of the last construction or refit (tree
@@ -208,7 +213,7 @@ func (g *Engine) MaxSelectedDegree() int { return g.maxP }
 func (g *Engine) BuildTime() time.Duration { return g.buildT }
 
 // selectDegrees assigns every node its evaluation degree (Theorem 3 for the
-// adaptive method) and the degree its expansion must be carried at.
+// adaptive method) and plans how the upward pass builds its expansion.
 func (g *Engine) selectDegrees(c *EngineConfig) {
 	var sel *bounds.DegreeSelector
 	if c.Method == Adaptive {
@@ -223,47 +228,122 @@ func (g *Engine) selectDegrees(c *EngineConfig) {
 			sel = bounds.NewDegreeSelector(c.Alpha, c.Degree, c.MaxDegree, aRef, sRef)
 		}
 	}
+	maxP := 0
 	g.Tree.Walk(func(n *tree.Node) {
 		if sel != nil {
 			n.Degree = sel.Degree(n.AbsCharge, n.Size())
 		} else {
 			n.Degree = c.Degree
 		}
+		maxP = max(maxP, n.Degree)
 	})
 	if sel != nil {
 		// Surface silent accuracy loss: selections stopped at the Legendre
 		// stability cap show up in the metrics instead of vanishing.
 		c.Obs.AddDegreeClamps(sel.ClampCount())
 	}
-	// Upward-carry degree: expansions must be accurate enough for every
-	// ancestor's M2M, so carry max(own, parent's carry).
-	var down func(n *tree.Node, carry int)
-	down = func(n *tree.Node, carry int) {
-		if n.Degree > carry {
-			carry = n.Degree
-		}
-		g.upDegree[n] = carry
-		for _, ch := range n.Children {
-			down(ch, carry)
-		}
+	g.maxP = maxP
+	g.planUpward()
+}
+
+// upStep is one node's entry in the upward plan.
+type upStep struct {
+	carry int  // degree the expansion is built at, at least the node's own
+	p2m   bool // P2M over the node's range; otherwise M2M from its children
+	row   int  // start of the node's cost row in Engine.upCost
+}
+
+// planUpward chooses, per node, the cheapest exact way to build its
+// expansion. Every expansion is needed at its own degree for evaluation,
+// and an M2M into a degree-P parent needs its children carried at P or
+// more, so an internal node carried at P is built either by
+//
+//   - P2M over its particle range [Start, End), after which each child
+//     needs only its own degree, or
+//   - M2M from its children, each carried at max(child degree, P).
+//
+// Both are exact to degree P, so the choice moves coefficients only at
+// roundoff. A dynamic program over (node, carried degree) picks the
+// cheaper option bottom-up (planCost), and the root, carried at its own
+// degree, fixes every node's carried degree top-down (planCarry). The cost
+// is an operation count with no measured constant: harmonics.Len(P) per
+// P2M particle and multipole.TranslateOps(P) per M2M child. Leaves are
+// always P2M. The plan depends only on the decomposition and the degrees,
+// so it is made where degrees are selected (construction, refits with
+// migrants) and SetCharges keeps it.
+func (g *Engine) planUpward() {
+	for len(g.m2mOps) <= g.maxP {
+		g.m2mOps = append(g.m2mOps, multipole.TranslateOps(len(g.m2mOps)))
 	}
-	down(g.Tree.Root, 0)
-	g.maxP = 0
-	for _, d := range g.upDegree {
-		if d > g.maxP {
-			g.maxP = d
+	if g.up == nil {
+		g.up = make(map[*tree.Node]upStep, g.Tree.NNodes)
+	}
+	clear(g.up)
+	g.upCost = g.upCost[:0]
+	g.planCost(g.Tree.Root)
+	g.planCarry(g.Tree.Root, g.Tree.Root.Degree)
+}
+
+// planCost appends the cost rows of n's subtree in post-order: n's row
+// holds, for each carried degree P from n.Degree to maxP, the cheapest
+// operation count that builds n's subtree with n at degree P.
+func (g *Engine) planCost(n *tree.Node) {
+	for _, ch := range n.Children {
+		g.planCost(ch)
+	}
+	row := len(g.upCost)
+	for p := n.Degree; p <= g.maxP; p++ {
+		cost, _ := g.stepCost(n, p)
+		g.upCost = append(g.upCost, cost)
+	}
+	g.up[n] = upStep{row: row}
+}
+
+// stepCost returns the cheapest cost of building n's subtree with n carried
+// at degree p, from its children's cost rows, and whether P2M achieves it
+// (M2M wins ties).
+func (g *Engine) stepCost(n *tree.Node, p int) (int64, bool) {
+	p2m := int64(n.Count()) * int64(harmonics.Len(p))
+	if n.IsLeaf() {
+		return p2m, true
+	}
+	m2m := int64(len(n.Children)) * g.m2mOps[p]
+	for _, ch := range n.Children {
+		row := g.up[ch].row // row[0] is the child at its own degree
+		p2m += g.upCost[row]
+		m2m += g.upCost[row+max(p-ch.Degree, 0)]
+	}
+	if p2m < m2m {
+		return p2m, true
+	}
+	return m2m, false
+}
+
+// planCarry records n's carried degree p and its cheaper build, then
+// carries its children: at their own degree below a P2M node, at
+// max(own, p) below an M2M node.
+func (g *Engine) planCarry(n *tree.Node, p int) {
+	_, p2m := g.stepCost(n, p)
+	st := g.up[n]
+	st.carry, st.p2m = p, p2m
+	g.up[n] = st
+	for _, ch := range n.Children {
+		if p2m {
+			g.planCarry(ch, ch.Degree)
+		} else {
+			g.planCarry(ch, max(ch.Degree, p))
 		}
 	}
 }
 
-// Upward runs the upward multipole pass (P2M at leaves, M2M to parents)
-// level-synchronized on the work-stealing pool: all nodes of the deepest
-// level first, so every M2M reads fully-built children. Each worker carries
-// one spherical-harmonics scratch buffer, owned by the engine; per-node
-// arithmetic (own range in tree order, children in fixed order) never
-// depends on the schedule, so the expansions are bitwise identical at any
-// worker count. Construction calls it once; it is exported so benchmarks
-// can rerun it.
+// Upward runs the upward multipole pass the plan prescribes (P2M at leaves
+// and wherever it is cheaper, M2M elsewhere) level-synchronized on the
+// work-stealing pool: all nodes of the deepest level first, so every M2M
+// reads fully-built children. Each worker carries one spherical-harmonics
+// scratch buffer, owned by the engine; per-node arithmetic (own range in
+// tree order, children in fixed order) never depends on the schedule, so
+// the expansions are bitwise identical at any worker count. Construction
+// calls it once; it is exported so benchmarks can rerun it.
 func (g *Engine) Upward() {
 	c := g.cfg()
 	sp := c.start("upward")
@@ -275,25 +355,39 @@ func (g *Engine) upward(c *EngineConfig) {
 	t := g.Tree
 	tree.LevelSyncUp(t, g.upScratch(c.Workers),
 		func(n *tree.Node, buf []complex128) {
-			p := g.upDegree[n]
-			if n.Mp == nil || n.Mp.Degree != p {
+			st := g.up[n]
+			p := st.carry
+			buf = buf[:harmonics.Len(p)]
+			if n.Mp == nil || cap(n.Mp.Coeff) < len(buf) {
 				n.Mp = multipole.NewExpansion(n.Center, p)
 			} else {
-				// Recharge/refit path: same degree, reuse the coefficient
-				// storage instead of reallocating. Clear keeps the old
-				// center, and a refit may have moved the node's, so
-				// re-anchor explicitly.
+				// Recharge/refit path: reuse the coefficient storage,
+				// resliced to the carried degree, which a re-plan may have
+				// lowered. Clear keeps the old center, and a refit may
+				// have moved the node's, so re-anchor explicitly.
+				n.Mp.Degree = p
+				n.Mp.Coeff = n.Mp.Coeff[:len(buf)]
 				n.Mp.Clear()
 				n.Mp.Center = n.Center
 			}
-			if n.IsLeaf() {
+			if st.p2m {
 				for i := n.Start; i < n.End; i++ {
-					n.Mp.AddParticleAt(t.Pos[i], t.Q[i], buf[:harmonics.Len(p)])
+					n.Mp.AddParticleAt(t.Pos[i], t.Q[i], buf)
 				}
-				return
-			}
-			for _, ch := range n.Children {
-				n.Mp.AccumulateTranslatedBuf(ch.Mp, buf[:harmonics.Len(p)])
+				if n.IsLeaf() {
+					return
+				}
+				// An internal node takes its cluster statistics from its
+				// children, as M2M does, so acceptance decisions and
+				// Theorem 2 bounds do not depend on how it was built.
+				n.Mp.AbsCharge, n.Mp.Radius = 0, 0
+				for _, ch := range n.Children {
+					n.Mp.AccumulateStats(ch.Mp)
+				}
+			} else {
+				for _, ch := range n.Children {
+					n.Mp.AccumulateTranslatedBuf(ch.Mp, buf)
+				}
 			}
 			// The translated radius estimate (child radius + shift) can
 			// overshoot the true cluster radius; the tree's exact value is
@@ -355,16 +449,18 @@ func (g *Engine) SetCharges(q []float64) error {
 	return nil
 }
 
-// UpwardTerms returns the multipole terms the upward pass computes: each
-// leaf's particles times its carried degree's terms (P2M), plus one
-// carried expansion per internal node (M2M).
+// UpwardTerms returns the multipole terms the upward pass computes: the
+// node's particle count times Terms(carry) for every P2M-built node (each
+// leaf, and each internal node the plan builds by P2M), and one
+// Terms(carry) expansion for every M2M-built node.
 func (g *Engine) UpwardTerms() int64 {
 	var terms int64
 	g.Tree.Walk(func(n *tree.Node) {
-		if n.IsLeaf() {
-			terms += int64(n.Count()) * multipole.Terms(g.upDegree[n])
+		st := g.up[n]
+		if st.p2m {
+			terms += int64(n.Count()) * multipole.Terms(st.carry)
 		} else {
-			terms += multipole.Terms(g.upDegree[n])
+			terms += multipole.Terms(st.carry)
 		}
 	})
 	return terms

@@ -166,7 +166,7 @@ func TestBatchedLeafKernelZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &batchWorker{
-		worker: worker{e: e, buf: make([]complex128, harmonics.Len(e.maxP))},
+		worker: worker{e: e},
 		smac:   e.Cfg.MAC.(mac.SphereMAC),
 	}
 	e.ensurePlans()

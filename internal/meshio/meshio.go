@@ -21,7 +21,7 @@ import (
 // ReadOFF parses an OFF mesh.
 func ReadOFF(r io.Reader) (*mesh.Mesh, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // lines up to 1 MB; the buffer grows to fit
 	next := func() ([]string, error) {
 		for sc.Scan() {
 			line := strings.TrimSpace(sc.Text())
@@ -59,7 +59,10 @@ func ReadOFF(r io.Reader) (*mesh.Mesh, error) {
 		return nil, fmt.Errorf("meshio: bad counts %v", tok)
 	}
 
-	m := &mesh.Mesh{Verts: make([]vec.V3, 0, nv)}
+	// The counts are untrusted: storage grows with the lines actually read,
+	// so a huge count in a short input fails at end of input instead of
+	// allocating for it.
+	m := &mesh.Mesh{}
 	for i := 0; i < nv; i++ {
 		tok, err := next()
 		if err != nil {
@@ -86,7 +89,7 @@ func ReadOFF(r io.Reader) (*mesh.Mesh, error) {
 			return nil, fmt.Errorf("meshio: face %d: %w", i, err)
 		}
 		k, err := strconv.Atoi(tok[0])
-		if err != nil || k < 3 || len(tok) < 1+k {
+		if err != nil || k < 3 || k > len(tok)-1 {
 			return nil, fmt.Errorf("meshio: face %d malformed", i)
 		}
 		idx := make([]int, k)

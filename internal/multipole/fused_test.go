@@ -231,39 +231,70 @@ func TestEvaluateFieldFusedMatchesBuf(t *testing.T) {
 	}
 }
 
-// FuzzEvaluateFieldFused maps arbitrary inputs onto a field evaluation:
+// fuzzCase maps arbitrary fuzz inputs onto an expansion and a target:
 // (dx, dy, dz) give the target's direction (the +z axis when they carry no
 // usable direction), the fractional parts of ratio and logScale pick a/r in
 // [0.01, 0.99) and a length scale in [1e-8, 1e8), and k picks the
-// expansion's degree (0-20) and the prefix degree (0-23, clamped). The
-// fused kernel must return finite values within fieldFusedMismatch's
-// tolerance of the two-pass reference.
-func FuzzEvaluateFieldFused(f *testing.F) {
+// expansion's degree (0-20) and the prefix degree p (0-23, clamped).
+func fuzzCase(dx, dy, dz, ratio, logScale float64, k int) (e *Expansion, x vec.V3, deg, p int) {
+	frac := func(v float64) float64 {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0
+		}
+		v = math.Abs(v)
+		return v - math.Floor(v)
+	}
+	dir := vec.V3{Z: 1}
+	if m := math.Max(math.Abs(dx), math.Max(math.Abs(dy), math.Abs(dz))); m > 0 && !math.IsInf(m, 0) {
+		dir = vec.V3{X: dx / m, Y: dy / m, Z: dz / m}
+		dir = dir.Scale(1 / dir.Norm())
+	}
+	if k < 0 {
+		k = -(k + 1)
+	}
+	deg, p = k%21, (k/21)%24
+	e, x = fieldFusedCase(deg, dir, 0.01+0.98*frac(ratio), math.Pow(10, -8+16*frac(logScale)))
+	return e, x, deg, p
+}
+
+// addFuzzSeeds gives both kernel fuzzers the same seed corpus.
+func addFuzzSeeds(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 0.5, 0.5, 8*21+8)    // +z axis, degree 8
 	f.Add(0.0, 0.0, -2.0, 0.3, 0.9, 13*21+13) // -z axis, degree 13
 	f.Add(1.0, -2.0, 0.5, 0.2, 0.1, 0)        // p = 0
 	f.Add(0.3, 0.4, -0.5, 0.99, 0.75, 20*21+20)
 	f.Add(-1.0, 0.5, 0.25, 0.9999, 0.0, 12*21+12) // a/r near 1
+}
+
+// FuzzEvaluateFieldFused maps arbitrary inputs onto a field evaluation
+// (fuzzCase). The fused kernel must return finite values within
+// fieldFusedMismatch's tolerance of the two-pass reference.
+func FuzzEvaluateFieldFused(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, dx, dy, dz, ratio, logScale float64, k int) {
-		frac := func(v float64) float64 {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0
-			}
-			v = math.Abs(v)
-			return v - math.Floor(v)
-		}
-		dir := vec.V3{Z: 1}
-		if m := math.Max(math.Abs(dx), math.Max(math.Abs(dy), math.Abs(dz))); m > 0 && !math.IsInf(m, 0) {
-			dir = vec.V3{X: dx / m, Y: dy / m, Z: dz / m}
-			dir = dir.Scale(1 / dir.Norm())
-		}
-		if k < 0 {
-			k = -(k + 1)
-		}
-		deg, p := k%21, (k/21)%24
-		e, x := fieldFusedCase(deg, dir, 0.01+0.98*frac(ratio), math.Pow(10, -8+16*frac(logScale)))
+		e, x, deg, p := fuzzCase(dx, dy, dz, ratio, logScale, k)
 		if msg := fieldFusedMismatch(e, x, p); msg != "" {
 			t.Fatalf("degree %d prefix %d at %v: %s", deg, p, x, msg)
+		}
+	})
+}
+
+// FuzzEvaluateFused is FuzzEvaluateFieldFused for the potential kernel, the
+// one potential M2P in production: on the same inputs, EvaluateFused must
+// return a finite value within 1e-12 of the Theorem 1 scale A/(r-a) of the
+// two-pass EvaluatePrefix.
+func FuzzEvaluateFused(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, dx, dy, dz, ratio, logScale float64, k int) {
+		e, x, deg, p := fuzzCase(dx, dy, dz, ratio, logScale, k)
+		phi := e.EvaluateFused(x, p)
+		want := e.EvaluatePrefix(x, p, nil)
+		tol := 1e-12 * e.AbsCharge / (x.Dist(e.Center) - e.Radius)
+		if math.IsNaN(phi) || math.IsInf(phi, 0) {
+			t.Fatalf("degree %d prefix %d at %v: non-finite potential %v", deg, p, x, phi)
+		}
+		if d := math.Abs(phi - want); !(d <= tol) {
+			t.Fatalf("degree %d prefix %d at %v: potential %v, reference %v (diff %g > %g)", deg, p, x, phi, want, d, tol)
 		}
 	})
 }

@@ -167,10 +167,38 @@ func (e *Expansion) AccumulateTranslatedBuf(src *Expansion, buf []complex128) {
 		}
 		in += n + 1
 	}
+	e.AccumulateStats(src)
+}
+
+// AccumulateStats merges src's cluster statistics into e exactly as
+// AccumulateTranslated does, without translating its coefficients: charges
+// add, and the radius grows to cover src about e.Center. An upward pass
+// that builds a node's coefficients by P2M over its particles calls it per
+// child, so the node's AbsCharge and Radius, and with them every acceptance
+// decision and Theorem 1 bound, are the M2M values bit for bit.
+func (e *Expansion) AccumulateStats(src *Expansion) {
 	e.AbsCharge += src.AbsCharge
-	if r := src.Radius + t.Norm(); r > e.Radius {
+	if r := src.Radius + src.Center.Sub(e.Center).Norm(); r > e.Radius {
 		e.Radius = r
 	}
+}
+
+// TranslateOps returns the multiply-adds AccumulateTranslatedBuf performs
+// to build a degree-p expansion from a source of degree p or more: the
+// lengths of the k loops' sign segments, summed over (n, m, j). It is the
+// upward pass's cost of one M2M child, against harmonics.Len(p) per
+// particle for P2M.
+func TranslateOps(p int) int64 {
+	var ops int64
+	for n := 0; n <= p; n++ {
+		for m := 0; m <= n; m++ {
+			for j := 0; j <= n; j++ {
+				q := n - j
+				ops += int64(min(j, m+q) - max(-j, m-q) + 1)
+			}
+		}
+	}
+	return ops
 }
 
 // EvaluatePrefix is Evaluate with a caller-provided scratch buffer of
@@ -411,8 +439,10 @@ func (e *Expansion) EvaluateFieldFused(x vec.V3, p int) (phi float64, grad vec.V
 //
 // The recurrences and term pairing are exactly EvaluatePrefix's; only the
 // floating-point association order differs, so results agree to roundoff.
-// This is the batched evaluator's kernel; the per-particle walk keeps the
-// two-pass EvaluatePrefix as the readable reference.
+// It is the one potential M2P kernel in production: the treecode's walk,
+// its batched shared M2P lists and its refinement band all evaluate
+// through it. The two-pass EvaluatePrefix stays as the readable reference
+// for tests and the error-budget analysis.
 //
 //treecode:hot
 func (e *Expansion) EvaluateFused(x vec.V3, p int) float64 {
@@ -478,7 +508,7 @@ func TruncationBound(A, a, r float64, p int) float64 {
 // exponentiation-by-squaring instead of math.Pow — several times cheaper on
 // the per-interaction hot path, identical to machine precision (the paper's
 // formula is unchanged; only the power evaluation differs). Used by the
-// batched evaluator's per-accept bound accounting.
+// treecode's per-accept bound accounting.
 //
 //treecode:hot
 func TruncationBoundFast(A, a, r float64, p int) float64 {

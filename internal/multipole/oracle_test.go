@@ -42,6 +42,29 @@ func oracleM2M(e, src *Expansion) {
 	}
 }
 
+// TestTranslateOpsCountsOracleTerms: TranslateOps, the upward plan's M2M
+// cost, is the number of (j, k) terms oracleM2M sums over all output
+// coefficients of a degree-p translation, counted here by brute force.
+func TestTranslateOpsCountsOracleTerms(t *testing.T) {
+	for p := 0; p <= 20; p++ {
+		var want int64
+		for n := 0; n <= p; n++ {
+			for m := 0; m <= n; m++ {
+				for j := 0; j <= n; j++ {
+					for k := -j; k <= j; k++ {
+						if mk := m - k; mk <= n-j && -mk <= n-j {
+							want++
+						}
+					}
+				}
+			}
+		}
+		if got := TranslateOps(p); got != want {
+			t.Errorf("TranslateOps(%d) = %d, oracle sums %d terms", p, got, want)
+		}
+	}
+}
+
 // oracleM2L is M2L over the full m-range.
 func oracleM2L(e *Expansion, center vec.V3, pOut int) *Local {
 	l := NewLocal(center, pOut)
