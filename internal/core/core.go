@@ -171,12 +171,13 @@ func (c *Config) fill() {
 // Validate checks the configuration after defaults are applied: the
 // alpha-criterion needs 0 < Alpha < 1, degrees must be non-negative with
 // MaxDegree >= Degree, sizes must be positive, Workers non-negative, and
-// RefQuantile in [0, 1]. New validates automatically; command-line drivers
-// call this early to reject bad flag values before any work is done.
+// RefQuantile in [0, 1]. The float ranges are tested as !(in range), so
+// NaN fails them. New validates automatically; command-line drivers call
+// this early to reject bad flag values before any work is done.
 func (c Config) Validate() error {
 	c.fill()
 	switch {
-	case c.Alpha <= 0 || c.Alpha >= 1:
+	case !(c.Alpha > 0 && c.Alpha < 1):
 		return fmt.Errorf("core: alpha must be in (0,1), got %v", c.Alpha)
 	case c.Degree < 0:
 		return fmt.Errorf("core: negative degree %d", c.Degree)
@@ -188,7 +189,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: chunk size must be positive, got %d", c.ChunkSize)
 	case c.Workers < 0:
 		return fmt.Errorf("core: negative worker count %d", c.Workers)
-	case c.RefQuantile < 0 || c.RefQuantile > 1:
+	case !(c.RefQuantile >= 0 && c.RefQuantile <= 1):
 		return fmt.Errorf("core: reference quantile must be in [0,1], got %v", c.RefQuantile)
 	case c.Eval != EvalWalk && c.Eval != EvalBatched:
 		return fmt.Errorf("core: unknown eval mode %d", c.Eval)

@@ -230,6 +230,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(set, Config{Alpha: -0.1}); err == nil {
 		t.Error("negative alpha should fail")
 	}
+	if _, err := New(set, Config{Alpha: math.NaN()}); err == nil {
+		t.Error("NaN alpha should fail")
+	}
+	if _, err := New(set, Config{RefQuantile: math.NaN()}); err == nil {
+		t.Error("NaN reference quantile should fail")
+	}
 	if _, err := New(set, Config{Degree: -2}); err == nil {
 		t.Error("negative degree should fail")
 	}

@@ -60,7 +60,7 @@ type Engine struct {
 	upCost []int64
 	m2mOps []int64
 
-	// upBuf is the upward pass's per-worker spherical-harmonics scratch,
+	// upBuf is the upward pass's per-worker M2M harmonics scratch,
 	// kept across recharges and refits so that a steady-state pass
 	// allocates none; upScratch regrows it with the worker count or the
 	// largest carried degree.
@@ -340,10 +340,11 @@ func (g *Engine) planCarry(n *tree.Node, p int) {
 // and wherever it is cheaper, M2M elsewhere) level-synchronized on the
 // work-stealing pool: all nodes of the deepest level first, so every M2M
 // reads fully-built children. Each worker carries one spherical-harmonics
-// scratch buffer, owned by the engine; per-node arithmetic (own range in
-// tree order, children in fixed order) never depends on the schedule, so
-// the expansions are bitwise identical at any worker count. Construction
-// calls it once; it is exported so benchmarks can rerun it.
+// scratch buffer for M2M, owned by the engine; P2M needs none. Per-node
+// arithmetic (own range in tree order, children in fixed order) never
+// depends on the schedule, so the expansions are bitwise identical at any
+// worker count. Construction calls it once; it is exported so benchmarks
+// can rerun it.
 func (g *Engine) Upward() {
 	c := g.cfg()
 	sp := c.start("upward")
@@ -372,7 +373,7 @@ func (g *Engine) upward(c *EngineConfig) {
 			}
 			if st.p2m {
 				for i := n.Start; i < n.End; i++ {
-					n.Mp.AddParticleAt(t.Pos[i], t.Q[i], buf)
+					n.Mp.AddParticle(t.Pos[i], t.Q[i])
 				}
 				if n.IsLeaf() {
 					return

@@ -83,7 +83,7 @@ func (c *Config) fill() {
 func (c Config) Validate() error {
 	c.fill()
 	switch {
-	case c.Alpha <= 0 || c.Alpha >= 1:
+	case !(c.Alpha > 0 && c.Alpha < 1): // NaN fails too
 		return fmt.Errorf("fmm: alpha must be in (0,1), got %v", c.Alpha)
 	case c.Degree < 0:
 		return fmt.Errorf("fmm: negative degree %d", c.Degree)

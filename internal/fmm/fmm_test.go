@@ -187,6 +187,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(set, Config{Alpha: 2}); err == nil {
 		t.Error("alpha out of range should fail")
 	}
+	if _, err := New(set, Config{Alpha: math.NaN()}); err == nil {
+		t.Error("NaN alpha should fail")
+	}
 	if _, err := New(&points.Set{}, Config{}); err == nil {
 		t.Error("empty set should fail")
 	}

@@ -68,16 +68,50 @@ func (e *Expansion) AddParticle(pos vec.V3, q float64) {
 	e.AddParticleAt(pos, q, nil)
 }
 
-// AddParticleAt is AddParticle with a caller-provided scratch buffer of
-// length >= harmonics.Len(e.Degree) (nil allocates).
+// AddParticleAt is AddParticle, the P2M of every upward pass. It does not
+// read buf: P2M needs no harmonics table, and the parameter stays only
+// until the benchmark's kernel probe, which passes one, changes. Pass nil.
+//
+// The regular harmonics R_n^m of pos - Center come column by column (fixed
+// m, increasing n) from harmonics.Regular's real-arithmetic recurrences,
+// carried in scalar registers, and each is added as q*conj(R_n^m) straight
+// into Coeff: one pass, no table, no allocation. The recurrence's divisions
+// and its association order are Regular's, so every coefficient is bitwise
+// what Regular followed by Coeff[i] += q*conj(R[i]) gives wherever that is
+// finite (p2m_test.go).
 //
 //treecode:hot
 func (e *Expansion) AddParticleAt(pos vec.V3, q float64, buf []complex128) {
 	d := pos.Sub(e.Center)
-	r := harmonics.Regular(buf, d, e.Degree)
-	qc := complex(q, 0)
-	for i, c := range r {
-		e.Coeff[i] += qc * cmplx.Conj(c)
+	c := e.Coeff
+	p := e.Degree
+	ur, ui := -d.X, -d.Y // -(x+iy)
+	z := d.Z
+	rho2 := d.Norm2()
+
+	mr, mi := 1.0, 0.0 // R_m^m, seeded with R_0^0 = 1
+	im := 0            // Idx(m, m)
+	for m := 0; m <= p; m++ {
+		if m > 0 {
+			dm := float64(2 * m)
+			mr, mi = (mr*ur-mi*ui)/dm, (mr*ui+mi*ur)/dm
+		}
+		c[im] = complex(real(c[im])+q*mr, imag(c[im])-q*mi)
+		if m < p {
+			pr, pi := z*mr, z*mi // R_{m+1}^m
+			i := im + m + 1      // Idx(m+1, m)
+			c[i] = complex(real(c[i])+q*pr, imag(c[i])-q*pi)
+			tr, ti := mr, mi // R_{n-2}^m trails the recurrence
+			for n := m + 2; n <= p; n++ {
+				cn := float64(2*n-1) * z
+				dn := float64((n - m) * (n + m))
+				nr, ni := (cn*pr-rho2*tr)/dn, (cn*pi-rho2*ti)/dn
+				i += n // Idx(n, m)
+				c[i] = complex(real(c[i])+q*nr, imag(c[i])-q*ni)
+				tr, ti, pr, pi = pr, pi, nr, ni
+			}
+		}
+		im += m + 2
 	}
 	e.AbsCharge += math.Abs(q)
 	if rad := d.Norm(); rad > e.Radius {
@@ -86,11 +120,11 @@ func (e *Expansion) AddParticleAt(pos vec.V3, q float64, buf []complex128) {
 }
 
 // P2M builds a degree-p expansion about center from positions and charges.
+// It allocates the expansion and nothing else.
 func P2M(pos []vec.V3, q []float64, center vec.V3, p int) *Expansion {
 	e := NewExpansion(center, p)
-	buf := make([]complex128, harmonics.Len(p))
 	for i, x := range pos {
-		e.AddParticleAt(x, q[i], buf)
+		e.AddParticle(x, q[i])
 	}
 	return e
 }
@@ -720,16 +754,24 @@ func (l *Local) Evaluate(x vec.V3) float64 {
 // EvaluateBuf is Evaluate with a caller-provided scratch buffer of length
 // >= harmonics.Len(l.Degree) (nil allocates).
 //
+// Each term Re(L_n^m conj(R_n^m)) is taken as Re(L)Re(R) + Im(L)Im(R)
+// without forming the complex product; the product's real part is
+// Re(L)Re(R) - Im(L)(-Im(R)), and x - (-y) is exactly x + y, so the sum is
+// bitwise the complex form's.
+//
 //treecode:hot
 func (l *Local) EvaluateBuf(x vec.V3, buf []complex128) float64 {
 	r := harmonics.Regular(buf, x.Sub(l.Center), l.Degree)
 	var phi float64
+	base := 0 // harmonics.Idx(n, 0)
 	for n := 0; n <= l.Degree; n++ {
-		base := harmonics.Idx(n, 0)
-		phi += real(l.Coeff[base] * cmplx.Conj(r[base]))
+		c, rr := l.Coeff[base], r[base]
+		phi += real(c)*real(rr) + imag(c)*imag(rr)
 		for m := 1; m <= n; m++ {
-			phi += 2 * real(l.Coeff[base+m]*cmplx.Conj(r[base+m]))
+			c, rr := l.Coeff[base+m], r[base+m]
+			phi += 2 * (real(c)*real(rr) + imag(c)*imag(rr))
 		}
+		base += n + 1
 	}
 	return phi
 }

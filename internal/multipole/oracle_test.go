@@ -244,7 +244,8 @@ func oracleTranslate(e *Expansion, newCenter vec.V3, pOut int) []complex128 {
 
 // TestTranslationKernelsAllocateNothing pins the accumulate forms at zero
 // allocations given their documented scratch: Len(e.Degree) for M2M,
-// Len(src.Degree+l.Degree) for M2L and Len(src.Degree) for L2L.
+// Len(src.Degree+l.Degree) for M2L and Len(src.Degree) for L2L. P2M needs
+// no scratch, and the harmonic tables allocate nothing into a sized dst.
 func TestTranslationKernelsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, p := range []int{8, 13} {
@@ -264,6 +265,9 @@ func TestTranslationKernelsAllocateNothing(t *testing.T) {
 				phi, _ := loc.EvaluateFieldBuf(child.Center, l2l)
 				sinkPhi += phi
 			},
+			"P2M":       func() { dst.AddParticleAt(child.Center, 0.5, nil) },
+			"Regular":   func() { harmonics.Regular(m2m, child.Center, p) },
+			"Irregular": func() { harmonics.Irregular(m2l, loc.Center, 2*p) },
 		} {
 			if a := testing.AllocsPerRun(20, f); a != 0 {
 				t.Errorf("%s at p=%d allocates %v times per call", name, p, a)

@@ -57,9 +57,10 @@ func (s *Simulator) Save(w io.Writer) error {
 // block-timestep) load with empty rung state; a block-mode continuation
 // then re-seeds its rungs on the first step, exactly like a fresh run.
 // Rung state is untrusted input: a non-empty rung or acceleration table
-// whose length is not the particle count is an error, and so, when the
-// continuing configuration runs block timesteps, is any rung outside
-// [0, MaxRungs-1].
+// whose length is not the particle count is an error, so is a non-finite
+// cached acceleration, and so, when the continuing configuration runs
+// block timesteps, is any rung outside [0, MaxRungs-1]. The stored dt,
+// softening and velocities pass New's checks.
 func Load(r io.Reader, force Config) (*Simulator, error) {
 	var c checkpoint
 	if err := gob.NewDecoder(r).Decode(&c); err != nil {
@@ -81,6 +82,11 @@ func Load(r io.Reader, force Config) (*Simulator, error) {
 	}
 	if len(c.BlockAcc) > 0 && len(c.BlockAcc) != n {
 		return nil, fmt.Errorf("sim: checkpoint has %d block accelerations for %d particles", len(c.BlockAcc), n)
+	}
+	for i, a := range c.BlockAcc {
+		if !finiteV3(a) {
+			return nil, fmt.Errorf("sim: checkpoint block acceleration %v of particle %d is not finite", a, i)
+		}
 	}
 	if rungs := cfg.Block.MaxRungs; rungs > 0 {
 		for i, r := range c.Rungs {

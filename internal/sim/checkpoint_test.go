@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -102,26 +103,53 @@ func TestLoadRejectsCorruptRungState(t *testing.T) {
 	for i := range acc {
 		acc[i] = vec.V3{X: 1, Y: -1, Z: 0.5}
 	}
-	cfg := Config{Force: core.Config{Degree: 3}, Block: BlockConfig{MaxRungs: 3}}
+	accWith := func(bad vec.V3) []vec.V3 {
+		a := append([]vec.V3(nil), acc...)
+		a[7] = bad
+		return a
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	velWith := func(bad vec.V3) []vec.V3 {
+		v := make([]vec.V3, n)
+		v[2] = bad
+		return v
+	}
 	for _, tc := range []struct {
 		name     string
 		rungs    []int
 		acc      []vec.V3
 		wantLoad bool
+		edit     func(*checkpoint, *Config) // corrupts the rest of the state
 	}{
-		{"rung above MaxRungs-1", rungs(5), acc, false},
-		{"negative rung", rungs(-1), acc, false},
-		{"rung table one short", rungs(0)[:n-1], acc, false},
-		{"acceleration table one short", rungs(0), acc[:n-1], false},
-		{"empty rung state re-seeds", nil, nil, true},
-		{"valid rung state", rungs(2), acc, true},
+		{"rung above MaxRungs-1", rungs(5), acc, false, nil},
+		{"negative rung", rungs(-1), acc, false, nil},
+		{"rung table one short", rungs(0)[:n-1], acc, false, nil},
+		{"acceleration table one short", rungs(0), acc[:n-1], false, nil},
+		{"NaN block acceleration", rungs(0), accWith(vec.V3{Y: nan}), false, nil},
+		{"+Inf block acceleration", rungs(0), accWith(vec.V3{Z: inf}), false, nil},
+		{"NaN dt", rungs(0), acc, false, func(c *checkpoint, _ *Config) { c.Dt = nan }},
+		{"+Inf dt", rungs(0), acc, false, func(c *checkpoint, _ *Config) { c.Dt = inf }},
+		{"NaN softening", rungs(0), acc, false, func(c *checkpoint, _ *Config) { c.Soften = nan }},
+		{"negative softening", rungs(0), acc, false, func(c *checkpoint, _ *Config) { c.Soften = -1 }},
+		{"+Inf softening", rungs(0), acc, false, func(c *checkpoint, _ *Config) { c.Soften = inf }},
+		{"NaN velocity", rungs(0), acc, false, func(c *checkpoint, _ *Config) { c.Vel = velWith(vec.V3{X: nan}) }},
+		{"+Inf velocity", rungs(0), acc, false, func(c *checkpoint, _ *Config) { c.Vel = velWith(vec.V3{Z: -inf}) }},
+		{"NaN block eta", rungs(0), acc, false, func(_ *checkpoint, f *Config) { f.Block.Eta = nan }},
+		{"+Inf block eta", rungs(0), acc, false, func(_ *checkpoint, f *Config) { f.Block.Eta = inf }},
+		{"empty rung state re-seeds", nil, nil, true, nil},
+		{"valid rung state", rungs(2), acc, true, nil},
 	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(checkpoint{
+		c := checkpoint{
 			Version: checkpointVersion, Steps: 4, Dt: 1e-3,
 			Particles: set.Particles, Vel: make([]vec.V3, n),
 			Rungs: tc.rungs, BlockAcc: tc.acc,
-		}); err != nil {
+		}
+		cfg := Config{Force: core.Config{Degree: 3}, Block: BlockConfig{MaxRungs: 3}}
+		if tc.edit != nil {
+			tc.edit(&c, &cfg)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(c); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Load(&buf, cfg)

@@ -156,7 +156,11 @@ type Simulator struct {
 	scaleBuf []float64
 }
 
-// New validates and wraps the initial state.
+// New validates and wraps the initial state. It rejects an empty system,
+// a non-finite position, charge or velocity, a dt that is not finite and
+// positive, a softening or block eta that is not finite and non-negative,
+// and a block rung count outside [0, 16]: each would otherwise fail only
+// at the first Step or silently change the run.
 func New(st State, cfg Config) (*Simulator, error) {
 	if st.Set == nil || st.Set.N() == 0 {
 		return nil, fmt.Errorf("sim: empty system")
@@ -167,16 +171,31 @@ func New(st State, cfg Config) (*Simulator, error) {
 	if len(st.Vel) != st.Set.N() {
 		return nil, fmt.Errorf("sim: %d velocities for %d particles", len(st.Vel), st.Set.N())
 	}
-	if cfg.Dt <= 0 {
-		return nil, fmt.Errorf("sim: non-positive dt %v", cfg.Dt)
+	for i, v := range st.Vel {
+		if !finiteV3(v) {
+			return nil, fmt.Errorf("sim: non-finite velocity %v of particle %d", v, i)
+		}
+	}
+	if !(cfg.Dt > 0) || math.IsInf(cfg.Dt, 1) {
+		return nil, fmt.Errorf("sim: dt must be finite and positive, got %v", cfg.Dt)
+	}
+	if !(cfg.Soften >= 0) || math.IsInf(cfg.Soften, 1) {
+		return nil, fmt.Errorf("sim: softening must be finite and non-negative, got %v", cfg.Soften)
 	}
 	if cfg.Block.MaxRungs < 0 || cfg.Block.MaxRungs > maxBlockRungs {
 		return nil, fmt.Errorf("sim: block rungs %d out of range [0,%d]", cfg.Block.MaxRungs, maxBlockRungs)
 	}
-	if cfg.Block.Eta < 0 {
-		return nil, fmt.Errorf("sim: negative block eta %v", cfg.Block.Eta)
+	if !(cfg.Block.Eta >= 0) || math.IsInf(cfg.Block.Eta, 1) {
+		return nil, fmt.Errorf("sim: block eta must be finite and non-negative, got %v", cfg.Block.Eta)
 	}
 	return &Simulator{Cfg: cfg, State: st}, nil
+}
+
+// finiteV3 reports whether every component of v is finite.
+func finiteV3(v vec.V3) bool {
+	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
+		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
+		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
 }
 
 // evaluator returns a treecode evaluator positioned at the current State:

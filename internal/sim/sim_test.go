@@ -137,6 +137,30 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(State{Set: &points.Set{}, Vel: nil}, Config{Dt: 0.1}); err == nil {
 		t.Error("empty system should fail")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"NaN dt", Config{Dt: nan}},
+		{"+Inf dt", Config{Dt: inf}},
+		{"NaN softening", Config{Dt: 0.1, Soften: nan}},
+		{"negative softening", Config{Dt: 0.1, Soften: -1}},
+		{"+Inf softening", Config{Dt: 0.1, Soften: inf}},
+		{"NaN block eta", Config{Dt: 0.1, Block: BlockConfig{MaxRungs: 3, Eta: nan}}},
+		{"+Inf block eta", Config{Dt: 0.1, Block: BlockConfig{MaxRungs: 3, Eta: inf}}},
+	} {
+		if _, err := New(State{Set: set, Vel: make([]vec.V3, 10)}, tc.cfg); err == nil {
+			t.Errorf("%s should fail", tc.name)
+		}
+	}
+	for _, v := range []vec.V3{{X: nan}, {Y: inf}, {Z: -inf}} {
+		vel := make([]vec.V3, 10)
+		vel[3] = v
+		if _, err := New(State{Set: set, Vel: vel}, Config{Dt: 0.1}); err == nil {
+			t.Errorf("velocity %v should fail", v)
+		}
+	}
 	set.Particles[4].Pos.X = math.NaN()
 	if _, err := New(State{Set: set, Vel: make([]vec.V3, 10)}, Config{Dt: 0.1}); !errors.Is(err, points.ErrNonFinite) {
 		t.Errorf("NaN position: New returned %v, want ErrNonFinite", err)
