@@ -3,200 +3,84 @@
 //
 //	file:line:col: [rule] message
 //
-// It exits 0 when the tree is clean, 1 when there are findings, and 2 on
-// usage or load errors. Suppressions (`//lint:ignore <rule> <reason>`)
-// are honored and counted in the summary. With -json the findings and
-// suppression counts are emitted as a single JSON object on stdout;
-// with -sarif FILE a SARIF 2.1.0 log is additionally written for CI
-// code-scanning upload.
-//
-// With -diff BASE the package arguments are replaced by the packages
-// containing Go files changed since the git ref BASE — the fast PR mode;
-// the full ./... sweep stays on main.
-//
-// With -baseline FILE, findings recorded in the baseline are reported
-// separately and do not affect the exit status — only NEW findings fail
-// the run. -writebaseline FILE records the current findings as that
-// baseline (exit 0).
-//
-// With -fix, findings that carry a machine-suggested edit are applied to
-// the source in place; the run then exits as if those findings were
-// absent (re-run to confirm).
+// followed by a one-line summary on stderr. It exits 0 when the tree is
+// clean, 1 when there are findings, and 2 on usage or load errors.
+// Suppressions (`//lint:ignore <rule> <reason>`) are honored and counted
+// in the summary. Only non-test Go files are linted.
 //
 // Usage:
 //
 //	go run ./cmd/treelint ./...
-//	go run ./cmd/treelint -json ./internal/core ./internal/fmm
-//	go run ./cmd/treelint -diff origin/main
-//	go run ./cmd/treelint -sarif treelint.sarif -baseline lint-baseline.json ./...
-//	go run ./cmd/treelint -fix ./...
+//	go run ./cmd/treelint ./internal/core ./internal/fmm
 package main
 
 import (
-	"encoding/json"
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"treecode/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
-	diffBase := flag.String("diff", "", "lint only packages with Go files changed since this git ref (overrides package arguments)")
-	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	baseline := flag.String("baseline", "", "suppress findings recorded in this baseline file; fail only on new ones")
-	writeBaseline := flag.String("writebaseline", "", "record current findings as a baseline file and exit 0")
-	fix := flag.Bool("fix", false, "apply machine-suggested fixes in place")
-	flag.Usage = func() {
-		var b strings.Builder
-		fmt.Fprintf(&b, "usage: treelint [-json] [-rules r1,r2] [-diff ref] [-sarif file] [-baseline file] [-writebaseline file] [-fix] [packages]\n\nRules:\n")
-		for _, a := range lint.All() {
-			fmt.Fprintf(&b, "  %-14s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprint(os.Stderr, b.String())
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	patterns := flag.Args()
+// run lints the packages named by args (default ./...) and returns the
+// exit status. The findings go to stdout and are flushed and checked;
+// the summary and errors go to stderr on a best-effort basis.
+func run(args []string, stdout, stderr io.Writer) int {
+	diag := bufio.NewWriter(stderr)
+	defer func() { _ = diag.Flush() }()
+	fs := flag.NewFlagSet("treelint", flag.ContinueOnError)
+	fs.SetOutput(diag)
+	fs.Usage = func() {
+		fmt.Fprintf(diag, "usage: treelint [packages]\n\nRules:\n")
+		for _, a := range lint.All() {
+			fmt.Fprintf(diag, "  %-14s %s\n", a.Name, a.Doc)
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	analyzers, err := selectAnalyzers(*rules)
-	if err != nil {
-		fatal(err)
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return fail(diag, err)
 	}
-	var dirs []string
-	if *diffBase != "" {
-		dirs, err = lint.ChangedGoDirs(cwd, *diffBase)
-	} else {
-		dirs, err = lint.ExpandPatterns(cwd, patterns)
-	}
+	dirs, err := lint.ExpandPatterns(cwd, patterns)
 	if err != nil {
-		fatal(err)
+		return fail(diag, err)
 	}
-	sum, err := lint.LintDirs(cwd, dirs, analyzers)
+	sum, err := lint.LintDirs(cwd, dirs, lint.All())
 	if err != nil {
-		fatal(err)
+		return fail(diag, err)
 	}
-
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, sum.Findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "treelint: wrote %d findings to %s\n", len(sum.Findings), *writeBaseline)
-		return
+	out := bufio.NewWriter(stdout)
+	for _, f := range sum.Findings {
+		fmt.Fprintln(out, f)
 	}
-
-	// The SARIF log carries the complete finding set (including
-	// baselined ones): code-scanning consumers do their own new/known
-	// bookkeeping and want the full picture.
-	if *sarifOut != "" {
-		f, err := os.Create(*sarifOut)
-		if err != nil {
-			fatal(err)
-		}
-		err = lint.WriteSARIF(f, sum.Findings, analyzers)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
+	if err := out.Flush(); err != nil {
+		return fail(diag, err)
 	}
-
-	gating := sum.Findings
-	if *baseline != "" {
-		b, err := lint.ReadBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		var known []lint.Finding
-		gating, known = b.Filter(sum.Findings)
-		if len(known) > 0 && !*jsonOut {
-			fmt.Fprintf(os.Stderr, "treelint: %d baselined findings suppressed (%s)\n", len(known), *baseline)
-		}
+	fmt.Fprintln(diag, sum)
+	if len(sum.Findings) > 0 {
+		return 1
 	}
-
-	if *fix {
-		applied, err := lint.ApplyFixes(gating)
-		if err != nil {
-			fatal(err)
-		}
-		var fixed int
-		for file, n := range applied {
-			fixed += n
-			fmt.Fprintf(os.Stderr, "treelint: %s: applied %d fixes\n", file, n)
-		}
-		// Fixed findings no longer gate; unfixable ones still do.
-		var rest []lint.Finding
-		for _, f := range gating {
-			if f.Fix == nil {
-				rest = append(rest, f)
-			}
-		}
-		if fixed > 0 {
-			fmt.Fprintln(os.Stderr, "treelint: re-run to verify fixed files")
-		}
-		gating = rest
-	}
-
-	if *jsonOut {
-		out := struct {
-			*lint.Summary
-			New []lint.Finding `json:"new,omitempty"`
-		}{Summary: sum}
-		if *baseline != "" {
-			out.New = gating
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range gating {
-			fmt.Println(f)
-		}
-		fmt.Fprintln(os.Stderr, sum)
-	}
-	if len(gating) > 0 {
-		os.Exit(1)
-	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "treelint:", err)
-	os.Exit(2)
-}
-
-func selectAnalyzers(rules string) ([]*lint.Analyzer, error) {
-	all := lint.All()
-	if rules == "" {
-		return all, nil
-	}
-	byName := make(map[string]*lint.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*lint.Analyzer
-	for _, r := range strings.Split(rules, ",") {
-		if r = strings.TrimSpace(r); r == "" {
-			continue
-		}
-		a, ok := byName[r]
-		if !ok {
-			return nil, fmt.Errorf("unknown rule %q", r)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+func fail(diag *bufio.Writer, err error) int {
+	fmt.Fprintln(diag, "treelint:", err)
+	return 2
 }

@@ -34,7 +34,7 @@ func TestPotentialsInvariantAcrossBuildWorkers(t *testing.T) {
 				continue
 			}
 			for i := range phi {
-				if phi[i] != ref[i] { //lint:ignore floatcmp bitwise identity across worker counts is the property under test
+				if phi[i] != ref[i] { // bitwise identity across worker counts is the property under test
 					t.Fatalf("mode=%v workers=%d: phi[%d]=%v != %v",
 						mode, w, i, phi[i], ref[i])
 				}
@@ -67,7 +67,7 @@ func TestSetChargesIdentityBitwise(t *testing.T) {
 	}
 	after, _ := e.Potentials()
 	for i := range after {
-		if after[i] != before[i] { //lint:ignore floatcmp the recharge path must not perturb a single bit when charges are unchanged
+		if after[i] != before[i] { // the recharge path must not perturb a single bit when charges are unchanged
 			t.Fatalf("phi[%d] changed across identity recharge: %v -> %v", i, before[i], after[i])
 		}
 	}
@@ -128,7 +128,7 @@ func TestSetChargesWorkerInvariance(t *testing.T) {
 			continue
 		}
 		for i := range phi {
-			if phi[i] != ref[i] { //lint:ignore floatcmp bitwise identity across worker counts is the property under test
+			if phi[i] != ref[i] { // bitwise identity across worker counts is the property under test
 				t.Fatalf("workers=%d: phi[%d] differs after recharge", w, i)
 			}
 		}

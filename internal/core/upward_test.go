@@ -140,7 +140,7 @@ func TestUpwardPlanExpansionsExact(t *testing.T) {
 			if n.Radius < stats.Radius {
 				stats.Radius = n.Radius
 			}
-			if n.Mp.AbsCharge != stats.AbsCharge || n.Mp.Radius != stats.Radius { //lint:ignore floatcmp the statistics must be the M2M-derived values to the bit
+			if n.Mp.AbsCharge != stats.AbsCharge || n.Mp.Radius != stats.Radius { // the statistics must be the M2M-derived values to the bit
 				t.Fatalf("%s: node at level %d start %d has A %v a %v, M2M derives %v %v",
 					c.name, n.Level, n.Start, n.Mp.AbsCharge, n.Mp.Radius, stats.AbsCharge, stats.Radius)
 			}

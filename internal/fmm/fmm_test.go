@@ -258,7 +258,7 @@ func TestFMMSetCharges(t *testing.T) {
 	}
 	same, _ := e.Potentials()
 	for i := range same {
-		if same[i] != base[i] { //lint:ignore floatcmp identity recharge must not perturb a single bit
+		if same[i] != base[i] { // identity recharge must not perturb a single bit
 			t.Fatalf("identity recharge changed phi[%d]: %v -> %v", i, base[i], same[i])
 		}
 	}
@@ -270,7 +270,7 @@ func TestFMMSetCharges(t *testing.T) {
 	}
 	doubled, _ := e.Potentials()
 	for i := range doubled {
-		if doubled[i] != 2*base[i] { //lint:ignore floatcmp power-of-two scaling is exact, so linearity must hold bitwise
+		if doubled[i] != 2*base[i] { // power-of-two scaling is exact, so linearity must hold bitwise
 			t.Fatalf("doubling charges: phi[%d] = %v, want %v", i, doubled[i], 2*base[i])
 		}
 	}

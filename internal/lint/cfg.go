@@ -5,9 +5,8 @@ import (
 	"go/token"
 )
 
-// This file is the control-flow layer the concurrency and dataflow rules
-// (lockbalance, waitgroup, sharedcapture, nanflow) are built on: a small
-// intraprocedural CFG over go/ast function bodies, stdlib-only.
+// This file is the control-flow layer the nanflow rule is built on: a
+// small intraprocedural CFG over go/ast function bodies, stdlib-only.
 //
 // Each basic block holds a straight-line run of "atomic" nodes. Compound
 // statements contribute only their headers (an if condition, a range
@@ -389,55 +388,6 @@ func (c *CFG) ReversePostorder() []*Block {
 	return order
 }
 
-// BackEdges returns the set of edges (from.Index, to.Index) that close a
-// loop: edges whose target is on the DFS stack when traversed from Entry.
-func (c *CFG) BackEdges() map[[2]int]bool {
-	back := make(map[[2]int]bool)
-	state := make([]int, len(c.Blocks)) // 0 unvisited, 1 on stack, 2 done
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		state[b.Index] = 1
-		for _, s := range b.Succs {
-			switch state[s.Index] {
-			case 0:
-				dfs(s)
-			case 1:
-				back[[2]int{b.Index, s.Index}] = true
-			}
-		}
-		state[b.Index] = 2
-	}
-	dfs(c.Entry)
-	return back
-}
-
-// ReachableFrom returns the set of block indices reachable from start by
-// following successor edges. When skipBack is true, loop back edges are
-// excluded, which restricts reachability to "later in the same pass
-// through the code" — the right notion for checks like Add-after-Wait
-// where a fresh loop iteration legitimately starts over.
-func (c *CFG) ReachableFrom(start *Block, skipBack bool) map[int]bool {
-	var back map[[2]int]bool
-	if skipBack {
-		back = c.BackEdges()
-	}
-	reach := make(map[int]bool)
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		for _, s := range b.Succs {
-			if skipBack && back[[2]int{b.Index, s.Index}] {
-				continue
-			}
-			if !reach[s.Index] {
-				reach[s.Index] = true
-				dfs(s)
-			}
-		}
-	}
-	dfs(start)
-	return reach
-}
-
 // inspectShallow walks n without descending into function literals: a
 // FuncLit is a value in the enclosing function's flow, and its body is
 // analyzed under its own CFG.
@@ -467,35 +417,20 @@ func walkNode(n ast.Node, fn func(ast.Node) bool) {
 	inspectShallow(n, fn)
 }
 
-// funcBody is one analyzable function: a declaration or a literal.
-type funcBody struct {
-	name string        // diagnostic name ("(*run).pop", "func literal")
-	decl *ast.FuncDecl // nil for literals
-	lit  *ast.FuncLit  // nil for declarations
-	body *ast.BlockStmt
-}
-
-// collectFuncBodies returns every function declaration and every function
-// literal in the file, each as a separately analyzable body.
-func collectFuncBodies(file *ast.File) []funcBody {
-	var out []funcBody
+// collectFuncBodies returns the body of every function declaration and
+// every function literal in the file, each separately analyzable.
+func collectFuncBodies(file *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch f := n.(type) {
 		case *ast.FuncDecl:
 			if f.Body != nil {
-				out = append(out, funcBody{name: funcDeclName(f), decl: f, body: f.Body})
+				out = append(out, f.Body)
 			}
 		case *ast.FuncLit:
-			out = append(out, funcBody{name: "func literal", lit: f, body: f.Body})
+			out = append(out, f.Body)
 		}
 		return true
 	})
 	return out
-}
-
-func funcDeclName(f *ast.FuncDecl) string {
-	if f.Recv == nil || len(f.Recv.List) == 0 {
-		return f.Name.Name
-	}
-	return "(" + render(f.Recv.List[0].Type) + ")." + f.Name.Name
 }

@@ -45,6 +45,57 @@ func findBlock(c *CFG, name string) *Block {
 	return nil
 }
 
+// The CFG tests check edges through two graph queries no rule needs:
+// back-edge classification and reachability.
+
+// BackEdges returns the set of edges (from.Index, to.Index) that close a
+// loop: edges whose target is on the DFS stack when traversed from Entry.
+func (c *CFG) BackEdges() map[[2]int]bool {
+	back := make(map[[2]int]bool)
+	state := make([]int, len(c.Blocks)) // 0 unvisited, 1 on stack, 2 done
+	var dfs func(*Block)
+	dfs = func(b *Block) {
+		state[b.Index] = 1
+		for _, s := range b.Succs {
+			switch state[s.Index] {
+			case 0:
+				dfs(s)
+			case 1:
+				back[[2]int{b.Index, s.Index}] = true
+			}
+		}
+		state[b.Index] = 2
+	}
+	dfs(c.Entry)
+	return back
+}
+
+// ReachableFrom returns the set of block indices reachable from start by
+// following successor edges. When skipBack is true, loop back edges are
+// excluded, which restricts reachability to "later in the same pass
+// through the code".
+func (c *CFG) ReachableFrom(start *Block, skipBack bool) map[int]bool {
+	var back map[[2]int]bool
+	if skipBack {
+		back = c.BackEdges()
+	}
+	reach := make(map[int]bool)
+	var dfs func(*Block)
+	dfs = func(b *Block) {
+		for _, s := range b.Succs {
+			if skipBack && back[[2]int{b.Index, s.Index}] {
+				continue
+			}
+			if !reach[s.Index] {
+				reach[s.Index] = true
+				dfs(s)
+			}
+		}
+	}
+	dfs(start)
+	return reach
+}
+
 // TestCFGIfBranches checks that both arms of an if/else reach the join and
 // that a return in one arm edges to Exit instead.
 func TestCFGIfBranches(t *testing.T) {
@@ -70,10 +121,9 @@ func f(a bool) {
 	}
 }
 
-// TestCFGLoopBackEdge checks that a for loop produces exactly the back
-// edge reachability semantics the rules rely on: with back edges, a
-// statement earlier in the loop body is reachable from a later one; with
-// skipBack, it is not.
+// TestCFGLoopBackEdge checks that a for loop closes with a back edge:
+// with back edges, a statement earlier in the loop body is reachable from
+// a later one; with skipBack, it is not.
 func TestCFGLoopBackEdge(t *testing.T) {
 	c := BuildCFG(parseBody(t, `
 func f(n int) {
@@ -126,7 +176,7 @@ L:
 }
 
 // TestCFGInfiniteLoopNoExit checks that `for {}` with no break never
-// reaches Exit — the property goroleak leans on.
+// reaches Exit.
 func TestCFGInfiniteLoopNoExit(t *testing.T) {
 	c := BuildCFG(parseBody(t, `
 func f() {

@@ -9,9 +9,9 @@ import (
 
 // Summary is the aggregate of one driver run over several packages.
 type Summary struct {
-	Findings   []Finding      `json:"findings"`
-	Suppressed map[string]int `json:"suppressed"` // rule -> suppressed count
-	Packages   int            `json:"packages"`
+	Findings   []Finding
+	Suppressed map[string]int // rule -> suppressed count
+	Packages   int
 }
 
 // TotalSuppressed returns the number of findings silenced by

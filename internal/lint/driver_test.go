@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,8 +18,8 @@ func TestExpandPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dirs) != 10 {
-		t.Fatalf("expanded to %d dirs, want 10: %v", len(dirs), dirs)
+	if len(dirs) != 6 {
+		t.Fatalf("expanded to %d dirs, want 6: %v", len(dirs), dirs)
 	}
 	single, err := ExpandPatterns(cwd, []string{"./testdata/src/floatcmp"})
 	if err != nil {
@@ -32,8 +31,8 @@ func TestExpandPatterns(t *testing.T) {
 }
 
 // TestLintDirsIntegration runs the driver pipeline end to end over two
-// fixture packages and checks aggregation, relative file names, the
-// summary line, and JSON round-tripping.
+// fixture packages and checks aggregation, relative file names and the
+// summary line.
 func TestLintDirsIntegration(t *testing.T) {
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -65,18 +64,6 @@ func TestLintDirsIntegration(t *testing.T) {
 	line := sum.String()
 	if !strings.Contains(line, "in 2 packages") || !strings.Contains(line, "suppressed: floatcmp=2") {
 		t.Errorf("summary line %q missing package or suppression counts", line)
-	}
-
-	data, err := json.Marshal(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Summary
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Packages != sum.Packages || len(back.Findings) != len(sum.Findings) {
-		t.Errorf("JSON round-trip changed the summary: %+v vs %+v", back, sum)
 	}
 }
 

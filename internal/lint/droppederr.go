@@ -18,11 +18,6 @@ import (
 // bytes.Buffer) are exempt. Writes to a *bufio.Writer are also exempt:
 // bufio keeps a sticky error that the final Flush reports, and Flush
 // itself is NOT exempt, so the error cannot be lost without a finding.
-//
-// Findings carry fixes for `treelint -fix`: a bare call statement gains
-// `_ = `, and an argument-free deferred call is wrapped as
-// `defer func() { _ = call }()` (argument-free only — wrapping changes
-// when arguments are evaluated from defer time to call time).
 var DroppedErr = &Analyzer{
 	Name: "droppederr",
 	Doc:  "flags discarded error return values",
@@ -33,24 +28,14 @@ func runDroppedErr(p *Pass) {
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var call *ast.CallExpr
-			var fix *Fix
 			kind := "result of"
 			switch s := n.(type) {
 			case *ast.ExprStmt:
 				call, _ = s.X.(*ast.CallExpr)
-				if call != nil {
-					fix = &Fix{Pos: s.Pos(), End: s.Pos(), New: "_ = "}
-				}
 			case *ast.DeferStmt:
 				call = s.Call
 				kind = "deferred"
-				if len(call.Args) == 0 {
-					fix = &Fix{Pos: s.Pos(), End: s.End(),
-						New: "defer func() { _ = " + render(call) + " }()"}
-				}
 			case *ast.GoStmt:
-				// No fix: `go func() { _ = f(x) }()` would move the
-				// evaluation of x into the new goroutine.
 				call = s.Call
 				kind = "go"
 			}
@@ -60,12 +45,7 @@ func runDroppedErr(p *Pass) {
 			if !returnsError(p, call) || errExempt(p, call) {
 				return true
 			}
-			msg := "%s %s discards its error; handle it or assign to _ explicitly"
-			if fix != nil {
-				p.ReportWithFix(call.Pos(), fix, msg, kind, callName(call))
-			} else {
-				p.Report(call.Pos(), msg, kind, callName(call))
-			}
+			p.Report(call.Pos(), "%s %s discards its error; handle it or assign to _ explicitly", kind, callName(call))
 			return true
 		})
 	}

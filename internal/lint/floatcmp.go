@@ -23,7 +23,9 @@ var toleranceHelpers = map[string]bool{
 // Two cases are approved and not flagged: comparisons against the exact
 // constant 0 (zero is exactly representable, and x == 0 guards against
 // division by zero and detects unset config fields), and comparisons
-// inside recognized tolerance helpers or _test.go files.
+// inside recognized tolerance helpers. Tests, where bitwise identity is
+// often the property under test, are exempt because the loader never
+// reads _test.go files.
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
 	Doc:  "flags exact ==/!= between floating-point expressions",
@@ -32,9 +34,6 @@ var FloatCmp = &Analyzer{
 
 func runFloatCmp(p *Pass) {
 	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
 		var stack []ast.Node
 		ast.Inspect(file, func(n ast.Node) bool {
 			if n == nil {

@@ -6,15 +6,20 @@
 // degrees chosen so every accepted interaction stays under a provable
 // bound. That discipline is only as trustworthy as the code that measures
 // it — an exact float comparison, a silently dropped error, an unguarded
-// math.Sqrt on a rounding-negative operand, or a data race in a parallel
-// evaluator can corrupt the very error measurements the reproduction is
-// about. The analyzers in this package mechanically enforce the coding
-// invariants the numerics rely on:
+// math.Sqrt on a rounding-negative operand, or a NaN that silently fails
+// every comparison can corrupt the very error measurements the
+// reproduction is about. The analyzers in this package mechanically
+// enforce the coding invariants the numerics rely on:
 //
 //	floatcmp    exact ==/!= between floating-point expressions
 //	droppederr  discarded error return values
 //	mathdomain  math.Sqrt/Log/Acos/... on arguments not provably in-domain
 //	hotalloc    allocations (fmt, boxing, growing append) in //treecode:hot code
+//	nanflow     possibly-NaN floats reaching comparisons or error budgets
+//
+// nanflow runs on a small intraprocedural CFG (cfg.go); the others are
+// AST scans. Only non-test files are linted: the loader skips _test.go
+// files.
 //
 // Findings can be suppressed with a trailing or preceding comment
 //
@@ -31,21 +36,15 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Finding is one diagnostic produced by an analyzer.
 type Finding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-	Fix     *Fix   `json:"fix,omitempty"`
-
-	// fixFset resolves Fix positions to byte offsets at apply time; set
-	// only when Fix is.
-	fixFset *token.FileSet
+	File    string
+	Line    int
+	Col     int
+	Rule    string
+	Message string
 }
 
 func (f Finding) String() string {
@@ -88,11 +87,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// InTestFile reports whether pos lies in a _test.go file.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // Analyzer is one named check over a type-checked package.
 type Analyzer struct {
 	Name string
@@ -107,10 +101,6 @@ func All() []*Analyzer {
 		DroppedErr,
 		MathDomain,
 		HotAlloc,
-		LockBalance,
-		WaitGroup,
-		GoroLeak,
-		SharedCapture,
 		NanFlow,
 	}
 }

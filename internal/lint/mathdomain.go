@@ -40,9 +40,6 @@ var nonNegFuncs = map[string]bool{
 
 func runMathDomain(p *Pass) {
 	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			fd, ok := n.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

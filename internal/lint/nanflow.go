@@ -45,11 +45,8 @@ var NanFlow = &Analyzer{
 
 func runNanFlow(p *Pass) {
 	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
-		for _, fb := range collectFuncBodies(file) {
-			checkNanFlow(p, fb)
+		for _, body := range collectFuncBodies(file) {
+			checkNanFlow(p, body)
 		}
 	}
 }
@@ -282,10 +279,10 @@ func (s taintState) mergeInto(dst taintState) bool {
 	return changed
 }
 
-func checkNanFlow(p *Pass, fb funcBody) {
+func checkNanFlow(p *Pass, body *ast.BlockStmt) {
 	// Fast pre-check: any division or math call at all?
 	interesting := false
-	ast.Inspect(fb.body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if interesting {
 			return false
 		}
@@ -305,12 +302,12 @@ func checkNanFlow(p *Pass, fb funcBody) {
 		return
 	}
 
-	src := collectNanSources(p, fb.body)
+	src := collectNanSources(p, body)
 	if len(src.dirtyDiv) == 0 && len(src.dirtyCall) == 0 {
 		return
 	}
 
-	cfg := BuildCFG(fb.body)
+	cfg := BuildCFG(body)
 	order := cfg.ReversePostorder()
 	in := make(map[int]taintState)
 	in[cfg.Entry.Index] = taintState{}

@@ -3,8 +3,6 @@
 // itself a finding and silences nothing.
 package suppressfix
 
-import "sync"
-
 func eqWithReason(a, b float64) bool {
 	return a == b //lint:ignore floatcmp fixture: documented exact comparison
 }
@@ -19,15 +17,10 @@ func eqMissingReason(a, b float64) bool {
 	return a == b //lint:ignore floatcmp
 }
 
-// Suppressions work for the CFG-based rules too: this leak is the
-// documented handoff pattern (the caller unlocks).
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func lockAndHandOff(g *guarded) *guarded {
-	//lint:ignore lockbalance fixture: ownership transfers to the caller, which unlocks
-	g.mu.Lock()
-	return g
+// Suppressions work for the CFG-based rule too: the callers' invariant
+// keeps this division from producing NaN.
+func ratioAboveHalf(a, extent float64) bool {
+	//lint:ignore nanflow fixture: callers pass a positive extent
+	r := a / extent
+	return r > 0.5
 }

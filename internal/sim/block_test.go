@@ -52,10 +52,10 @@ func TestBlockSingleRungBitwiseGlobal(t *testing.T) {
 			for i := range st.Set.Particles {
 				gp := global.State.Set.Particles[i].Pos
 				bp := block.State.Set.Particles[i].Pos
-				if gp != bp { //lint:ignore floatcmp single-rung block mode must reproduce the global-dt trajectory bitwise
+				if gp != bp { // single-rung block mode must reproduce the global-dt trajectory bitwise
 					t.Fatalf("soften=%v policy=%v: position %d diverged: global %v block %v", soften, policy, i, gp, bp)
 				}
-				if global.State.Vel[i] != block.State.Vel[i] { //lint:ignore floatcmp same: the schemes must be the same integrator
+				if global.State.Vel[i] != block.State.Vel[i] { // same: the schemes must be the same integrator
 					t.Fatalf("soften=%v policy=%v: velocity %d diverged", soften, policy, i)
 				}
 			}
@@ -211,7 +211,7 @@ func TestBlockRefitWithinBudget(t *testing.T) {
 		phiA, fieldA, _ := eng.FieldsFor(active)
 		phi, field, _ := eng.Fields()
 		for i, on := range active {
-			if on && (math.Float64bits(phiA[i]) != math.Float64bits(phi[i]) || fieldA[i] != field[i]) { //lint:ignore floatcmp FieldsFor's contract is bitwise identity with Fields
+			if on && (math.Float64bits(phiA[i]) != math.Float64bits(phi[i]) || fieldA[i] != field[i]) { // FieldsFor's contract is bitwise identity with Fields
 				t.Fatalf("%s: FieldsFor target %d: %v %v, Fields %v %v", mode, i, phiA[i], fieldA[i], phi[i], field[i])
 			}
 		}
@@ -332,10 +332,10 @@ func TestBlockCheckpointContinuation(t *testing.T) {
 	for i := range st.Set.Particles {
 		fp := full.State.Set.Particles[i].Pos
 		rp := restored.State.Set.Particles[i].Pos
-		if fp != rp { //lint:ignore floatcmp a restored block run must continue the exact trajectory
+		if fp != rp { // a restored block run must continue the exact trajectory
 			t.Fatalf("position %d diverged after restore: full %v restored %v", i, fp, rp)
 		}
-		if full.State.Vel[i] != restored.State.Vel[i] { //lint:ignore floatcmp same: restart must be invisible
+		if full.State.Vel[i] != restored.State.Vel[i] { // same: restart must be invisible
 			t.Fatalf("velocity %d diverged after restore", i)
 		}
 	}

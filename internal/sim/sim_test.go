@@ -220,10 +220,10 @@ func TestStepAccelerationReuseBitwise(t *testing.T) {
 		for i := range st.Set.Particles {
 			cp := cached.State.Set.Particles[i].Pos
 			fp := fresh.State.Set.Particles[i].Pos
-			if cp != fp { //lint:ignore floatcmp the reuse must be bitwise exact; any drift means the cache returned forces for the wrong positions
+			if cp != fp { // the reuse must be bitwise exact; any drift means the cache returned forces for the wrong positions
 				t.Fatalf("soften=%v: position %d diverged: cached %v fresh %v", soften, i, cp, fp)
 			}
-			if cached.State.Vel[i] != fresh.State.Vel[i] { //lint:ignore floatcmp same: trajectories must match bitwise
+			if cached.State.Vel[i] != fresh.State.Vel[i] { // same: trajectories must match bitwise
 				t.Fatalf("soften=%v: velocity %d diverged", soften, i)
 			}
 		}

@@ -23,7 +23,7 @@ func sameTree(t *testing.T, a, b *Tree) bool {
 			t.Logf("perm[%d]: %d vs %d", i, a.Perm[i], b.Perm[i])
 			return false
 		}
-		if a.Pos[i] != b.Pos[i] || a.Q[i] != b.Q[i] { //lint:ignore floatcmp bitwise identity is the property under test
+		if a.Pos[i] != b.Pos[i] || a.Q[i] != b.Q[i] { // bitwise identity is the property under test
 			t.Logf("particle %d differs", i)
 			return false
 		}
@@ -44,7 +44,7 @@ func sameTree(t *testing.T, a, b *Tree) bool {
 			ok = false
 			return
 		}
-		if x.Charge != y.Charge || x.AbsCharge != y.AbsCharge || //lint:ignore floatcmp bitwise identity is the property under test
+		if x.Charge != y.Charge || x.AbsCharge != y.AbsCharge || // bitwise identity is the property under test
 			x.Center != y.Center || x.Radius != y.Radius ||
 			x.Centroid != y.Centroid || x.BRadius != y.BRadius {
 			t.Logf("node %d stats differ (level %d start %d): %+v vs %+v", i-1, x.Level, x.Start, *x, *y)
