@@ -20,7 +20,8 @@ import (
 
 // TestHotPathEscapeAnalysis is the compiler-backed upgrade of treelint's
 // syntactic hotalloc rule: it rebuilds internal/core, internal/multipole,
-// and internal/tree (whose refit kernels run every timestep) with
+// internal/rotation (the y-rotation of every FMM M2L) and internal/tree
+// (whose refit kernels run every timestep) with
 // -gcflags=-m and asserts the escape analysis proves no heap allocation
 // inside //treecode:hot functions. The only tolerated
 // diagnostics are the observability shard's amortized counter growth
@@ -39,7 +40,7 @@ func TestHotPathEscapeAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := []string{"./internal/core", "./internal/multipole", "./internal/tree"}
+	pkgs := []string{"./internal/core", "./internal/multipole", "./internal/rotation", "./internal/tree"}
 	out := buildWithEscapes(t, goBin, root, pkgs, false)
 	if !strings.Contains(out, "escapes to heap") {
 		// A cached build that does not replay compiler diagnostics would
@@ -50,7 +51,7 @@ func TestHotPathEscapeAnalysis(t *testing.T) {
 		t.Skip("toolchain did not emit escape diagnostics")
 	}
 
-	hot := hotFunctionRanges(t, root, "internal/core", "internal/multipole", "internal/tree")
+	hot := hotFunctionRanges(t, root, "internal/core", "internal/multipole", "internal/rotation", "internal/tree")
 	diag := regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.*(?:escapes to heap|moved to heap).*)$`)
 	amortized := regexp.MustCompile(`make\(\[\]obs\.LevelMetrics|make\(\[\]int64`)
 	var violations []string

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"treecode/internal/core"
-	"treecode/internal/harmonics"
 	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
@@ -151,14 +150,16 @@ func (e *Evaluator) newSweep() *sweep {
 	}
 }
 
-// sweepScratch returns one harmonics buffer per worker, long enough for an
-// M2L between the largest local and source degrees of an evaluation, and
-// so for each of its L2L and L2P steps too.
+// sweepScratch returns one scratch buffer per worker, of
+// multipole.M2LBufLen at the largest local and source degree of an
+// evaluation: enough for any of its M2Ls, and so for each of its L2L and
+// L2P steps too. Potentials, FieldsFor and PotentialsAt all size their
+// scratch here.
 func (e *Evaluator) sweepScratch() [][]complex128 {
 	p := max(e.Cfg.Degree, e.MaxSelectedDegree())
 	bufs := make([][]complex128, e.workers())
 	for i := range bufs {
-		bufs[i] = make([]complex128, harmonics.Len(2*p))
+		bufs[i] = make([]complex128, multipole.M2LBufLen(p, p))
 	}
 	return bufs
 }

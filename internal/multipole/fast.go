@@ -1,15 +1,13 @@
-// Rotation-accelerated translation operators. Each is mathematically
-// identical to its O(p^4) counterpart in multipole.go but routes through
-// internal/rotation: align the shift with +z, shift axially (O(p^3)),
-// rotate back. Building a rotation Plan costs O(p^4) with the explicit
-// Wigner sum, so the fast path pays off only when one plan is reused across
-// translations with the same polar angle. Passing nil builds a plan per
-// call, which never wins: the repository benchmark's cold-plan M2M probe
-// costs 1,410-5,301 ns per term at p 8-13, against 79-213 for the
-// convolution. Expansion centers are charge-weighted centroids, so the
-// shifts of a tree almost never share an angle; the convolutions are the
-// production operators, and these remain a tested reference and a
-// benchmark probe.
+// Rotation-accelerated translation operators: align the shift with +z,
+// shift axially (O(p^3)), rotate back. Every rotation goes through
+// rotation.RotateY, which factors through constant d(pi/2) tables and so
+// needs no per-angle plan; a rotation.Plan carries only a degree and an
+// angle, and a nil plan costs nothing. M2L is the production operator of
+// this kind (Local.AccumulateM2L, the M2L of every FMM interaction list),
+// and M2LRot is M2L. The M2M and L2L forms here are mathematically
+// identical to the segmented convolutions of multipole.go, which stay the
+// production M2M and L2L (bitwise pinned by oracle_test.go); these remain
+// a tested second derivation and the benchmark's m2m_rot probes.
 package multipole
 
 import (
@@ -51,26 +49,11 @@ func (e *Expansion) TranslateRot(newCenter vec.V3, pOut int, plan *rotation.Plan
 	return out
 }
 
-// M2LRot is M2L via rotation + axial conversion. See TranslateRot for plan
-// semantics (the plan's angle must be the polar angle of center-e.Center).
+// M2LRot is M2L, which converts by rotation itself. plan is not read; the
+// parameter stays only until the benchmark's kernel probe, which passes
+// one, changes.
 func (e *Expansion) M2LRot(center vec.V3, pOut int, plan *rotation.Plan) *Local {
-	l := NewLocal(center, pOut)
-	t := center.Sub(e.Center)
-	r, theta, phi := t.Spherical()
-	maxP := e.Degree
-	if pOut > maxP {
-		maxP = pOut
-	}
-	if plan == nil || plan.P < maxP {
-		plan = rotation.NewPlan(maxP, theta)
-	}
-	tmp := append([]complex128(nil), e.Coeff...)
-	rotation.RotateZ(tmp, e.Degree, -phi, rotation.Multipole)
-	plan.RotateY(tmp, e.Degree, rotation.Multipole, true)
-	rotation.AxialM2L(l.Coeff, pOut, tmp, e.Degree, r)
-	plan.RotateY(l.Coeff, pOut, rotation.Local, false)
-	rotation.RotateZ(l.Coeff, pOut, phi, rotation.Local)
-	return l
+	return e.M2L(center, pOut)
 }
 
 // TranslateRot is Translate (L2L) via rotation + axial shift.

@@ -45,6 +45,8 @@ func TestTranslateRotMatchesTranslate(t *testing.T) {
 	}
 }
 
+// M2LRot is M2L: whatever plan it is handed, its coefficients are M2L's to
+// the bit.
 func TestM2LRotMatchesM2L(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, p := range []int{4, 10, 16} {
@@ -53,9 +55,12 @@ func TestM2LRotMatchesM2L(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			dst := vec.FromSpherical(3+2*rng.Float64(),
 				math.Acos(2*rng.Float64()-1), 2*math.Pi*rng.Float64())
-			slow := e.M2L(dst, p)
-			fast := e.M2LRot(dst, p, nil)
-			coeffsClose(t, "M2L", fast.Coeff, slow.Coeff, 1e-10)
+			want := e.M2L(dst, p)
+			for _, plan := range []*rotation.Plan{nil, rotation.NewPlan(p, 0.4)} {
+				if i, ok := bitsEqual(e.M2LRot(dst, p, plan).Coeff, want.Coeff); !ok {
+					t.Fatalf("p=%d: M2LRot coefficient %d differs from M2L", p, i)
+				}
+			}
 		}
 	}
 }
@@ -139,31 +144,5 @@ func BenchmarkM2LP16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.M2L(dst, 16)
-	}
-}
-
-func BenchmarkM2LRotP16(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	pos, q := randomCluster(rng, 30, vec.V3{}, 0.5)
-	e := P2M(pos, q, vec.V3{}, 16)
-	dst := vec.V3{X: 4, Y: 1, Z: 2}
-	_, theta, _ := dst.Spherical()
-	plan := rotation.NewPlan(16, theta)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.M2LRot(dst, 16, plan)
-	}
-}
-
-func BenchmarkM2LRotP16NoPlan(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	pos, q := randomCluster(rng, 30, vec.V3{}, 0.5)
-	e := P2M(pos, q, vec.V3{}, 16)
-	dst := vec.V3{X: 4, Y: 1, Z: 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.M2LRot(dst, 16, nil)
 	}
 }

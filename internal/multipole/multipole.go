@@ -34,6 +34,7 @@ import (
 	"math/cmplx"
 
 	"treecode/internal/harmonics"
+	"treecode/internal/rotation"
 	"treecode/internal/vec"
 )
 
@@ -607,65 +608,118 @@ func (e *Expansion) M2L(center vec.V3, pOut int) *Local {
 	for i := range l.Coeff {
 		l.Coeff[i] = negZero
 	}
-	l.AccumulateM2L(e, nil)
+	l.AccumulateM2L(e, make([]complex128, M2LBufLen(e.Degree, pOut)))
 	return l
+}
+
+// M2LBufLen returns the scratch length AccumulateM2L needs to convert a
+// degree pSrc multipole into a degree pLocal local:
+// harmonics.Len(pSrc) + harmonics.Len(pLocal) + pSrc + pLocal + 1, for the
+// rotated source, the axial local, and the axial factors u!/r^{u+1},
+// u <= pSrc+pLocal, whose slots the rotations also use. It grows with
+// both degrees, and at equal degrees p it is at least harmonics.Len(p),
+// the scratch of L2L and L2P.
+func M2LBufLen(pSrc, pLocal int) int {
+	return harmonics.Len(pSrc) + harmonics.Len(pLocal) + pSrc + pLocal + 1
 }
 
 // AccumulateM2L adds the local expansion of src about l.Center, truncated
 // at l.Degree, into l: the M2L of one entry of an FMM target's interaction
-// list. buf is scratch of length >= harmonics.Len(src.Degree+l.Degree)
-// (nil allocates).
+// list. buf is scratch of length >= M2LBufLen(src.Degree, l.Degree).
 //
-// The convolution L_j^k += (-1)^j sum_{n,m} M_n^m S_{j+n}^{k+m} reads both
-// tables in their triangular storage. For each (j, k, n) the range of m
-// splits where an order changes sign:
+// The conversion L_j^k = (-1)^j sum_{n,m} M_n^m S_{j+n}^{k+m}(t) runs in
+// O(p^3) by rotation (DESIGN §16), with t = l.Center - src.Center at
+// azimuth phi and polar angle theta:
 //
-//	m < -k:        M_n^m S_{j+n}^{k+m} = (-1)^k conj(M_n^{-m} S_{j+n}^{-k-m})
-//	-k <= m < 0:   M_n^m = (-1)^m conj(M_n^{-m})
-//	m >= 0:        both orders stored
+//  1. rotate the source by Rz(-phi) and Ry(-theta), so t lies on +z:
+//     M_n^m picks up e^{im phi}, then rotation.RotateY;
+//  2. convert along the axis, where S_N^K(r zhat) = delta_{K0} N!/r^{N+1}:
+//     L_j^k = (-1)^j sum_n M_n^{-k} (j+n)!/r^{j+n+1};
+//  3. rotate the local back by Ry(theta) and Rz(phi), and add it into l.
 //
-// so each segment is a multiply-accumulate with no branch in its loop, and
-// the terms are summed in the (j, k, n, m) order of the symmetric formula:
-// every converted coefficient is bitwise the Get-indexed convolution's, and
-// l gains it with one addition (oracle_test.go).
+// e^{i phi} = (t_x + i t_y)/rho_xy (1 on the z axis), cos(theta) = t_z/r
+// and sin(theta) = rho_xy/r come from t's components, with no
+// trigonometry. It is the same linear map as the convolution, so only
+// roundoff differs: oracle_test.go compares it with the Get-indexed
+// convolution per degree, on the scale of the Schmidt-normalized source.
 //
 //treecode:hot
 func (l *Local) AccumulateM2L(src *Expansion, buf []complex128) {
+	ps, pl := src.Degree, l.Degree
+	a := buf[:harmonics.Len(ps)]
+	b := buf[len(a):][:harmonics.Len(pl)]
+	f := buf[len(a)+len(b):][:ps+pl+1]
+
+	// The azimuth is taken from (t_x, t_y) scaled by its largest
+	// component, so |e^{i phi}| = 1 to roundoff even where t_x^2 + t_y^2
+	// would underflow.
 	t := l.Center.Sub(src.Center)
-	st := harmonics.Irregular(buf, t, l.Degree+src.Degree)
+	ur, ui := 1.0, 0.0 // e^{i phi}
+	var rxy float64
+	if s := max(math.Abs(t.X), math.Abs(t.Y)); s > 0 {
+		x, y := t.X/s, t.Y/s
+		h := math.Sqrt(x*x + y*y)
+		ur, ui, rxy = x/h, y/h, s*h
+	}
+	r := math.Sqrt(rxy*rxy + t.Z*t.Z)
+	cosb, sinb := t.Z/r, rxy/r
+
+	// 1. A_n^m = M_n^m e^{im phi}, then Ry(-theta).
 	mc := src.Coeff
-	ij := 0 // harmonics.Idx(j, 0)
-	for j := 0; j <= l.Degree; j++ {
-		sign := 1 - 2*float64(j&1) // (-1)^j
-		for k := 0; k <= j; k++ {
-			var sr, si float64
-			sk := 1 - 2*float64(k&1) // (-1)^k
-			in := 0                  // harmonics.Idx(n, 0)
-			for n := 0; n <= src.Degree; n++ {
-				is := (j + n) * (j + n + 1) / 2 // row S_{j+n}
-				for m := -n; m < -k; m++ {
-					a, c := mc[in-m], st[is-k-m]
-					sr += sk * (real(a)*real(c) - imag(a)*imag(c))
-					si -= sk * (real(a)*imag(c) + imag(a)*real(c))
-				}
-				lo := max(-n, -k)
-				s := 1 - 2*float64(lo&1) // (-1)^m
-				for m := lo; m < 0; m++ {
-					a, c := mc[in-m], st[is+k+m]
-					sr += s * (real(a)*real(c) + imag(a)*imag(c))
-					si += s * (real(a)*imag(c) - imag(a)*real(c))
-					s = -s
-				}
-				for m := 0; m <= n; m++ {
-					a, c := mc[in+m], st[is+k+m]
-					sr += real(a)*real(c) - imag(a)*imag(c)
-					si += real(a)*imag(c) + imag(a)*real(c)
-				}
-				in += n + 1
-			}
-			l.Coeff[ij+k] += complex(sign, 0) * complex(sr, si)
+	er, ei := 1.0, 0.0 // e^{im phi}
+	for m := 0; m <= ps; m++ {
+		i := m * (m + 3) / 2 // Idx(m, m)
+		for n := m; n <= ps; n++ {
+			c := mc[i]
+			a[i] = complex(real(c)*er-imag(c)*ei, real(c)*ei+imag(c)*er)
+			i += n + 1
 		}
-		ij += j + 1
+		er, ei = er*ur-ei*ui, er*ui+ei*ur
+	}
+	rotation.RotateY(a, ps, rotation.Multipole, cosb, -sinb, f)
+
+	// 2. B_j^k = (-1)^j sum_n A_n^{-k} F_{j+n} with F_u = u!/r^{u+1} and
+	// A_n^{-k} = (-1)^k conj(A_n^k).
+	ir := 1 / r
+	fu := ir
+	for u := range f {
+		f[u] = complex(fu, 0)
+		fu *= float64(u+1) * ir
+	}
+	for k := 0; k <= pl; k++ {
+		ik := k * (k + 3) / 2 // Idx(k, k)
+		ij := ik              // Idx(j, k)
+		for j := k; j <= pl; j++ {
+			var sr, si float64
+			i := ik // Idx(n, k)
+			for n := k; n <= ps; n++ {
+				fv := real(f[j+n])
+				sr += real(a[i]) * fv
+				si += imag(a[i]) * fv
+				i += n + 1
+			}
+			if (j+k)&1 != 0 {
+				sr = -sr
+			} else {
+				si = -si
+			}
+			b[ij] = complex(sr, si)
+			ij += j + 1
+		}
+	}
+
+	// 3. Ry(theta), then L_j^k += B_j^k e^{ik phi}.
+	rotation.RotateY(b, pl, rotation.Local, cosb, sinb, f)
+	lc := l.Coeff
+	er, ei = 1, 0
+	for k := 0; k <= pl; k++ {
+		i := k * (k + 3) / 2 // Idx(k, k)
+		for j := k; j <= pl; j++ {
+			c := b[i]
+			lc[i] += complex(real(c)*er-imag(c)*ei, real(c)*ei+imag(c)*er)
+			i += j + 1
+		}
+		er, ei = er*ur-ei*ui, er*ui+ei*ur
 	}
 }
 

@@ -395,8 +395,9 @@ func BenchmarkM2L(b *testing.B) {
 }
 
 // translationDegrees are the degrees of the accumulate-form benchmarks:
-// fmm-uniform's fixed degree and bem-sphere's carried root degree.
-var translationDegrees = []int{8, 13}
+// fmm.Config's default degree, fmm-uniform's fixed degree and bem-sphere's
+// carried root degree.
+var translationDegrees = []int{4, 8, 13}
 
 // BenchmarkM2M times one child-to-parent M2M of the upward pass at its
 // documented scratch size.
@@ -426,7 +427,7 @@ func BenchmarkAccumulateM2L(b *testing.B) {
 			pos, q := randomCluster(rng, 64, vec.V3{}, 0.5)
 			src := P2M(pos, q, vec.V3{}, p)
 			l := NewLocal(vec.V3{X: 3, Y: 1, Z: 2}, p)
-			buf := make([]complex128, harmonics.Len(2*p))
+			buf := make([]complex128, M2LBufLen(p, p))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
