@@ -386,10 +386,6 @@ func (s *sweep) inherit(n *tree.Node, parent *multipole.Local) *multipole.Local 
 	return l
 }
 
-// RelativeCost returns the FMM's expansion-work terms (M2L source terms plus
-// upward terms) — the analogue of the treecode's term count.
-func (s *Stats) RelativeCost() int64 { return s.M2LTerms + s.UpTerms }
-
 // EstimateError returns a crude a-priori bound on the relative error of the
 // configured FMM on a unit-charge system: alpha^{p+1} scaled by the typical
 // number of expansion interactions.

@@ -70,8 +70,8 @@ func TestAdaptiveFMMBeatsOriginal(t *testing.T) {
 	if errA >= errO {
 		t.Errorf("adaptive FMM error %v not below original %v", errA, errO)
 	}
-	t.Logf("FMM err orig=%.3g new=%.3g cost orig=%d new=%d",
-		errO, errA, stO.RelativeCost(), stA.RelativeCost())
+	t.Logf("FMM err orig=%.3g new=%.3g cost (M2L+upward terms) orig=%d new=%d",
+		errO, errA, stO.M2LTerms+stO.UpTerms, stA.M2LTerms+stA.UpTerms)
 }
 
 func TestFMMAgreesWithTreecode(t *testing.T) {

@@ -614,13 +614,14 @@ func (e *Expansion) M2L(center vec.V3, pOut int) *Local {
 
 // M2LBufLen returns the scratch length AccumulateM2L needs to convert a
 // degree pSrc multipole into a degree pLocal local:
-// harmonics.Len(pSrc) + harmonics.Len(pLocal) + pSrc + pLocal + 1, for the
-// rotated source, the axial local, and the axial factors u!/r^{u+1},
-// u <= pSrc+pLocal, whose slots the rotations also use. It grows with
-// both degrees, and at equal degrees p it is at least harmonics.Len(p),
-// the scratch of L2L and L2P.
+// harmonics.Len(pSrc) + harmonics.Len(pLocal) + 2 max(pSrc, pLocal) + 2,
+// for the rotated source, the axial local, and the rotations' scratch
+// (rotation.RotateY's 2(p+1) at the larger degree p), whose first
+// pSrc+pLocal+1 slots hold the axial factors u!/r^{u+1} in between. It
+// grows with both degrees, and at equal degrees p it is at least
+// harmonics.Len(p), the scratch of L2L and L2P.
 func M2LBufLen(pSrc, pLocal int) int {
-	return harmonics.Len(pSrc) + harmonics.Len(pLocal) + pSrc + pLocal + 1
+	return harmonics.Len(pSrc) + harmonics.Len(pLocal) + 2*max(pSrc, pLocal) + 2
 }
 
 // AccumulateM2L adds the local expansion of src about l.Center, truncated
@@ -641,14 +642,15 @@ func M2LBufLen(pSrc, pLocal int) int {
 // and sin(theta) = rho_xy/r come from t's components, with no
 // trigonometry. It is the same linear map as the convolution, so only
 // roundoff differs: oracle_test.go compares it with the Get-indexed
-// convolution per degree, on the scale of the Schmidt-normalized source.
+// convolution per degree, on the scale of the Schmidt-normalized source,
+// and bitwise with the form that sums one axial output per pass.
 //
 //treecode:hot
 func (l *Local) AccumulateM2L(src *Expansion, buf []complex128) {
 	ps, pl := src.Degree, l.Degree
 	a := buf[:harmonics.Len(ps)]
 	b := buf[len(a):][:harmonics.Len(pl)]
-	f := buf[len(a)+len(b):][:ps+pl+1]
+	rot := buf[len(a)+len(b):][:2*max(ps, pl)+2]
 
 	// The azimuth is taken from (t_x, t_y) scaled by its largest
 	// component, so |e^{i phi}| = 1 to roundoff even where t_x^2 + t_y^2
@@ -676,10 +678,11 @@ func (l *Local) AccumulateM2L(src *Expansion, buf []complex128) {
 		}
 		er, ei = er*ur-ei*ui, er*ui+ei*ur
 	}
-	rotation.RotateY(a, ps, rotation.Multipole, cosb, -sinb, f)
+	rotation.RotateY(a, ps, rotation.Multipole, cosb, -sinb, rot)
 
 	// 2. B_j^k = (-1)^j sum_n A_n^{-k} F_{j+n} with F_u = u!/r^{u+1} and
 	// A_n^{-k} = (-1)^k conj(A_n^k).
+	f := rot[:ps+pl+1]
 	ir := 1 / r
 	fu := ir
 	for u := range f {
@@ -687,29 +690,11 @@ func (l *Local) AccumulateM2L(src *Expansion, buf []complex128) {
 		fu *= float64(u+1) * ir
 	}
 	for k := 0; k <= pl; k++ {
-		ik := k * (k + 3) / 2 // Idx(k, k)
-		ij := ik              // Idx(j, k)
-		for j := k; j <= pl; j++ {
-			var sr, si float64
-			i := ik // Idx(n, k)
-			for n := k; n <= ps; n++ {
-				fv := real(f[j+n])
-				sr += real(a[i]) * fv
-				si += imag(a[i]) * fv
-				i += n + 1
-			}
-			if (j+k)&1 != 0 {
-				sr = -sr
-			} else {
-				si = -si
-			}
-			b[ij] = complex(sr, si)
-			ij += j + 1
-		}
+		axialColumn(b, a, f, k, ps, pl)
 	}
 
 	// 3. Ry(theta), then L_j^k += B_j^k e^{ik phi}.
-	rotation.RotateY(b, pl, rotation.Local, cosb, sinb, f)
+	rotation.RotateY(b, pl, rotation.Local, cosb, sinb, rot)
 	lc := l.Coeff
 	er, ei = 1, 0
 	for k := 0; k <= pl; k++ {
@@ -721,6 +706,57 @@ func (l *Local) AccumulateM2L(src *Expansion, buf []complex128) {
 		}
 		er, ei = er*ur-ei*ui, er*ui+ei*ur
 	}
+}
+
+// axialColumn sets column k of the axial local, B_j^k = (-1)^{j+k}
+// conj(sum_{n=k}^{ps} A_n^k F_{j+n}) for k <= j <= pl, from the rotated
+// source a (degree ps) and the factors F_u in the real parts of f. Outputs
+// j and j+1 share a pass over the column, four sums on one load of each
+// A_n^k.
+//
+//treecode:hot
+func axialColumn(b, a, f []complex128, k, ps, pl int) {
+	ik := k * (k + 3) / 2 // Idx(k, k)
+	ij := ik              // Idx(j, k)
+	j := k
+	for ; j < pl; j += 2 {
+		var sr0, si0, sr1, si1 float64
+		i := ik // Idx(n, k)
+		for n := k; n <= ps; n++ {
+			ar, ai := real(a[i]), imag(a[i])
+			f0, f1 := real(f[j+n]), real(f[j+n+1])
+			sr0 += ar * f0
+			si0 += ai * f0
+			sr1 += ar * f1
+			si1 += ai * f1
+			i += n + 1
+		}
+		b[ij] = axialSign(j+k, sr0, si0)
+		ij += j + 1
+		b[ij] = axialSign(j+1+k, sr1, si1)
+		ij += j + 2
+	}
+	if j == pl {
+		var sr, si float64
+		i := ik
+		for n := k; n <= ps; n++ {
+			fv := real(f[j+n])
+			sr += real(a[i]) * fv
+			si += imag(a[i]) * fv
+			i += n + 1
+		}
+		b[ij] = axialSign(j+k, sr, si)
+	}
+}
+
+// axialSign returns (-1)^{j+k} conj(sr + i si), given jk = j+k.
+func axialSign(jk int, sr, si float64) complex128 {
+	if jk&1 != 0 {
+		sr = -sr
+	} else {
+		si = -si
+	}
+	return complex(sr, si)
 }
 
 // AddP2L accumulates the local expansion of a single distant charge (P2L),

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"treecode/internal/harmonics"
+	"treecode/internal/rotation"
 	"treecode/internal/vec"
 )
 
@@ -240,6 +241,148 @@ func TestTranslationKernelsMatchOracle(t *testing.T) {
 	}
 }
 
+// accumulateM2LRef is the AccumulateM2L of the first rotation M2L, kept
+// verbatim as the bitwise reference of the production one, which sums two
+// axial outputs per pass where this sums one. Only its scratch changed: it
+// takes buf of M2LBufLen(src.Degree, l.Degree) and hands the rotations
+// everything past the two expansions, as the production kernel does. Its
+// rotations are the production rotation.RotateY, which rotation's
+// TestRotateYMatchesReference pins to the first rotation M2L's body.
+func accumulateM2LRef(l *Local, src *Expansion, buf []complex128) {
+	ps, pl := src.Degree, l.Degree
+	a := buf[:harmonics.Len(ps)]
+	b := buf[len(a):][:harmonics.Len(pl)]
+	rot := buf[len(a)+len(b):]
+	f := rot[:ps+pl+1]
+
+	// The azimuth is taken from (t_x, t_y) scaled by its largest
+	// component, so |e^{i phi}| = 1 to roundoff even where t_x^2 + t_y^2
+	// would underflow.
+	t := l.Center.Sub(src.Center)
+	ur, ui := 1.0, 0.0 // e^{i phi}
+	var rxy float64
+	if s := max(math.Abs(t.X), math.Abs(t.Y)); s > 0 {
+		x, y := t.X/s, t.Y/s
+		h := math.Sqrt(x*x + y*y)
+		ur, ui, rxy = x/h, y/h, s*h
+	}
+	r := math.Sqrt(rxy*rxy + t.Z*t.Z)
+	cosb, sinb := t.Z/r, rxy/r
+
+	// 1. A_n^m = M_n^m e^{im phi}, then Ry(-theta).
+	mc := src.Coeff
+	er, ei := 1.0, 0.0 // e^{im phi}
+	for m := 0; m <= ps; m++ {
+		i := m * (m + 3) / 2 // Idx(m, m)
+		for n := m; n <= ps; n++ {
+			c := mc[i]
+			a[i] = complex(real(c)*er-imag(c)*ei, real(c)*ei+imag(c)*er)
+			i += n + 1
+		}
+		er, ei = er*ur-ei*ui, er*ui+ei*ur
+	}
+	rotation.RotateY(a, ps, rotation.Multipole, cosb, -sinb, rot)
+
+	// 2. B_j^k = (-1)^j sum_n A_n^{-k} F_{j+n} with F_u = u!/r^{u+1} and
+	// A_n^{-k} = (-1)^k conj(A_n^k).
+	ir := 1 / r
+	fu := ir
+	for u := range f {
+		f[u] = complex(fu, 0)
+		fu *= float64(u+1) * ir
+	}
+	for k := 0; k <= pl; k++ {
+		ik := k * (k + 3) / 2 // Idx(k, k)
+		ij := ik              // Idx(j, k)
+		for j := k; j <= pl; j++ {
+			var sr, si float64
+			i := ik // Idx(n, k)
+			for n := k; n <= ps; n++ {
+				fv := real(f[j+n])
+				sr += real(a[i]) * fv
+				si += imag(a[i]) * fv
+				i += n + 1
+			}
+			if (j+k)&1 != 0 {
+				sr = -sr
+			} else {
+				si = -si
+			}
+			b[ij] = complex(sr, si)
+			ij += j + 1
+		}
+	}
+
+	// 3. Ry(theta), then L_j^k += B_j^k e^{ik phi}.
+	rotation.RotateY(b, pl, rotation.Local, cosb, sinb, rot)
+	lc := l.Coeff
+	er, ei = 1, 0
+	for k := 0; k <= pl; k++ {
+		i := k * (k + 3) / 2 // Idx(k, k)
+		for j := k; j <= pl; j++ {
+			c := b[i]
+			lc[i] += complex(real(c)*er-imag(c)*ei, real(c)*ei+imag(c)*er)
+			i += j + 1
+		}
+		er, ei = er*ur-ei*ui, er*ui+ei*ur
+	}
+}
+
+// m2lRef is the M2L constructor over accumulateM2LRef: a local filled
+// with -0, the additive identity, then accumulated into.
+func m2lRef(src *Expansion, center vec.V3, pOut int) []complex128 {
+	l := NewLocal(center, pOut)
+	negZero := complex(math.Copysign(0, -1), math.Copysign(0, -1))
+	for i := range l.Coeff {
+		l.Coeff[i] = negZero
+	}
+	accumulateM2LRef(l, src, make([]complex128, M2LBufLen(src.Degree, pOut)))
+	return l.Coeff
+}
+
+// TestAccumulateM2LMatchesReference pins AccumulateM2L to
+// accumulateM2LRef bit for bit: source degrees 0-30 and 64 (one above
+// the largest degree rotation.Plan rotates in stack scratch), local
+// degrees below, at and above the source's, every m2lDirections shift
+// (the +-z axes, where the rotations run at beta = 0 and pi with sin beta
+// = +-0, the xy-plane, where beta = pi/2, and generic directions) plus a
+// random one, through the M2L constructor and by accumulation into an
+// empty (+0) and a non-empty local.
+func TestAccumulateM2LMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	degrees := []int{64}
+	for p := 0; p <= 30; p++ {
+		degrees = append(degrees, p)
+	}
+	for _, p := range degrees {
+		for _, pOut := range []int{0, p / 2, p, p + 3} {
+			for _, dir := range append(m2lDirections, randomDirection(rng)) {
+				src := randomExpansion(rng, vec.V3{X: 0.2, Y: -0.1, Z: 0.3}, p, 1)
+				center := src.Center.Add(dir.Scale(3))
+				fail := func(how string, got, want []complex128) {
+					t.Helper()
+					if i, ok := bitsEqual(got, want); !ok {
+						t.Fatalf("p=%d pOut=%d dir=%v, %s: coefficient %d is %v, reference %v", p, pOut, dir, how, i, got[i], want[i])
+					}
+				}
+				fail("constructor", src.M2L(center, pOut).Coeff, m2lRef(src, center, pOut))
+
+				buf := make([]complex128, M2LBufLen(p, pOut))
+				empty, emptyRef := NewLocal(center, pOut), NewLocal(center, pOut)
+				empty.AccumulateM2L(src, buf)
+				accumulateM2LRef(emptyRef, src, buf)
+				fail("into an empty local", empty.Coeff, emptyRef.Coeff)
+
+				other := randomExpansion(rng, src.Center.Sub(dir), p, 1)
+				full, fullRef := other.M2L(center, pOut), other.M2L(center, pOut)
+				full.AccumulateM2L(src, buf)
+				accumulateM2LRef(fullRef, src, buf)
+				fail("into a non-empty local", full.Coeff, fullRef.Coeff)
+			}
+		}
+	}
+}
+
 // m2lTol is the M2L roundoff allowance, in units of eps times the
 // per-degree Schmidt scale (m2lScale) times pSrc+pLocal+1, the number of
 // source degrees and local degrees each output coefficient passes through.
@@ -360,8 +503,8 @@ func TestM2LEdgeCasesMatchOracle(t *testing.T) {
 // fractional parts of ratio and logScale pick the source cluster's radius
 // as a fraction 0.01-0.99 of the shift and the shift's length in
 // [1e-2, 1e2), and k picks the source and local degrees (0-30 each) and
-// the cluster. The conversion must be finite and within m2lMismatch's
-// roundoff of the convolution.
+// the cluster. The conversion must be finite, within m2lMismatch's
+// roundoff of the convolution, and bitwise accumulateM2LRef's.
 func FuzzM2L(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 0.5, 0.5, 8*31+8)
 	f.Add(0.0, 0.0, -1.0, 0.3, 0.9, 13*31+13)
@@ -401,6 +544,9 @@ func FuzzM2L(f *testing.F) {
 		if msg := m2lMismatch(src, center, got, pOut); msg != "" {
 			t.Fatalf("p=%d pOut=%d shift %v: %s", p, pOut, dir.Scale(r), msg)
 		}
+		if i, ok := bitsEqual(got, m2lRef(src, center, pOut)); !ok {
+			t.Fatalf("p=%d pOut=%d shift %v: coefficient %d differs from the reference kernel's", p, pOut, dir.Scale(r), i)
+		}
 	})
 }
 
@@ -415,10 +561,11 @@ func oracleTranslate(e *Expansion, newCenter vec.V3, pOut int) []complex128 {
 // allocations given their documented scratch: Len(e.Degree) for M2M,
 // M2LBufLen(src.Degree, l.Degree) for M2L and Len(src.Degree) for L2L. P2M
 // needs no scratch, and the harmonic tables allocate nothing into a sized
-// dst.
+// dst. Degree 64, far above the FMM's, checks that the kernels stay
+// allocation-free once the rotation tables have grown that far.
 func TestTranslationKernelsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	for _, p := range []int{8, 13} {
+	for _, p := range []int{8, 13, 64} {
 		src := randomExpansion(rng, vec.V3{}, p, 1)
 		dst := NewExpansion(vec.V3{X: 0.3, Y: 0.2, Z: -0.1}, p)
 		loc := NewLocal(vec.V3{X: 3, Y: 1, Z: 2}, p)

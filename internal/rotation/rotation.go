@@ -63,6 +63,13 @@ type table struct {
 	delta []float64
 	// norm is N_n^m = sqrt((n-m)!(n+m)!) and inv its reciprocal, 0 <= m <= n.
 	norm, inv []float64
+	// scaleIn[kind] and scaleOut[kind] are RotateY's row scalings, with the
+	// kind's D_in and D_out (N and 1/N for Multipole, the reverse for
+	// Local): scaleIn[kind][m] = w_m (-1)^{floor(m/2)} D_in, with w_0 = 1
+	// and w_m = 2 counting the order -m, and scaleOut[kind][m] = (-1)^m
+	// (-1)^{floor(m/2)} D_out. Doubling and negation are exact, so each
+	// entry is the D entry to the bit up to sign and a power of two.
+	scaleIn, scaleOut [2][]float64
 }
 
 // tables holds the rotation tables of degrees 0..len-1. It only grows, and
@@ -119,6 +126,23 @@ func newTable(n int) *table {
 		nm := sqrtRatio(new(big.Int).Mul(x.fact[n-m], x.fact[n+m]), x.fact[0])
 		t.norm[m], _ = nm.Float64()
 		t.inv[m], _ = new(big.Float).SetPrec(exactPrec).Quo(one, nm).Float64()
+	}
+	for kind, d := range [2][2][]float64{Multipole: {t.norm, t.inv}, Local: {t.inv, t.norm}} {
+		in, out := make([]float64, w), make([]float64, w)
+		for m := 0; m <= n; m++ {
+			in[m] = 2 * d[0][m]
+			if m == 0 {
+				in[m] = d[0][0]
+			}
+			if m&2 != 0 {
+				in[m] = -in[m]
+			}
+			out[m] = d[1][m]
+			if (m+m>>1)&1 != 0 {
+				out[m] = -out[m]
+			}
+		}
+		t.scaleIn[kind], t.scaleOut[kind] = in, out
 	}
 	return t
 }
@@ -181,70 +205,10 @@ func sqrtRatio(num, den *big.Int) *big.Float {
 	return q.Sqrt(q)
 }
 
-// deltaAt returns Delta^n_{k,m} for any -n <= k, m <= n from t's quadrant.
-func (t *table) deltaAt(n, k, m int) float64 {
-	s := 1.0
-	if k < 0 {
-		k = -k
-		if (n+m)&1 != 0 {
-			s = -s
-		}
-	}
-	if m < 0 {
-		m = -m
-		if (n+k)&1 != 0 {
-			s = -s
-		}
-	}
-	return s * t.delta[k*(n+1)+m]
-}
-
-// SmallD returns the Wigner small-d matrix d^n(beta) as a dense
-// (2n+1)x(2n+1) slice indexed [m+n][mp+n], through the factorization
-//
-//	d^n_{m,mp}(beta) = sum_k Delta^n_{k,m} Delta^n_{k,mp} cos((m-mp)pi/2 - k beta),
-//
-// the real form of i^{m-mp} sum_k Delta_{k,m} e^{-ik beta} Delta_{k,mp}.
-// With Delta exact, entries are accurate to a few ulps at every degree
-// (rotation_test.go checks orthogonality to 1e-14 up to degree 30). With
-// this sign convention, the matrix that maps coefficients of sources y to
-// coefficients of sources Ry(beta)y is the one evaluated at -beta.
-func SmallD(n int, beta float64) [][]float64 {
-	t := tablesTo(n)[n]
-	size := 2*n + 1
-	sn, cs := make([]float64, size), make([]float64, size)
-	for k := -n; k <= n; k++ {
-		sn[k+n], cs[k+n] = math.Sincos(float64(k) * beta)
-	}
-	d := make([][]float64, size)
-	for m := -n; m <= n; m++ {
-		d[m+n] = make([]float64, size)
-		for mp := -n; mp <= n; mp++ {
-			// cos(q pi/2 - x) is (-1)^{q/2} cos x for even q and
-			// (-1)^{(q-1)/2} sin x for odd q.
-			q := m - mp
-			trig, sign := cs, 1.0
-			if q&1 != 0 {
-				trig = sn
-				q--
-			}
-			if (q/2)&1 != 0 {
-				sign = -1
-			}
-			var sum float64
-			for k := -n; k <= n; k++ {
-				sum += t.deltaAt(n, k, m) * t.deltaAt(n, k, mp) * trig[k+n]
-			}
-			d[m+n][mp+n] = sign * sum
-		}
-	}
-	return d
-}
-
 // RotateY transforms coefficients c (triangular storage, degree p) in
 // place so that they describe the same field built from source points
 // rotated by Ry(beta), given as cosb = cos(beta) and sinb = sin(beta).
-// tmp is scratch of length >= p+1. It allocates nothing once the tables
+// tmp is scratch of length >= 2(p+1). It allocates nothing once the tables
 // reach degree p.
 //
 // Row n is the product D_out d^n(-beta) D_in with the N-scalings of kind
@@ -260,103 +224,178 @@ func SmallD(n int, beta float64) [][]float64 {
 // pair is one real multiply-add: 2(n+1)^2 per degree, against (2n+1)^2
 // complex ones for the dense matrix.
 //
+// Both products take two rows of Delta per pass over the coefficients,
+// and the two rows of a pass read the two parts of each coefficient, so
+// one load feeds four independent sums; the first pass also applies D_in.
+// cos(k beta) and sin(k beta), k <= p, are computed once per call into
+// tmp[p+1:], and tmp[:p+1] holds the row between the products. Every sum
+// keeps its terms and their order, so the result is bitwise that of one
+// row per pass (DESIGN §16).
+//
 //treecode:hot
 func RotateY(c []complex128, p int, kind Kind, cosb, sinb float64, tmp []complex128) {
 	tabs := tablesTo(p)
+	// cs[k] = cos(k beta) + i sin(k beta) by the angle-addition recurrence
+	// from k = 0, shared by every degree.
+	cs := tmp[p+1:][:p+1]
+	ck, sk := 1.0, 0.0
+	for k := range cs {
+		cs[k] = complex(ck, sk)
+		ck, sk = ck*cosb-sk*sinb, sk*cosb+ck*sinb
+	}
 	for n := 1; n <= p; n++ {
 		t := tabs[n]
 		w := n + 1
-		in, out := t.norm, t.inv
-		if kind == Local {
-			in, out = out, in
-		}
-		in, out = in[:w], out[:w]
 		row := c[n*w/2:][:w]
-		h := tmp[:w]
-
-		// x_m = w_m (-1)^{floor(m/2)} D_in c_m, with w_0 = 1 and w_m = 2
-		// counting the order -m.
-		for m := range row {
-			s := 2 * in[m]
-			if m == 0 {
-				s = in[0]
-			}
-			if m&2 != 0 {
-				s = -s
-			}
-			row[m] = complex(s*real(row[m]), s*imag(row[m]))
-		}
-
-		// First product and the phase: e_k and o_k sum the even and odd
-		// orders of x against row k of Delta; cos(k beta) and sin(k beta)
-		// combine them into f_k and g_k, weighted w_k (-1)^k for the
-		// second product.
-		ck, sk := 1.0, 0.0
-		for k := 0; k < w; k++ {
-			d := t.delta[k*w:][:w]
-			var e, o float64
-			if (n+k)&1 == 0 {
-				for m := 0; m < n; m += 2 {
-					e += d[m] * real(row[m])
-					o += d[m+1] * real(row[m+1])
-				}
-				if n&1 == 0 {
-					e += d[n] * real(row[n])
-				}
-			} else {
-				for m := 0; m < n; m += 2 {
-					e += d[m] * imag(row[m])
-					o += d[m+1] * imag(row[m+1])
-				}
-				if n&1 == 0 {
-					e += d[n] * imag(row[n])
-				}
-			}
-			s := 2.0
-			if k == 0 {
-				s = 1
-			}
-			if k&1 != 0 {
-				s = -s
-			}
-			h[k] = complex(s*(ck*e+sk*o), s*(ck*o-sk*e))
-			ck, sk = ck*cosb-sk*sinb, sk*cosb+ck*sinb
-		}
-
-		// Second product: output order m reads f (m even) or g (m odd);
-		// the k with n+k even give its real part, the others its
-		// imaginary part.
-		for m := 0; m < w; m++ {
-			d := t.delta[m*w:][:w]
-			var a0, a1 float64 // even and odd k
-			if m&1 == 0 {
-				for k := 0; k < n; k += 2 {
-					a0 += d[k] * real(h[k])
-					a1 += d[k+1] * real(h[k+1])
-				}
-				if n&1 == 0 {
-					a0 += d[n] * real(h[n])
-				}
-			} else {
-				for k := 0; k < n; k += 2 {
-					a0 += d[k] * imag(h[k])
-					a1 += d[k+1] * imag(h[k+1])
-				}
-				if n&1 == 0 {
-					a0 += d[n] * imag(h[n])
-				}
-			}
-			if n&1 != 0 {
-				a0, a1 = a1, a0
-			}
-			// (-1)^m (-1)^{floor(m/2)} D_out
-			s := out[m]
-			if (m+m>>1)&1 != 0 {
-				s = -s
-			}
-			row[m] = complex(s*a0, s*a1)
-		}
+		firstProduct(tmp[:w], row, t.delta, cs, t.scaleIn[kind])
+		secondProduct(row, tmp[:w], t.delta, t.scaleOut[kind])
 	}
+}
+
+// firstProduct scales the degree-n row x (n = len(x)-1) in place by
+// w_m (-1)^{floor(m/2)} D_in (in, the table's scaleIn) and sets h_k,
+// 0 <= k <= n, from it and Delta^n (delta, row-major): e_k and o_k sum the
+// even and odd orders of x against row k of Delta; cos(k beta) and
+// sin(k beta) from cs combine them into f_k and g_k, weighted w_k (-1)^k
+// for the second product. Rows k and k+1 share a pass, four sums on one
+// load of each x_m: the row with n+k even reads real parts, the other
+// imaginary parts. The first pass also scales x. Each parity of n has its
+// own pass loop, so no pass branches on it; the second product keeps one
+// loop, where the split measured no gain.
+//
+//treecode:hot
+func firstProduct(h, x []complex128, delta []float64, cs []complex128, in []float64) {
+	w := len(x)
+	n := w - 1
+	h, cs, delta = h[:w], cs[:w], delta[:w*w]
+	if n&1 != 0 {
+		er, or, ei, oi := scalePass(x, in, delta[w:][:w], delta[:w])
+		h[0] = phased(1, ei, oi, cs[0])
+		h[1] = phased(-2, er, or, cs[1])
+		for k := 2; k < n; k += 2 {
+			di, dr := delta[k*w:][:w], delta[(k+1)*w:][:w]
+			var er, or, ei, oi float64
+			for m := 0; m < n; m += 2 {
+				x0, x1 := x[m], x[m+1]
+				er += dr[m] * real(x0)
+				or += dr[m+1] * real(x1)
+				ei += di[m] * imag(x0)
+				oi += di[m+1] * imag(x1)
+			}
+			h[k] = phased(2, ei, oi, cs[k])
+			h[k+1] = phased(-2, er, or, cs[k+1])
+		}
+		return
+	}
+	er, or, ei, oi := scalePass(x, in, delta[:w], delta[w:][:w])
+	h[0] = phased(1, er, or, cs[0])
+	h[1] = phased(-2, ei, oi, cs[1])
+	for k := 2; k < n; k += 2 {
+		dr, di := delta[k*w:][:w], delta[(k+1)*w:][:w]
+		var er, or, ei, oi float64
+		for m := 0; m < n; m += 2 {
+			x0, x1 := x[m], x[m+1]
+			er += dr[m] * real(x0)
+			or += dr[m+1] * real(x1)
+			ei += di[m] * imag(x0)
+			oi += di[m+1] * imag(x1)
+		}
+		er += dr[n] * real(x[n])
+		ei += di[n] * imag(x[n])
+		h[k] = phased(2, er, or, cs[k])
+		h[k+1] = phased(-2, ei, oi, cs[k+1])
+	}
+	e, o := evenOdd(delta[n*w:], x) // row n alone, reading real parts
+	h[n] = phased(2, e, o, cs[n])
+}
+
+// scalePass scales x in place by in (x_m = in_m x_m) and returns the
+// first pass's sums over it: er and or of dr[m] real(x_m) over even and
+// odd m, ei and oi of di[m] imag(x_m), in increasing m, every order
+// included.
+//
+//treecode:hot
+func scalePass(x []complex128, in, dr, di []float64) (er, or, ei, oi float64) {
+	w := len(x)
+	n := w - 1
+	in, dr, di = in[:w], dr[:w], di[:w]
+	for m := 0; m < n; m += 2 {
+		c0, c1 := x[m], x[m+1]
+		x0 := complex(in[m]*real(c0), in[m]*imag(c0))
+		x1 := complex(in[m+1]*real(c1), in[m+1]*imag(c1))
+		x[m], x[m+1] = x0, x1
+		er += dr[m] * real(x0)
+		or += dr[m+1] * real(x1)
+		ei += di[m] * imag(x0)
+		oi += di[m+1] * imag(x1)
+	}
+	if n&1 == 0 {
+		c := x[n]
+		xn := complex(in[n]*real(c), in[n]*imag(c))
+		x[n] = xn
+		er += dr[n] * real(xn)
+		ei += di[n] * imag(xn)
+	}
+	return er, or, ei, oi
+}
+
+// secondProduct writes row m of the rotated coefficients, 0 <= m <= n =
+// len(row)-1, from h: output order m reads f (m even) or g (m odd), so
+// rows m and m+1 share a pass on one load of each h_k; the k with n+k
+// even give its real part, the others its imaginary part, and out (the
+// table's scaleOut) scales it.
+//
+//treecode:hot
+func secondProduct(row, h []complex128, delta, out []float64) {
+	w := len(row)
+	n := w - 1
+	h, out, delta = h[:w], out[:w], delta[:w*w]
+	m := 0
+	for ; m < n; m += 2 {
+		d0, d1 := delta[m*w:][:w], delta[(m+1)*w:][:w]
+		var a0, a1, b0, b1 float64 // even and odd k of rows m and m+1
+		for k := 0; k < n; k += 2 {
+			h0, h1 := h[k], h[k+1]
+			a0 += d0[k] * real(h0)
+			a1 += d0[k+1] * real(h1)
+			b0 += d1[k] * imag(h0)
+			b1 += d1[k+1] * imag(h1)
+		}
+		if n&1 == 0 {
+			a0 += d0[n] * real(h[n])
+			b0 += d1[n] * imag(h[n])
+		} else {
+			a0, a1 = a1, a0
+			b0, b1 = b1, b0
+		}
+		row[m] = complex(out[m]*a0, out[m]*a1)
+		row[m+1] = complex(out[m+1]*b0, out[m+1]*b1)
+	}
+	if m == n { // n even: row n alone, reading f
+		a0, a1 := evenOdd(delta[n*w:], h)
+		row[n] = complex(out[n]*a0, out[n]*a1)
+	}
+}
+
+// evenOdd returns the sums of d[m] real(v[m]) over the even and the odd
+// m <= n, in increasing m, for even n = len(v)-1.
+func evenOdd(d []float64, v []complex128) (e, o float64) {
+	n := len(v) - 1
+	d = d[:n+1]
+	for m := 0; m < n; m += 2 {
+		e += d[m] * real(v[m])
+		o += d[m+1] * real(v[m+1])
+	}
+	e += d[n] * real(v[n])
+	return e, o
+}
+
+// phased returns s (f_k + i g_k) for s = w_k (-1)^k, with
+// f_k = cos(k beta) e + sin(k beta) o and g_k = cos(k beta) o - sin(k beta) e,
+// from cs = cos(k beta) + i sin(k beta).
+func phased(s, e, o float64, cs complex128) complex128 {
+	ck, sk := real(cs), imag(cs)
+	return complex(s*(ck*e+sk*o), s*(ck*o-sk*e))
 }
 
 // Plan is a y-rotation by one angle beta up to degree P. Building one
@@ -381,10 +420,10 @@ func (pl *Plan) RotateY(coeffs []complex128, p int, kind Kind, inverse bool) {
 	if inverse {
 		sb = -sb
 	}
-	var stack [planStack + 1]complex128
+	var stack [2 * (planStack + 1)]complex128
 	tmp := stack[:]
 	if p > planStack {
-		tmp = make([]complex128, p+1)
+		tmp = make([]complex128, 2*(p+1))
 	}
 	RotateY(coeffs, p, kind, cb, sb, tmp)
 }

@@ -1,6 +1,7 @@
 package rotation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -66,9 +67,71 @@ func coeffDist(a, b []complex128) float64 {
 	return math.Sqrt(e / (1 + n))
 }
 
+// deltaAt returns Delta^n_{k,m} for any -n <= k, m <= n from t's quadrant.
+func (t *table) deltaAt(n, k, m int) float64 {
+	s := 1.0
+	if k < 0 {
+		k = -k
+		if (n+m)&1 != 0 {
+			s = -s
+		}
+	}
+	if m < 0 {
+		m = -m
+		if (n+k)&1 != 0 {
+			s = -s
+		}
+	}
+	return s * t.delta[k*(n+1)+m]
+}
+
+// smallD returns the Wigner small-d matrix d^n(beta) as a dense
+// (2n+1)x(2n+1) slice indexed [m+n][mp+n], through the factorization
+//
+//	d^n_{m,mp}(beta) = sum_k Delta^n_{k,m} Delta^n_{k,mp} cos((m-mp)pi/2 - k beta),
+//
+// the real form of i^{m-mp} sum_k Delta_{k,m} e^{-ik beta} Delta_{k,mp}.
+// It is the dense reference of these tests; RotateY applies the same
+// factorization folded. With Delta exact, entries are accurate to a few
+// ulps at every degree (TestSmallDOrthogonal checks orthogonality to
+// 1e-14 up to degree 30). With this sign convention, the matrix that maps
+// coefficients of sources y to coefficients of sources Ry(beta)y is the
+// one evaluated at -beta.
+func smallD(n int, beta float64) [][]float64 {
+	t := tablesTo(n)[n]
+	size := 2*n + 1
+	sn, cs := make([]float64, size), make([]float64, size)
+	for k := -n; k <= n; k++ {
+		sn[k+n], cs[k+n] = math.Sincos(float64(k) * beta)
+	}
+	d := make([][]float64, size)
+	for m := -n; m <= n; m++ {
+		d[m+n] = make([]float64, size)
+		for mp := -n; mp <= n; mp++ {
+			// cos(q pi/2 - x) is (-1)^{q/2} cos x for even q and
+			// (-1)^{(q-1)/2} sin x for odd q.
+			q := m - mp
+			trig, sign := cs, 1.0
+			if q&1 != 0 {
+				trig = sn
+				q--
+			}
+			if (q/2)&1 != 0 {
+				sign = -1
+			}
+			var sum float64
+			for k := -n; k <= n; k++ {
+				sum += t.deltaAt(n, k, m) * t.deltaAt(n, k, mp) * trig[k+n]
+			}
+			d[m+n][mp+n] = sign * sum
+		}
+	}
+	return d
+}
+
 func TestSmallDIdentityAtZero(t *testing.T) {
 	for n := 0; n <= 10; n++ {
-		d := SmallD(n, 0)
+		d := smallD(n, 0)
 		for i := range d {
 			for j := range d[i] {
 				want := 0.0
@@ -90,7 +153,7 @@ func TestSmallDOrthogonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= legendre.MaxAccurateDegree; n++ {
 		for _, beta := range []float64{math.Pi / 2, rng.Float64() * math.Pi} {
-			d := SmallD(n, beta)
+			d := smallD(n, beta)
 			size := 2*n + 1
 			for i := 0; i < size; i++ {
 				for j := 0; j < size; j++ {
@@ -115,9 +178,9 @@ func TestSmallDOrthogonal(t *testing.T) {
 func TestSmallDComposition(t *testing.T) {
 	b1, b2 := 0.4, 0.9
 	for n := 0; n <= legendre.MaxAccurateDegree; n++ {
-		d1 := SmallD(n, b1)
-		d2 := SmallD(n, b2)
-		d12 := SmallD(n, b1+b2)
+		d1 := smallD(n, b1)
+		d2 := smallD(n, b2)
+		d12 := smallD(n, b1+b2)
 		size := 2*n + 1
 		for i := 0; i < size; i++ {
 			for j := 0; j < size; j++ {
@@ -164,11 +227,11 @@ func TestDeltaSymmetries(t *testing.T) {
 }
 
 // TestDeltaExactValues pins closed forms: Delta^1 = d^1(pi/2) has entries
-// 0, 1/2 and +-1/sqrt2, every one correctly rounded in the table (SmallD
+// 0, 1/2 and +-1/sqrt2, every one correctly rounded in the table (smallD
 // recombines them with cos(k pi/2) and sin(k pi/2) to within a few ulps),
 // and the corner Delta^n_{n,n} = 2^{-n} is a power of two at every degree.
 func TestDeltaExactValues(t *testing.T) {
-	d := SmallD(1, math.Pi/2)
+	d := smallD(1, math.Pi/2)
 	r := math.Sqrt2 / 2
 	want := [3][3]float64{{0.5, r, 0.5}, {r, 0, r}, {0.5, r, 0.5}} // magnitudes
 	tab := tablesTo(1)[1]
@@ -195,7 +258,7 @@ func TestSmallDDegreeOne(t *testing.T) {
 	// (1 +- cos)/2 up to the convention's signs. Check the entries that are
 	// convention-independent.
 	beta := 0.6
-	d := SmallD(1, beta)
+	d := smallD(1, beta)
 	if math.Abs(d[1][1]-math.Cos(beta)) > 1e-14 {
 		t.Errorf("d^1_{00} = %v, want cos(beta)", d[1][1])
 	}
@@ -254,7 +317,7 @@ func TestRotateYMatchesRebuild(t *testing.T) {
 }
 
 // TestRotateYMatchesDense: the folded RotateY is the dense product
-// D_out d^n(-beta) D_in of SmallD with the kind's N-scalings, row by row up
+// D_out d^n(-beta) D_in of smallD with the kind's N-scalings, row by row up
 // to degree 30, for both kinds and angles on and off the axes. Rows are
 // compared in Schmidt normalization (multipole rows times N, local rows
 // divided by N), where the rotation is orthogonal, to 1e-14 of the row's
@@ -266,7 +329,7 @@ func TestRotateYMatchesDense(t *testing.T) {
 		t := tablesTo(n)[n]
 		return t.norm[abs(m)]
 	}
-	tmp := make([]complex128, p+1)
+	tmp := make([]complex128, 2*(p+1))
 	for _, beta := range []float64{0, math.Pi / 2, -math.Pi, 0.3, -2.1} {
 		for _, kind := range []Kind{Multipole, Local} {
 			// Schmidt-normalized rows of unit scale.
@@ -288,7 +351,7 @@ func TestRotateYMatchesDense(t *testing.T) {
 			got := append([]complex128(nil), c...)
 			RotateY(got, p, kind, math.Cos(beta), math.Sin(beta), tmp)
 			for n := 0; n <= p; n++ {
-				d := SmallD(n, -beta)
+				d := smallD(n, -beta)
 				schmidt := func(v complex128, m int) complex128 {
 					if kind == Multipole {
 						return v * complex(norm(n, m), 0)
@@ -314,22 +377,25 @@ func TestRotateYMatchesDense(t *testing.T) {
 	}
 }
 
-// TestRotateYAllocatesNothing pins RotateY, and a Plan's RotateY below
-// planStack, at zero allocations once the tables reach the degree.
+// TestRotateYAllocatesNothing pins RotateY at zero allocations once the
+// tables reach the degree, at degree 20 and at 64, one above planStack,
+// and a Plan's RotateY at zero up to planStack.
 func TestRotateYAllocatesNothing(t *testing.T) {
-	const p = 20
-	c := make([]complex128, harmonics.Len(p))
-	for i := range c {
-		c[i] = complex(float64(i), -0.5)
-	}
-	tmp := make([]complex128, p+1)
-	pl := NewPlan(p, 0.7)
-	for name, f := range map[string]func(){
-		"RotateY":      func() { RotateY(c, p, Local, 0.6, 0.8, tmp) },
-		"Plan.RotateY": func() { pl.RotateY(c, p, Multipole, true) },
-	} {
-		if a := testing.AllocsPerRun(20, f); a != 0 {
-			t.Errorf("%s at p=%d allocates %v times per call", name, p, a)
+	for _, p := range []int{20, planStack, planStack + 1} {
+		c := make([]complex128, harmonics.Len(p))
+		for i := range c {
+			c[i] = complex(float64(i), -0.5)
+		}
+		tmp := make([]complex128, 2*(p+1))
+		pl := NewPlan(p, 0.7)
+		funcs := map[string]func(){"RotateY": func() { RotateY(c, p, Local, 0.6, 0.8, tmp) }}
+		if p <= planStack {
+			funcs["Plan.RotateY"] = func() { pl.RotateY(c, p, Multipole, true) }
+		}
+		for name, f := range funcs {
+			if a := testing.AllocsPerRun(20, f); a != 0 {
+				t.Errorf("%s at p=%d allocates %v times per call", name, p, a)
+			}
 		}
 	}
 }
@@ -349,7 +415,7 @@ func TestTablesGrowConcurrently(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := make([]complex128, harmonics.Len(top))
-			tmp := make([]complex128, top+1)
+			tmp := make([]complex128, 2*(top+1))
 			for p := top - w; p >= 0; p -= 3 {
 				RotateY(c, p, Local, 0.6, 0.8, tmp)
 			}
@@ -470,20 +536,23 @@ func TestAngles(t *testing.T) {
 	}
 }
 
-func BenchmarkSmallDP10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		SmallD(10, 0.7)
-	}
-}
-
-func BenchmarkPlanApplyP10(b *testing.B) {
-	pl := NewPlan(10, 0.7)
-	coeffs := make([]complex128, harmonics.Len(10))
-	for i := range coeffs {
-		coeffs[i] = complex(float64(i), -0.5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pl.RotateY(coeffs, 10, Multipole, false)
+// BenchmarkRotateY times one rotation of degree-p multipole coefficients
+// at the benchmark's probe degrees, with the tables already grown.
+func BenchmarkRotateY(b *testing.B) {
+	for _, p := range []int{4, 8, 13} {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			c := make([]complex128, harmonics.Len(p))
+			for i := range c {
+				c[i] = complex(float64(i), -0.5)
+			}
+			tmp := make([]complex128, 2*(p+1))
+			s, cb := math.Sincos(0.7)
+			RotateY(c, p, Multipole, cb, s, tmp)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				RotateY(c, p, Multipole, cb, s, tmp)
+			}
+		})
 	}
 }
