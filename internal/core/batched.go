@@ -64,8 +64,8 @@ type batchWorker struct {
 	// active is the per-particle target mask of a FieldsFor evaluation
 	// (original index order); nil means every particle is a target.
 	active []bool
-	// stack backs the explicit-DFS collect; scratch receives repaired
-	// plans (swapped with the plan's old backing array afterwards).
+	// stack backs the explicit-DFS collect; scratch receives built and
+	// repaired plans before the plan keeps a copy.
 	stack   []planFrame
 	scratch []planEntry
 	// Refinement-band tallies for the current leaf, flushed to the shard
@@ -79,7 +79,7 @@ type batchWorker struct {
 // open entry at index patch once its subtree segment is complete.
 type planFrame struct {
 	n     *tree.Node
-	patch int32
+	patch int
 }
 
 // batchedLeaves drives one batched evaluation: leaf tasks over the
@@ -150,25 +150,25 @@ func (w *batchWorker) collect(dst []planEntry, root *tree.Node, c vec.V3, rho fl
 		f := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
 		if f.n == nil {
-			dst[f.patch].span = int32(len(dst)) - f.patch
+			dst[f.patch].setSpan(len(dst) - f.patch)
 			continue
 		}
 		n := f.n
 		acc, rej := w.smac.SphereSlacks(c, rho, n)
 		switch {
 		case acc >= 0: // == AcceptSphere
-			dst = append(dst, planEntry{node: n, slack: acc, span: 1, kind: planM2P})
+			dst = append(dst, newPlanEntry(n, planM2P, acc))
 		case rej <= 0: // == !RejectSphere: refinement band
 			slack := -rej
 			if s := -acc; s < slack {
 				slack = s
 			}
-			dst = append(dst, planEntry{node: n, slack: slack, span: 1, kind: planBand})
+			dst = append(dst, newPlanEntry(n, planBand, slack))
 		case n.IsLeaf():
-			dst = append(dst, planEntry{node: n, slack: rej, span: 1, kind: planP2P})
+			dst = append(dst, newPlanEntry(n, planP2P, rej))
 		default:
-			dst = append(dst, planEntry{node: n, slack: rej, span: 1, kind: planOpen})
-			w.stack = append(w.stack, planFrame{patch: int32(len(dst)) - 1})
+			dst = append(dst, newPlanEntry(n, planOpen, rej))
+			w.stack = append(w.stack, planFrame{patch: len(dst) - 1})
 			for i := len(n.Children) - 1; i >= 0; i-- {
 				w.stack = append(w.stack, planFrame{n: n.Children[i]})
 			}
@@ -195,7 +195,7 @@ func (w *batchWorker) leafPotentials(li int, out []float64) {
 	w.refChecks = 0
 	w.refAccepts = 0
 	for k := range entries {
-		if entries[k].kind != planM2P {
+		if entries[k].kind() != planM2P {
 			continue
 		}
 		n := entries[k].node
@@ -207,7 +207,7 @@ func (w *batchWorker) leafPotentials(li int, out []float64) {
 		}
 	}
 	for k := range entries {
-		if entries[k].kind != planBand {
+		if entries[k].kind() != planBand {
 			continue
 		}
 		n := entries[k].node
@@ -219,7 +219,7 @@ func (w *batchWorker) leafPotentials(li int, out []float64) {
 		}
 	}
 	for k := range entries {
-		if entries[k].kind != planP2P {
+		if entries[k].kind() != planP2P {
 			continue
 		}
 		src := entries[k].node
@@ -268,7 +268,7 @@ func (w *batchWorker) census(entries []planEntry, count int64) {
 	}
 	var m2p int64
 	for k := range entries {
-		switch entries[k].kind {
+		switch entries[k].kind() {
 		case planM2P:
 			m2p++
 		case planP2P, planOpen:
@@ -306,7 +306,7 @@ func (w *batchWorker) leafFields(li int, phi []float64, field []vec.V3) {
 	w.refChecks = 0
 	w.refAccepts = 0
 	for k := range entries {
-		if entries[k].kind != planM2P {
+		if entries[k].kind() != planM2P {
 			continue
 		}
 		n := entries[k].node
@@ -320,7 +320,7 @@ func (w *batchWorker) leafFields(li int, phi []float64, field []vec.V3) {
 		}
 	}
 	for k := range entries {
-		if entries[k].kind != planBand {
+		if entries[k].kind() != planBand {
 			continue
 		}
 		n := entries[k].node
@@ -334,7 +334,7 @@ func (w *batchWorker) leafFields(li int, phi []float64, field []vec.V3) {
 		}
 	}
 	for k := range entries {
-		if entries[k].kind != planP2P {
+		if entries[k].kind() != planP2P {
 			continue
 		}
 		src := entries[k].node
@@ -369,67 +369,4 @@ func (w *batchWorker) refineField(n *tree.Node, x vec.V3, self int) (float64, ve
 		w.shard.Reject(n.Level)
 	}
 	return w.walkFieldBelow(n, x, self)
-}
-
-// VisitBatchedInteractions reports the interaction set the batched
-// traversal produces for every particle of one target leaf: cluster is
-// called with the particle's tree-order index, the accepted node and its
-// evaluation degree; particle with the target and source tree-order
-// indices. The equivalence tests compare this against VisitInteractions
-// per particle, and the plan-parity tests compare it against cached-plan
-// classifications — it deliberately re-traverses recursively with the
-// boolean sphere tests, independent of the plan machinery. Requires a
-// SphereMAC (as Validate enforces for batched runs).
-func (e *Evaluator) VisitBatchedInteractions(leaf *tree.Node,
-	cluster func(i int, n *tree.Node, degree int), particle func(i, j int)) {
-	smac := e.Cfg.MAC.(mac.SphereMAC)
-	var m2p, band, p2p []*tree.Node
-	var collect func(n *tree.Node)
-	collect = func(n *tree.Node) {
-		switch {
-		case smac.AcceptSphere(leaf.Centroid, leaf.BRadius, n):
-			m2p = append(m2p, n)
-		case !smac.RejectSphere(leaf.Centroid, leaf.BRadius, n):
-			band = append(band, n)
-		case n.IsLeaf():
-			p2p = append(p2p, n)
-		default:
-			for _, c := range n.Children {
-				collect(c)
-			}
-		}
-	}
-	collect(e.Tree.Root)
-	for i := leaf.Start; i < leaf.End; i++ {
-		i := i
-		x := e.Tree.Pos[i]
-		for _, n := range m2p {
-			if cluster != nil {
-				cluster(i, n, n.Degree)
-			}
-		}
-		for _, n := range band {
-			e.visitFrom(n, x, i,
-				func(nn *tree.Node, d int) {
-					if cluster != nil {
-						cluster(i, nn, d)
-					}
-				},
-				func(j int) {
-					if particle != nil {
-						particle(i, j)
-					}
-				})
-		}
-		for _, src := range p2p {
-			if particle == nil {
-				continue
-			}
-			for j := src.Start; j < src.End; j++ {
-				if j != i {
-					particle(i, j)
-				}
-			}
-		}
-	}
 }

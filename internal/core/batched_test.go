@@ -36,6 +36,54 @@ func walkSet(e *Evaluator, x vec.V3, self int) map[interaction]int {
 	return set
 }
 
+// visitBatchedInteractions reports the interaction set the batched
+// traversal produces for every particle of one target leaf: cluster is
+// called with the particle's tree-order index, the accepted node and its
+// evaluation degree; particle with the target and source tree-order
+// indices. It re-traverses recursively with the boolean sphere tests,
+// independent of the plan machinery, so TestBatchedInteractionSetMatchesWalk
+// checks the classification itself. Requires a SphereMAC (as Validate
+// enforces for batched runs).
+func visitBatchedInteractions(e *Evaluator, leaf *tree.Node,
+	cluster func(i int, n *tree.Node, degree int), particle func(i, j int)) {
+	smac := e.Cfg.MAC.(mac.SphereMAC)
+	var m2p, band, p2p []*tree.Node
+	var collect func(n *tree.Node)
+	collect = func(n *tree.Node) {
+		switch {
+		case smac.AcceptSphere(leaf.Centroid, leaf.BRadius, n):
+			m2p = append(m2p, n)
+		case !smac.RejectSphere(leaf.Centroid, leaf.BRadius, n):
+			band = append(band, n)
+		case n.IsLeaf():
+			p2p = append(p2p, n)
+		default:
+			for _, c := range n.Children {
+				collect(c)
+			}
+		}
+	}
+	collect(e.Tree.Root)
+	for i := leaf.Start; i < leaf.End; i++ {
+		x := e.Tree.Pos[i]
+		for _, n := range m2p {
+			cluster(i, n, n.Degree)
+		}
+		for _, n := range band {
+			e.visitFrom(n, x, i,
+				func(nn *tree.Node, d int) { cluster(i, nn, d) },
+				func(j int) { particle(i, j) })
+		}
+		for _, src := range p2p {
+			for j := src.Start; j < src.End; j++ {
+				if j != i {
+					particle(i, j)
+				}
+			}
+		}
+	}
+}
+
 // TestBatchedInteractionSetMatchesWalk is the MAC-equivalence property
 // test: for every particle, the interaction set produced by the batched
 // (dual-tree) traversal must be *identical* to the per-particle walk's —
@@ -62,7 +110,7 @@ func TestBatchedInteractionSetMatchesWalk(t *testing.T) {
 					for i := leaf.Start; i < leaf.End; i++ {
 						got[i] = map[interaction]int{}
 					}
-					e.VisitBatchedInteractions(leaf,
+					visitBatchedInteractions(e, leaf,
 						func(i int, n *tree.Node, d int) { got[i][interaction{n, d, -1}]++ },
 						func(i, j int) { got[i][interaction{nil, 0, j}]++ })
 					for i := leaf.Start; i < leaf.End; i++ {

@@ -724,7 +724,7 @@ func (e *Evaluator) VisitInteractions(x vec.V3, self int,
 }
 
 // visitFrom is VisitInteractions rooted at an arbitrary subtree; the
-// batched-traversal visitor reuses it for refinement-band clusters.
+// batched interaction-set test reuses it for refinement-band clusters.
 func (e *Evaluator) visitFrom(root *tree.Node, x vec.V3, self int,
 	cluster func(n *tree.Node, degree int), particle func(j int)) {
 	var visit func(n *tree.Node)

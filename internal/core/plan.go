@@ -33,6 +33,17 @@ package core
 // decisions whose inequality still holds), and repair re-collects invalid
 // subtree spans in place, preserving the DFS order the evaluation sums in.
 //
+// An entry is 16 bytes: the node pointer, the slack as a float32 rounded
+// toward -Inf, and one word holding kind and span. A stored slack never
+// exceeds the float64 margin it stands for, so the rounding can only
+// invalidate an entry earlier than the float64 margin would; the repair
+// then re-collects it, and every plan still equals a fresh collect.
+// Revalidation subtracts drift in float64 and rounds the remainder down
+// again. Builds and repairs write into the worker's scratch and the plan
+// keeps a copy (keep): a first build at exactly its length, a plan that
+// outgrows its array with an eighth spare, so no plan carries
+// append-doubling spare capacity.
+//
 // Invalidation lattice, coarsest to finest:
 //
 //	construct (New, full-rebuild fallback)  -> whole store dropped
@@ -53,6 +64,7 @@ package core
 // leaf tasks also balances plan repair without locks.
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"time"
@@ -83,16 +95,70 @@ const (
 	planOpen
 )
 
-// planEntry is one node's cached decision. span is the length of the
-// entry's DFS segment including itself: 1 for terminal decisions, the
-// whole descended-subtree segment for planOpen. A negative slack marks the
-// entry invalid (revalidation writes -Inf); validity is sticky until the
-// next repair re-collects the span.
+// planKindBits is the width of the kind field in planEntry.ks; the span
+// takes the remaining bits, so planMaxSpan is the longest DFS segment (and
+// hence the longest plan) an entry can describe.
+const (
+	planKindBits = 2
+	planKindMask = 1<<planKindBits - 1
+	planMaxSpan  = 1<<(32-planKindBits) - 1
+)
+
+// planEntry is one node's cached decision. The span, kept above the kind
+// in ks, is the length of the entry's DFS segment including itself: 1 for
+// terminal decisions, the whole descended-subtree segment for planOpen.
+// slack is the decision's margin rounded toward -Inf (slackDown). A
+// negative slack marks the entry invalid (revalidation writes -Inf);
+// validity is sticky until the next repair re-collects the span.
 type planEntry struct {
 	node  *tree.Node
-	slack float64
-	span  int32
-	kind  planKind
+	slack float32
+	ks    uint32
+}
+
+// newPlanEntry is the span-1 entry for decision k at node n with margin
+// slack.
+func newPlanEntry(n *tree.Node, k planKind, slack float64) planEntry {
+	return planEntry{node: n, slack: slackDown(slack), ks: 1<<planKindBits | uint32(k)}
+}
+
+func (en *planEntry) kind() planKind { return planKind(en.ks & planKindMask) }
+
+func (en *planEntry) span() int { return int(en.ks >> planKindBits) }
+
+// setSpan stores the entry's segment length. A span outside [1,
+// planMaxSpan] panics rather than wrap into the kind bits.
+func (en *planEntry) setSpan(span int) {
+	if uint(span-1) >= planMaxSpan {
+		panic(fmt.Sprintf("core: plan span %d outside [1, %d]", span, planMaxSpan))
+	}
+	en.ks = uint32(span)<<planKindBits | en.ks&planKindMask
+}
+
+// planInvalid is the slack of an entry revalidation has given up on.
+var planInvalid = float32(math.Inf(-1))
+
+// slackDown rounds a margin to the largest float32 not above it, so a
+// stored slack never overstates the margin it stands for. Margins above
+// MaxFloat32, +Inf included, store MaxFloat32; -Inf stays -Inf.
+//
+// The correction is branch-free: whether the round-to-nearest conversion
+// landed above s is close to a coin flip, and a branch on it (with
+// math.Nextafter32) made the revalidation pass about three times slower.
+func slackDown(s float64) float32 {
+	if s > math.MaxFloat32 {
+		return math.MaxFloat32
+	}
+	f := float32(s)
+	var over uint32
+	if float64(f) > s {
+		over = 1
+	}
+	// One float32 step toward -Inf: the bits step down for a positive f
+	// and up for a negative one (-0 becomes -SmallestNonzeroFloat32 and
+	// -MaxFloat32 becomes -Inf).
+	b := math.Float32bits(f)
+	return math.Float32frombits(b + over*(b>>31<<1-1))
 }
 
 // leafPlan is one target leaf's cached interaction plan. A plan with no
@@ -130,15 +196,16 @@ func (pl *leafPlan) revalidate(seq int64) (checked, invalidated int64) {
 			continue // already invalid from an earlier pass
 		}
 		if en.node.Shape == seq {
-			en.slack = math.Inf(-1)
+			en.slack = planInvalid
 			pl.invalid++
 			invalidated++
 			continue
 		}
 		if d := en.node.SrcDrift*planSafety + tgt; d > 0 {
-			en.slack -= d
-			if en.slack <= 0 {
-				en.slack = math.Inf(-1)
+			if s := float64(en.slack) - d; s > 0 {
+				en.slack = slackDown(s)
+			} else {
+				en.slack = planInvalid
 				pl.invalid++
 				invalidated++
 			}
@@ -241,7 +308,8 @@ func (e *Evaluator) revalidatePlans(migrants int) {
 // entries builds from scratch, a plan with invalidated entries repairs
 // (valid entries copied, invalid spans re-collected), and an intact plan
 // is served as-is — the steady-state hit path, which touches nothing and
-// allocates nothing. Returns the up-to-date entry list.
+// allocates nothing. Builds and repairs write into the worker's scratch,
+// and the plan keeps a copy (keep). Returns the up-to-date entry list.
 func (w *batchWorker) acquire(pl *leafPlan) []planEntry {
 	leaf := pl.leaf
 	if len(pl.entries) == 0 {
@@ -249,8 +317,8 @@ func (w *batchWorker) acquire(pl *leafPlan) []planEntry {
 		if w.shard != nil {
 			start = time.Now()
 		}
-		pl.entries = w.collect(pl.entries[:0], w.e.Tree.Root, leaf.Centroid, leaf.BRadius)
-		pl.invalid = 0
+		w.scratch = w.collect(w.scratch[:0], w.e.Tree.Root, leaf.Centroid, leaf.BRadius)
+		pl.keep(w.scratch)
 		if w.shard != nil {
 			w.shard.PlanBuild(int64(len(pl.entries)), time.Since(start).Nanoseconds())
 		}
@@ -266,18 +334,40 @@ func (w *batchWorker) acquire(pl *leafPlan) []planEntry {
 	if w.shard != nil {
 		start = time.Now()
 	}
-	dst, reused, rebuilt := w.repairSeg(w.scratch[:0], pl.entries, 0, len(pl.entries), leaf.Centroid, leaf.BRadius)
-	// Swap backing arrays: the repaired list becomes the plan, the old
-	// list becomes the worker's scratch for its next repair. Every slice
-	// has exactly one owner, so cross-eval worker reshuffling cannot
-	// alias two plans.
-	w.scratch = pl.entries
-	pl.entries = dst
-	pl.invalid = 0
+	var reused, rebuilt int64
+	w.scratch, reused, rebuilt = w.repairSeg(w.scratch[:0], pl.entries, 0, len(pl.entries), leaf.Centroid, leaf.BRadius)
+	pl.keep(w.scratch)
 	if w.shard != nil {
 		w.shard.PlanRepair(reused, rebuilt, time.Since(start).Nanoseconds())
 	}
 	return pl.entries
+}
+
+// planGrowHeadroom sets the spare capacity a plan gets when a repair or
+// rebuild outgrows the array it already has: 1/planGrowHeadroom of its new
+// length. Without it, a plan that gains one entry reallocates whole, and
+// under an N-body step (a third of the plans repaired, each gaining under
+// one entry on average) that made the bytes allocated per step follow how
+// many plans happened to grow. An eighth lasts a plan many such repairs,
+// and cost 11% more heap there than exact regrowth.
+const planGrowHeadroom = 8
+
+// keep makes entries the plan's valid entry list, copied into the plan's
+// own backing array when it is large enough. A first build gets an array
+// of exactly its length; a plan that outgrows its array gets a new one
+// with planGrowHeadroom spare. entries is the worker's scratch, so the
+// plan never shares it.
+func (pl *leafPlan) keep(entries []planEntry) {
+	if n := len(entries); cap(pl.entries) < n {
+		c := n
+		if cap(pl.entries) > 0 {
+			c += n / planGrowHeadroom
+		}
+		pl.entries = make([]planEntry, n, c)
+	}
+	pl.entries = pl.entries[:len(entries)]
+	copy(pl.entries, entries)
+	pl.invalid = 0
 }
 
 // repairSeg re-derives the plan segment src[lo:hi) into dst: valid
@@ -297,19 +387,19 @@ func (w *batchWorker) repairSeg(dst, src []planEntry, lo, hi int, c vec.V3, rho 
 			before := len(dst)
 			dst = w.collect(dst, en.node, c, rho)
 			rebuilt += int64(len(dst) - before)
-			i += int(en.span)
+			i += en.span()
 			continue
 		}
 		reused++
-		if en.kind == planOpen {
+		if en.kind() == planOpen {
 			at := len(dst)
 			dst = append(dst, en)
 			var r2, b2 int64
-			dst, r2, b2 = w.repairSeg(dst, src, i+1, i+int(en.span), c, rho)
+			dst, r2, b2 = w.repairSeg(dst, src, i+1, i+en.span(), c, rho)
 			reused += r2
 			rebuilt += b2
-			dst[at].span = int32(len(dst) - at)
-			i += int(en.span)
+			dst[at].setSpan(len(dst) - at)
+			i += en.span()
 			continue
 		}
 		dst = append(dst, en)

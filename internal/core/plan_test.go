@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"treecode/internal/mac"
 	"treecode/internal/obs"
@@ -34,10 +35,43 @@ func comparePlanStructure(t *testing.T, label string, cached, fresh []leafPlan) 
 		}
 		for k := range c.entries {
 			ce, fe := c.entries[k], f.entries[k]
-			if ce.node != fe.node || ce.kind != fe.kind || ce.span != fe.span {
+			if ce.node != fe.node || ce.ks != fe.ks {
 				t.Fatalf("%s: leaf %d entry %d differs: cached {node %p kind %d span %d}, fresh {node %p kind %d span %d}",
-					label, i, k, ce.node, ce.kind, ce.span, fe.node, fe.kind, fe.span)
+					label, i, k, ce.node, ce.kind(), ce.span(), fe.node, fe.kind(), fe.span())
 			}
+		}
+	}
+}
+
+// checkSlackBounds asserts the invariant revalidation relies on: every
+// entry a repair would reuse (valid, and outside the span of an invalid
+// entry) stores a slack no larger than the margin SphereSlacks gives for
+// the same decision on the current geometry. A stored slack above that
+// margin would let drift carry a cached decision across its boundary.
+func checkSlackBounds(t *testing.T, label string, e *Evaluator) {
+	t.Helper()
+	smac := e.Cfg.MAC.(mac.SphereMAC)
+	for li := range e.plans {
+		pl := &e.plans[li]
+		for k := 0; k < len(pl.entries); {
+			en := &pl.entries[k]
+			if en.slack < 0 {
+				k += en.span()
+				continue
+			}
+			acc, rej := smac.SphereSlacks(pl.leaf.Centroid, pl.leaf.BRadius, en.node)
+			margin := rej
+			switch en.kind() {
+			case planM2P:
+				margin = acc
+			case planBand:
+				margin = math.Min(-rej, -acc)
+			}
+			if float64(en.slack) > margin {
+				t.Fatalf("%s: leaf %d entry %d (kind %d) stores slack %g above its current margin %g",
+					label, li, k, en.kind(), en.slack, margin)
+			}
+			k++
 		}
 	}
 }
@@ -69,7 +103,9 @@ func scrambledPositions(e *Evaluator, rng *rand.Rand) []vec.V3 {
 // structurally identical (same decisions, same DFS order) to plans
 // collected fresh. This is why the batched mode's Theorem 2 budget
 // transfers verbatim to the cached evaluation: the cache changes when
-// traversal runs, never what it decides.
+// traversal runs, never what it decides. After every Update and every
+// cached evaluation, each reusable entry's stored slack must also stay at
+// or below its decision's current margin (checkSlackBounds).
 func TestPlanCacheMultiStepDriftBitwise(t *testing.T) {
 	set, err := points.Generate(points.Plummer, 1500, 11)
 	if err != nil {
@@ -102,8 +138,10 @@ func TestPlanCacheMultiStepDriftBitwise(t *testing.T) {
 			sawFull = true
 		}
 		label := fmt.Sprintf("step %d (%v)", step, kind)
+		checkSlackBounds(t, label+" after Update", e)
 
 		phiCached, stCached := e.Potentials()
+		checkSlackBounds(t, label+" after evaluation", e)
 		// From-scratch reference on the identical engine state: drop the
 		// store, re-evaluate (which re-collects every plan), then restore
 		// the cached store so the trajectory keeps exercising repair.
@@ -260,18 +298,18 @@ func TestPlanEntrySetMatchesReferenceTraversal(t *testing.T) {
 					c, rho := pl.leaf.Centroid, pl.leaf.BRadius
 					switch {
 					case smac.AcceptSphere(c, rho, n):
-						want = append(want, planEntry{node: n, kind: planM2P, span: 1})
+						want = append(want, newPlanEntry(n, planM2P, 0))
 					case !smac.RejectSphere(c, rho, n):
-						want = append(want, planEntry{node: n, kind: planBand, span: 1})
+						want = append(want, newPlanEntry(n, planBand, 0))
 					case n.IsLeaf():
-						want = append(want, planEntry{node: n, kind: planP2P, span: 1})
+						want = append(want, newPlanEntry(n, planP2P, 0))
 					default:
 						at := len(want)
-						want = append(want, planEntry{node: n, kind: planOpen})
+						want = append(want, newPlanEntry(n, planOpen, 0))
 						for _, ch := range n.Children {
 							ref(ch)
 						}
-						want[at].span = int32(len(want) - at)
+						want[at].setSpan(len(want) - at)
 					}
 				}
 				ref(e.Tree.Root)
@@ -280,9 +318,9 @@ func TestPlanEntrySetMatchesReferenceTraversal(t *testing.T) {
 				}
 				for k := range want {
 					g, w := pl.entries[k], want[k]
-					if g.node != w.node || g.kind != w.kind || g.span != w.span {
+					if g.node != w.node || g.ks != w.ks {
 						t.Fatalf("leaf %d entry %d: plan {node %p kind %d span %d}, reference {node %p kind %d span %d}",
-							li, k, g.node, g.kind, g.span, w.node, w.kind, w.span)
+							li, k, g.node, g.kind(), g.span(), w.node, w.kind(), w.span())
 					}
 				}
 			}
@@ -325,4 +363,173 @@ func TestPlanCacheRepairRace(t *testing.T) {
 		want, _ := twin.PotentialsWithWorkers(1)
 		bitsEqual(t, phi, want, fmt.Sprintf("race step %d", step))
 	}
+}
+
+// TestSlackDown pins the slack store's rounding: the stored float32 is the
+// largest one not above the margin, so revalidation can only invalidate
+// an entry earlier than its float64 margin would.
+func TestSlackDown(t *testing.T) {
+	const tiny32 = math.SmallestNonzeroFloat32
+	const maxF = float64(math.MaxFloat32)
+	for _, c := range []struct {
+		in   float64
+		want float32
+	}{
+		{0, 0},
+		{math.Copysign(0, -1), 0},
+		{math.SmallestNonzeroFloat64, 0},
+		{-math.SmallestNonzeroFloat64, -tiny32},
+		{1e-310, 0},
+		{tiny32, tiny32},
+		{1.5 * tiny32, tiny32},
+		{-1.5 * tiny32, -2 * tiny32},
+		{0.1, math.Nextafter32(0.1, 0)},
+		{-0.1, -0.1},
+		{1, 1},
+		{maxF, math.MaxFloat32},
+		{math.Nextafter(maxF, math.Inf(1)), math.MaxFloat32},
+		{1e39, math.MaxFloat32},
+		{math.MaxFloat64, math.MaxFloat32},
+		{math.Inf(1), math.MaxFloat32},
+		{-maxF, -math.MaxFloat32},
+		{-1e39, float32(math.Inf(-1))},
+		{math.Inf(-1), float32(math.Inf(-1))},
+	} {
+		if got := slackDown(c.in); got != c.want {
+			t.Errorf("slackDown(%g) = %g, want %g", c.in, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100000; i++ {
+		in := math.Ldexp(rng.Float64(), rng.Intn(2100)-1075)
+		if i%2 == 1 {
+			in = -in
+		}
+		got := slackDown(in)
+		if float64(got) > in || math.IsInf(float64(got), 1) {
+			t.Fatalf("slackDown(%g) = %g rounds above its input", in, got)
+		}
+		if up := math.Nextafter32(got, float32(math.Inf(1))); float64(up) <= in {
+			t.Fatalf("slackDown(%g) = %g, but %g is closer and not above", in, got, up)
+		}
+	}
+}
+
+// TestPlanEntryKindSpan round-trips every kind with the shortest and the
+// longest span the entry's word can hold, and checks that a span outside
+// that range panics instead of wrapping into the kind bits.
+func TestPlanEntryKindSpan(t *testing.T) {
+	n := &tree.Node{}
+	for _, k := range []planKind{planM2P, planBand, planP2P, planOpen} {
+		en := newPlanEntry(n, k, 0.25)
+		if en.kind() != k || en.span() != 1 {
+			t.Fatalf("new entry: kind %d span %d, want %d and 1", en.kind(), en.span(), k)
+		}
+		for _, span := range []int{planMaxSpan, 1, 2, planMaxSpan - 1} {
+			en.setSpan(span)
+			if en.kind() != k || en.span() != span || en.node != n || en.slack != 0.25 {
+				t.Fatalf("kind %d span %d came back as node %p kind %d span %d slack %g",
+					k, span, en.node, en.kind(), en.span(), en.slack)
+			}
+		}
+	}
+	for _, span := range []int{planMaxSpan + 1, 0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("setSpan(%d) did not panic", span)
+				}
+			}()
+			en := newPlanEntry(n, planOpen, 1)
+			en.setSpan(span)
+		}()
+	}
+}
+
+// TestPlanEntryLayout pins the plan store's footprint: 16-byte entries,
+// and after a cold evaluation every plan held at exactly its length. A new
+// field or an append path that keeps spare capacity fails here.
+func TestPlanEntryLayout(t *testing.T) {
+	if size := unsafe.Sizeof(planEntry{}); size != 16 {
+		t.Fatalf("planEntry is %d bytes, want 16", size)
+	}
+	set, err := points.Generate(points.Gaussian, 3000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mustEval(t, set, Config{Method: Adaptive, Degree: 4, Alpha: 0.5, Eval: EvalBatched, Workers: 2})
+	e.Potentials()
+	for li, pl := range e.plans {
+		if len(pl.entries) == 0 || cap(pl.entries) != len(pl.entries) {
+			t.Fatalf("leaf %d plan has len %d cap %d, want cap == len > 0", li, len(pl.entries), cap(pl.entries))
+		}
+	}
+}
+
+// TestPlanKeepCapacity pins how a plan stores a built or repaired list: a
+// first build at exactly its length, a plan that outgrows its array with
+// 1/planGrowHeadroom spare, and a list that fits the array it already has
+// in place, without allocating.
+func TestPlanKeepCapacity(t *testing.T) {
+	src := make([]planEntry, 400)
+	for i := range src {
+		src[i] = newPlanEntry(nil, planM2P, float64(i))
+	}
+	var pl leafPlan
+	pl.keep(src[:320])
+	if len(pl.entries) != 320 || cap(pl.entries) != 320 {
+		t.Fatalf("first build: len %d cap %d, want 320 320", len(pl.entries), cap(pl.entries))
+	}
+	pl.invalid = 3
+	pl.keep(src[:321])
+	if want := 321 + 321/planGrowHeadroom; len(pl.entries) != 321 || cap(pl.entries) != want {
+		t.Fatalf("grown plan: len %d cap %d, want 321 %d", len(pl.entries), cap(pl.entries), want)
+	}
+	if pl.invalid != 0 {
+		t.Fatalf("keep left invalid = %d, want 0", pl.invalid)
+	}
+	array := &pl.entries[:1][0]
+	for _, n := range []int{cap(pl.entries), 100} {
+		if allocs := testing.AllocsPerRun(10, func() { pl.keep(src[:n]) }); allocs != 0 {
+			t.Fatalf("keep of %d entries into a plan of cap %d allocated %v times", n, cap(pl.entries), allocs)
+		}
+		if &pl.entries[:1][0] != array || len(pl.entries) != n {
+			t.Fatalf("keep of %d entries: len %d, array moved %v", n, len(pl.entries), &pl.entries[:1][0] != array)
+		}
+		for i := range pl.entries {
+			if pl.entries[i] != src[i] {
+				t.Fatalf("keep of %d entries: entry %d = %+v, want %+v", n, i, pl.entries[i], src[i])
+			}
+		}
+	}
+}
+
+// BenchmarkPlanBuild times one cold batched evaluation of the 10k Gaussian
+// (every leaf plan collected from scratch, then evaluated) and reports the
+// plan store's bytes per entry and the collect time per entry, summed over
+// the workers.
+func BenchmarkPlanBuild(b *testing.B) {
+	set, err := points.Generate(points.Gaussian, 10000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	col := obs.New()
+	e, err := New(set, Config{Method: Adaptive, Degree: 4, Alpha: 0.5, Eval: EvalBatched, Obs: col})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.plans = nil
+		e.Potentials()
+	}
+	b.StopTimer()
+	var entries, bytes int
+	for _, pl := range e.plans {
+		entries += len(pl.entries)
+		bytes += cap(pl.entries) * int(unsafe.Sizeof(planEntry{}))
+	}
+	pm := col.Metrics().Plan
+	b.ReportMetric(float64(bytes)/float64(entries), "B/entry")
+	b.ReportMetric(float64(pm.CollectNS)/float64(pm.EntriesRebuilt), "ns/entry")
 }
