@@ -55,23 +55,29 @@ import (
 )
 
 // batchWorker extends the walk worker with the conservative MAC and the
-// plan-traversal scratch. stack and scratch are reused across leaf tasks
-// (truncated, never reallocated once grown), so steady-state leaf
-// processing performs no allocations.
+// plan-traversal scratch. The scratch is reused across leaf tasks
+// (truncated, never reallocated once grown) and, through the evaluator's
+// pool, across evaluations, so steady-state leaf processing performs no
+// allocations.
 type batchWorker struct {
 	worker
 	smac mac.SphereMAC
 	// active is the per-particle target mask of a FieldsFor evaluation
 	// (original index order); nil means every particle is a target.
 	active []bool
-	// stack backs the explicit-DFS collect; scratch receives built and
-	// repaired plans before the plan keeps a copy.
-	stack   []planFrame
-	scratch []planEntry
+	*planScratch
 	// Refinement-band tallies for the current leaf, flushed to the shard
 	// once per leaf.
 	refChecks  int64
 	refAccepts int64
+}
+
+// planScratch is a batch worker's traversal scratch: stack backs the
+// explicit-DFS collect; scratch receives built and repaired plans before
+// the plan keeps a copy.
+type planScratch struct {
+	stack   []planFrame
+	scratch []planEntry
 }
 
 // planFrame is one explicit-stack slot of collect: a node still to
@@ -110,10 +116,15 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 	var mu sync.Mutex
 	st := sched.Run(count, workers, func(id int, next func() (int, bool)) {
 		sp := parent.ChildWorker("worker", id)
+		ps, _ := e.scratchPool.Get().(*planScratch)
+		if ps == nil {
+			ps = new(planScratch)
+		}
 		w := &batchWorker{
-			worker: worker{e: e, shard: e.Cfg.Obs.NewShard()},
-			smac:   smac,
-			active: active,
+			worker:      worker{e: e, shard: e.Cfg.Obs.NewShard()},
+			smac:        smac,
+			active:      active,
+			planScratch: ps,
 		}
 		for t, ok := next(); ok; t, ok = next() {
 			li := t
@@ -122,6 +133,7 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 			}
 			body(w, li)
 		}
+		e.scratchPool.Put(ps)
 		mu.Lock()
 		stats.add(&w.stats)
 		mu.Unlock()

@@ -258,6 +258,14 @@ type Evaluator struct {
 
 	leaves []*tree.Node // tree-ordered leaves: batched mode's task list
 	plans  []leafPlan   // cached interaction plans, index-aligned with leaves (plan.go)
+
+	// Reused by realignPlans: the old plans' index by leaf, and the array
+	// the next realignment writes the plan store into.
+	planIndex  map[*tree.Node]int
+	sparePlans []leafPlan
+	// scratchPool keeps the batch workers' planScratch across evaluations,
+	// which may run concurrently once the plan store is warm.
+	scratchPool sync.Pool
 }
 
 // New builds the octree, selects per-node degrees, and runs the upward
@@ -292,7 +300,7 @@ func (e *Evaluator) built(rebuild string) {
 	if e.plans != nil {
 		e.Cfg.Obs.AddPlanDrop("full rebuild: "+rebuild, int64(len(e.plans)))
 	}
-	e.leaves = e.Tree.Leaves()
+	e.leaves = e.Tree.AppendLeaves(e.leaves[:0])
 	e.plans = nil
 }
 
@@ -303,7 +311,7 @@ func (e *Evaluator) built(rebuild string) {
 // was cached with.
 func (e *Evaluator) refitted(migrants int) {
 	if migrants > 0 {
-		e.leaves = e.Tree.Leaves()
+		e.leaves = e.Tree.AppendLeaves(e.leaves[:0])
 	}
 	e.revalidatePlans(migrants)
 }

@@ -167,8 +167,9 @@ func TestBatchedLeafKernelZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &batchWorker{
-		worker: worker{e: e},
-		smac:   e.Cfg.MAC.(mac.SphereMAC),
+		worker:      worker{e: e},
+		smac:        e.Cfg.MAC.(mac.SphereMAC),
+		planScratch: new(planScratch),
 	}
 	e.ensurePlans()
 	out := make([]float64, set.N())

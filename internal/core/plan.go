@@ -67,6 +67,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"treecode/internal/sched"
@@ -228,30 +229,40 @@ func (e *Evaluator) ensurePlans() {
 	}
 }
 
-// realignPlans rebuilds the plan store for a changed leaf list, carrying
-// over the plan of every leaf node that survived the restructuring (leaf
-// identity is pointer identity: splits and merges produce different
-// nodes, whose plans rebuild lazily).
+// realignPlans carries the plan store over to a changed leaf list: the
+// plan of every leaf node that survived the restructuring moves to the
+// leaf's new index (leaf identity is pointer identity: splits and merges
+// produce different nodes, whose plans rebuild lazily). When migrants
+// changed no leaf, the list is unchanged and nothing moves. The index map
+// and the second plan array are the evaluator's and are reused, so a
+// realignment allocates only when the leaf count outgrows them.
 func (e *Evaluator) realignPlans() {
-	if e.plans == nil {
+	old := e.plans
+	if old == nil || slices.EqualFunc(old, e.leaves, func(pl leafPlan, leaf *tree.Node) bool { return pl.leaf == leaf }) {
 		return
 	}
-	old := e.plans
-	byLeaf := make(map[*tree.Node]int, len(old))
+	if e.planIndex == nil {
+		e.planIndex = make(map[*tree.Node]int, len(old))
+	}
+	byLeaf := e.planIndex
 	for i := range old {
 		if len(old[i].entries) > 0 {
 			byLeaf[old[i].leaf] = i
 		}
 	}
-	plans := make([]leafPlan, len(e.leaves))
+	plans := slices.Grow(e.sparePlans[:0], len(e.leaves))[:len(e.leaves)]
 	for i, leaf := range e.leaves {
-		plans[i].leaf = leaf
+		plans[i] = leafPlan{leaf: leaf}
 		if j, ok := byLeaf[leaf]; ok {
 			plans[i].entries = old[j].entries
 			plans[i].invalid = old[j].invalid
 		}
 	}
-	e.plans = plans
+	// Drop the old array's and the map's references to plans and nodes;
+	// both are reused by the next realignment.
+	clear(old)
+	clear(byLeaf)
+	e.plans, e.sparePlans = plans, old[:0]
 }
 
 // revalidatePlans runs the post-Update revalidation pass: realign the

@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"treecode/internal/points"
 	"treecode/internal/vec"
@@ -223,4 +225,62 @@ func TestEvaluatorUpdateSteadyStateAllocs(t *testing.T) {
 	if allocs > 64 {
 		t.Fatalf("steady-state Update costs %.0f allocations, want a small constant", allocs)
 	}
+}
+
+// TestMigratingStepAllocs bounds what one n-body step's maintenance and
+// force call allocate once the engine is warm: a refit whose migrants
+// leave every leaf in place, then a batched Fields. The plan store's
+// realignment reuses the evaluator's leaf list, index map and second plan
+// array, and the batch workers' collect stack and plan scratch come from a
+// pool, so the step allocates the two output slices and a small fixed
+// remainder (stats, scheduler closures), nothing that scales with the
+// leaves or the plans. Two particles in different leaves trade places on
+// every step, so each Update has two migrants.
+func TestMigratingStepAllocs(t *testing.T) {
+	set, err := points.Generate(points.Plummer, 3000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(set, Config{Method: Adaptive, Degree: 4, Alpha: 0.5, Eval: EvalBatched, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := e.leaves[0].Start, e.leaves[len(e.leaves)/2].Start
+	ia, ib := e.Tree.Perm[a], e.Tree.Perm[b]
+	pos := [2][]vec.V3{newPositions(e, nil, 0), newPositions(e, nil, 0)}
+	pos[1][ia], pos[1][ib] = pos[0][ib], pos[0][ia]
+	step := func(k int) {
+		kind, err := e.Update(pos[k%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != RebuildRefit {
+			t.Fatalf("step %d: swapping two particles took the %v path", k, kind)
+		}
+		e.Fields()
+	}
+	e.Fields()
+	for k := 1; k <= 4; k++ { // warm-up
+		step(k)
+	}
+	leaves := len(e.leaves)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step(5)
+	runtime.ReadMemStats(&after)
+	if got := e.Tree.Perm[e.leaves[0].Start]; got != ia && got != ib {
+		t.Fatalf("no swapped particle in the first leaf after the step")
+	}
+	if len(e.leaves) != leaves {
+		t.Fatalf("the step changed the leaf count %d to %d", leaves, len(e.leaves))
+	}
+	n := uint64(set.N())
+	outputs := n * uint64(unsafe.Sizeof(float64(0))+unsafe.Sizeof(vec.V3{}))
+	const fixed = 16 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > outputs+fixed {
+		t.Fatalf("a migrating step allocates %d B: %d B of outputs and %d B more (bound %d B; %d leaves)",
+			got, outputs, got-outputs, fixed, leaves)
+	}
+	t.Logf("a migrating step allocates %d B: %d B of outputs and %d B more (%d leaves)", got, outputs, got-outputs, leaves)
 }

@@ -32,15 +32,19 @@ func floatHash(xs ...[]float64) uint64 {
 // evaluation path through the M2M, M2L, L2L and L2P kernels: the FMM at
 // fixed degree on a uniform cloud (Potentials, PotentialsAt), the adaptive
 // FMM on a Gaussian (Fields, where local and source degrees differ), and
-// the treecode's adaptive batched Potentials (the planned upward pass and
-// the fused M2P accept step). M2M and L2L are bitwise the
-// harmonics.Get-indexed convolutions of multipole's oracle_test.go. The
+// the treecode's adaptive batched Potentials and Fields (the planned upward
+// pass and the fused M2P and field accept steps). M2M and L2L are bitwise
+// the harmonics.Get-indexed convolutions of multipole's oracle_test.go. The
 // three FMM digests were recorded with the rotation M2L, after checking
 // that every potential was within 5.7e-16 relative, and every field vector
 // within 6.5e-16 of its norm, of the results of the convolution M2L they
-// replaced. Results are worker-invariant, so the digests hold at any
-// GOMAXPROCS. To re-record after a kernel change, compare every value of
-// these cases with the previous code's before taking the new digests.
+// replaced. The two core digests were recorded with the phase-factored
+// M2P kernels, after checking that every potential was within 5.2e-16
+// relative of the kernels they replaced (60% bitwise equal), and every
+// field vector within 1.4e-15 of its norm. Results are worker-invariant, so
+// the digests hold at any GOMAXPROCS. To re-record after a kernel change,
+// compare every value of these cases with the previous code's before
+// taking the new digests.
 func TestTranslationKernelFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests were recorded on amd64, where Go never fuses multiply-adds")
@@ -93,5 +97,11 @@ func TestTranslationKernelFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	cphi, _ := ce.Potentials()
-	check("core batched Potentials", floatHash(cphi), 0x3d76adb2494bf4d5)
+	check("core batched Potentials", floatHash(cphi), 0xb7c36e76a5d28b79)
+	cfphi, cfield, _ := ce.Fields()
+	ccomps := make([]float64, 0, 3*len(cfield))
+	for _, g := range cfield {
+		ccomps = append(ccomps, g.X, g.Y, g.Z)
+	}
+	check("core batched Fields", floatHash(cfphi, ccomps), 0x29ae0c2fd284093d)
 }

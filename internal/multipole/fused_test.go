@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"treecode/internal/harmonics"
 	"treecode/internal/vec"
 )
 
@@ -109,52 +110,64 @@ func BenchmarkEvaluatePrefix(b *testing.B) {
 	}
 }
 
-func BenchmarkEvaluateFused(b *testing.B) {
+// m2pSink and fieldSink keep the kernel benchmarks' results live.
+var (
+	m2pSink   float64
+	fieldSink vec.V3
+)
+
+// benchmarkM2P times one M2P kernel at degrees 4, 8 and 13, the benchmark's
+// kernel-probe degrees, cycling over 64 targets in random directions at
+// distances 1.5-4 from a radius-0.5 cluster (a/r 0.125-0.33).
+func benchmarkM2P(b *testing.B, eval func(e *Expansion, x vec.V3, p int)) {
 	rng := rand.New(rand.NewSource(5))
 	pos, q := randomCluster(rng, 40, vec.V3{}, 0.5)
-	e := NewExpansion(vec.V3{}, 6)
-	for i := range pos {
-		e.AddParticle(pos[i], q[i])
+	targets := make([]vec.V3, 64)
+	for i := range targets {
+		d := vec.V3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
+		targets[i] = d.Scale((1.5 + 2.5*rng.Float64()) / d.Norm())
 	}
-	x := vec.V3{X: 2, Y: 0.5, Z: -1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.EvaluateFused(x, 6)
-	}
-}
-
-// fieldSink keeps the field benchmarks' results live.
-var fieldSink vec.V3
-
-// benchmarkField times one field kernel at degrees 4, 8 and 13, the
-// benchmark's kernel-probe degrees.
-func benchmarkField(b *testing.B, eval func(e *Expansion, x vec.V3, p int) vec.V3) {
-	rng := rand.New(rand.NewSource(5))
-	pos, q := randomCluster(rng, 40, vec.V3{}, 0.5)
-	x := vec.V3{X: 2, Y: 0.5, Z: -1}
 	for _, p := range []int{4, 8, 13} {
 		e := P2M(pos, q, vec.V3{}, p)
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fieldSink = eval(e, x, p)
+				eval(e, targets[i&63], p)
 			}
 		})
 	}
 }
 
+// BenchmarkEvaluateFused times the production potential kernel, and under
+// Ref the kernel it replaced, so one binary compares the two.
+func BenchmarkEvaluateFused(b *testing.B) {
+	benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
+		m2pSink = e.EvaluateFused(x, p)
+	})
+	b.Run("Ref", func(b *testing.B) {
+		benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
+			m2pSink = evaluateFusedRef(e, x, p)
+		})
+	})
+}
+
+// BenchmarkEvaluateFieldFused is BenchmarkEvaluateFused for the field
+// kernel.
 func BenchmarkEvaluateFieldFused(b *testing.B) {
-	benchmarkField(b, func(e *Expansion, x vec.V3, p int) vec.V3 {
-		_, g := e.EvaluateFieldFused(x, p)
-		return g
+	benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
+		_, fieldSink = e.EvaluateFieldFused(x, p)
+	})
+	b.Run("Ref", func(b *testing.B) {
+		benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
+			_, fieldSink = evaluateFieldFusedRef(e, x, p)
+		})
 	})
 }
 
 func BenchmarkEvaluateFieldBuf(b *testing.B) {
-	buf := make([]complex128, 128)
-	benchmarkField(b, func(e *Expansion, x vec.V3, p int) vec.V3 {
-		_, g := e.EvaluateFieldBuf(x, p, buf)
-		return g
+	buf := make([]complex128, harmonics.Len(14))
+	benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
+		_, fieldSink = e.EvaluateFieldBuf(x, p, buf)
 	})
 }
 
@@ -174,12 +187,19 @@ func fieldFusedCase(deg int, dir vec.V3, ratio, scale float64) (*Expansion, vec.
 }
 
 // fieldFusedMismatch compares EvaluateFieldFused with the two-pass
-// EvaluateFieldBuf at prefix degree p. The tolerance is 1e-12 of the
-// Theorem 1 scale of each series: A/(r-a) for the potential and A/(r-a)^2
-// for each gradient component. It returns "" on agreement.
+// EvaluateFieldBuf at prefix degree p (fieldMismatch). It returns "" on
+// agreement.
 func fieldFusedMismatch(e *Expansion, x vec.V3, p int) string {
 	phi, g := e.EvaluateFieldFused(x, p)
 	wantPhi, wantG := e.EvaluateFieldBuf(x, p, nil)
+	return fieldMismatch(e, x, phi, g, wantPhi, wantG)
+}
+
+// fieldMismatch compares a field result (phi, g) at x with a reference one.
+// The tolerance is 1e-12 of the Theorem 1 scale of each series: A/(r-a)
+// for the potential and A/(r-a)^2 for each gradient component. It returns
+// "" on agreement.
+func fieldMismatch(e *Expansion, x vec.V3, phi float64, g vec.V3, wantPhi float64, wantG vec.V3) string {
 	gap := x.Dist(e.Center) - e.Radius
 	tolPhi := 1e-12 * e.AbsCharge / gap
 	tolG := tolPhi / gap
@@ -268,7 +288,8 @@ func addFuzzSeeds(f *testing.F) {
 
 // FuzzEvaluateFieldFused maps arbitrary inputs onto a field evaluation
 // (fuzzCase). The fused kernel must return finite values within
-// fieldFusedMismatch's tolerance of the two-pass reference.
+// fieldMismatch's tolerance of the two-pass reference and of the kernel it
+// replaced, evaluateFieldFusedRef.
 func FuzzEvaluateFieldFused(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, dx, dy, dz, ratio, logScale float64, k int) {
@@ -276,25 +297,90 @@ func FuzzEvaluateFieldFused(f *testing.F) {
 		if msg := fieldFusedMismatch(e, x, p); msg != "" {
 			t.Fatalf("degree %d prefix %d at %v: %s", deg, p, x, msg)
 		}
+		phi, g := e.EvaluateFieldFused(x, p)
+		refPhi, refG := evaluateFieldFusedRef(e, x, p)
+		if msg := fieldMismatch(e, x, phi, g, refPhi, refG); msg != "" {
+			t.Fatalf("degree %d prefix %d at %v, against evaluateFieldFusedRef: %s", deg, p, x, msg)
+		}
 	})
 }
 
 // FuzzEvaluateFused is FuzzEvaluateFieldFused for the potential kernel, the
 // one potential M2P in production: on the same inputs, EvaluateFused must
 // return a finite value within 1e-12 of the Theorem 1 scale A/(r-a) of the
-// two-pass EvaluatePrefix.
+// two-pass EvaluatePrefix and of the kernel it replaced, evaluateFusedRef.
 func FuzzEvaluateFused(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, dx, dy, dz, ratio, logScale float64, k int) {
 		e, x, deg, p := fuzzCase(dx, dy, dz, ratio, logScale, k)
 		phi := e.EvaluateFused(x, p)
-		want := e.EvaluatePrefix(x, p, nil)
 		tol := 1e-12 * e.AbsCharge / (x.Dist(e.Center) - e.Radius)
 		if math.IsNaN(phi) || math.IsInf(phi, 0) {
 			t.Fatalf("degree %d prefix %d at %v: non-finite potential %v", deg, p, x, phi)
 		}
-		if d := math.Abs(phi - want); !(d <= tol) {
-			t.Fatalf("degree %d prefix %d at %v: potential %v, reference %v (diff %g > %g)", deg, p, x, phi, want, d, tol)
+		for _, ref := range []struct {
+			name string
+			want float64
+		}{
+			{"EvaluatePrefix", e.EvaluatePrefix(x, p, nil)},
+			{"evaluateFusedRef", evaluateFusedRef(e, x, p)},
+		} {
+			if d := math.Abs(phi - ref.want); !(d <= tol) {
+				t.Fatalf("degree %d prefix %d at %v: potential %v, %s %v (diff %g > %g)", deg, p, x, phi, ref.name, ref.want, d, tol)
+			}
 		}
 	})
+}
+
+// TestFusedScaleWindow: factoring the phase S_m^m out of each column must
+// not narrow the range of lengths over which the fused kernels are
+// accurate. Over degrees 0-30, a/r 0.01, 0.5 and 0.99, targets on +z, -z,
+// x and a generic direction, and lengths 1e-30 to 1e30 by decades, the
+// scale-1 EvaluatePrefix and EvaluateFieldBuf values divided by s (s^2 for
+// the gradient) are the truth. Wherever the replaced kernel
+// (evaluateFusedRef, evaluateFieldFusedRef) is within 1e-12 of the
+// Theorem 1 scale of it, the production kernel must be too.
+func TestFusedScaleWindow(t *testing.T) {
+	dirs := []vec.V3{{Z: 1}, {Z: -1}, {X: 1}, vec.V3{X: 0.3, Y: -0.5, Z: 0.8}.Scale(1 / math.Sqrt(0.98))}
+	var cases, refOK, newOK, refFieldOK, newFieldOK int
+	for deg := 0; deg <= 30; deg++ {
+		for _, ratio := range []float64{0.01, 0.5, 0.99} {
+			for _, dir := range dirs {
+				e1, x1 := fieldFusedCase(deg, dir, ratio, 1)
+				phi1 := e1.EvaluatePrefix(x1, deg, nil)
+				fphi1, g1 := e1.EvaluateFieldBuf(x1, deg, nil)
+				for k := -30; k <= 30; k++ {
+					s := math.Pow(10, float64(k))
+					e, x := fieldFusedCase(deg, dir, ratio, s)
+					cases++
+					where := fmt.Sprintf("degree %d a/r %v dir %v scale %v", deg, ratio, dir, s)
+					tol := 1e-12 * e.AbsCharge / (x.Dist(e.Center) - e.Radius)
+					want := phi1 / s
+					if d := math.Abs(evaluateFusedRef(e, x, deg) - want); d <= tol {
+						refOK++
+						got := e.EvaluateFused(x, deg)
+						if d := math.Abs(got - want); !(d <= tol) {
+							t.Errorf("%s: EvaluateFused %v, scaled truth %v (diff %g > %g); the replaced kernel was within", where, got, want, d, tol)
+						}
+					}
+					if d := math.Abs(e.EvaluateFused(x, deg) - want); d <= tol {
+						newOK++
+					}
+					wantPhi, wantG := fphi1/s, g1.Scale(1/(s*s))
+					refPhi, refG := evaluateFieldFusedRef(e, x, deg)
+					if fieldMismatch(e, x, refPhi, refG, wantPhi, wantG) == "" {
+						refFieldOK++
+						phi, g := e.EvaluateFieldFused(x, deg)
+						if msg := fieldMismatch(e, x, phi, g, wantPhi, wantG); msg != "" {
+							t.Errorf("%s: EvaluateFieldFused against the scaled truth: %s; the replaced kernel was within", where, msg)
+						}
+					}
+					if phi, g := e.EvaluateFieldFused(x, deg); fieldMismatch(e, x, phi, g, wantPhi, wantG) == "" {
+						newFieldOK++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases: potential accurate in %d (replaced kernel %d), field in %d (replaced kernel %d)", cases, newOK, refOK, newFieldOK, refFieldOK)
 }

@@ -365,18 +365,27 @@ func (e *Expansion) EvaluateFieldBuf(x vec.V3, p int, buf []complex128) (phi flo
 // terms up to degree p (clamped to e.Degree): EvaluateFieldBuf's result in
 // one pass over the irregular harmonics, with no scratch table and no
 // allocation. Harmonics S_N^K, 0 <= K <= N <= p+1, come column by column
-// (fixed K, increasing N) from the same recurrences as EvaluateFused, and
-// each is consumed once, as it is produced, by the coefficients of row N-1
-// that the ladder identities pair it with:
+// (fixed K, increasing N), and each is consumed once, as it is produced, by
+// the coefficients of row N-1 that the ladder identities pair it with:
 //
 //	phi      += w_K Re(M_{N-1}^K S_{N-1}^K)     (one row behind)
 //	dphi/dz  -= w_K Re(M_{N-1}^K S_N^K)
 //	gx + i gy += M_{N-1}^{K-1} S_N^K - conj(M_{N-1}^{K+1} S_N^K)
 //
-// with w_0 = 1 and w_K = 2 (the conjugate -K terms). The potential runs one
-// row behind and reuses the coefficient the z-derivative has just loaded,
-// so the degree p+1 row, which has no potential coefficient, needs no
-// special case. Each column peels its first two rows (N = K has only the
+// with w_0 = 1 and w_K = 2 (the conjugate -K terms). Along column K >= 1
+// every harmonic is the diagonal one times a real factor, S_N^K = S_K^K t_N,
+// because the recurrence's coefficients are real (EvaluateFused). The column
+// therefore runs the real recurrence for t_N and accumulates four complex
+// sums against it,
+//
+//	P = sum M_{N-1}^K t_{N-1}    G = sum M_{N-1}^K t_N
+//	L = sum M_{N-1}^{K-1} t_N    R = sum M_{N-1}^{K+1} t_N
+//
+// and applies S = S_K^K once at its end: phi += 2 Re(P S),
+// gz -= 2 Re(G S), gx += Re((L-R) S), gy += Im((L+R) S). The potential
+// runs one row behind and reuses the coefficient the z-derivative has just
+// loaded, so the degree p+1 row, which has no potential coefficient, needs
+// no special case. Each column peels its first two rows (N = K has only the
 // ladder term of M_{K-1}^{K-1}, and N = K+1 has no M_K^{K+1}), so the
 // steady rows K+2 <= N <= p+1 are one branch-free multiply-accumulate.
 // Column 0 is real, and the ladder reaches it only through M_{N-1}^1.
@@ -418,66 +427,86 @@ func (e *Expansion) EvaluateFieldFused(x vec.V3, p int) (phi float64, grad vec.V
 	smr, smi := s0, 0.0 // S_K^K
 	im := 0             // Idx(K, K)
 	for k := 1; ; k++ {
-		// Row k: S_k^k = -(2k-1) (x+iy) S_{k-1}^{k-1} / rho^2, paired
-		// with M_{k-1}^{k-1}.
+		// S_k^k = -(2k-1) (x+iy) S_{k-1}^{k-1} / rho^2
 		f := float64(2*k-1) * invR2
 		ar, ai := -f*d.X, -f*d.Y
 		smr, smi = ar*smr-ai*smi, ar*smi+ai*smr
+		// Row k (t_k = 1): only the ladder term of M_{k-1}^{k-1}.
 		left := c[im]
-		gx += real(left)*smr - imag(left)*smi
-		gy += real(left)*smi + imag(left)*smr
+		lr, li := real(left), imag(left)
 		if k > p {
+			gx += lr*smr - li*smi
+			gy += lr*smi + li*smr
 			return phi, vec.V3{X: gx, Y: gy, Z: gz}
 		}
 		im += k + 1
-		// Row k+1: S_{k+1}^k = (2k+1) z S_k^k / rho^2, paired with M_k^k
-		// and M_k^{k-1}.
-		f = float64(2*k+1) * zr
-		pr, pi := f*smr, f*smi
+		// Row k+1: t_{k+1} = (2k+1) z / rho^2, paired with M_k^k and
+		// M_k^{k-1}; M_k^k also starts the potential with t_k = 1.
+		t := float64(2*k+1) * zr
 		mid, left := c[im], c[im-1]
-		cphi = real(mid)*smr - imag(mid)*smi
-		cgz = real(mid)*pr - imag(mid)*pi
-		gx += real(left)*pr - imag(left)*pi
-		gy += real(left)*pi + imag(left)*pr
-		qr, qi := smr, smi
+		pr, pi := real(mid), imag(mid)
+		gr, gi := real(mid)*t, imag(mid)*t
+		lr += real(left) * t
+		li += imag(left) * t
+		var rr, ri float64
+		q := 1.0 // t_{n-2} trails the recurrence
 		i = im
 		for n := k + 2; n <= p+1; n++ {
-			// S_n^k = ((2n-1) z S_{n-1}^k - (n+k-1)(n-k-1) S_{n-2}^k) / rho^2
+			// t_n = ((2n-1) z t_{n-1} - (n+k-1)(n-k-1) t_{n-2}) / rho^2
 			c1 := float64(2*n-1) * zr
 			c2 := float64((n+k-1)*(n-k-1)) * invR2
-			nr, ni := c1*pr-c2*qr, c1*pi-c2*qi
+			nt := c1*t - c2*q
 			i += n - 1
 			left, mid = c[i-1], c[i]
 			right := c[i+1]
-			cphi += real(mid)*pr - imag(mid)*pi
-			cgz += real(mid)*nr - imag(mid)*ni
-			gx += (real(left)-real(right))*nr - (imag(left)-imag(right))*ni
-			gy += (real(left)+real(right))*ni + (imag(left)+imag(right))*nr
-			qr, qi = pr, pi
-			pr, pi = nr, ni
+			pr += real(mid) * t
+			pi += imag(mid) * t
+			gr += real(mid) * nt
+			gi += imag(mid) * nt
+			lr += real(left) * nt
+			li += imag(left) * nt
+			rr += real(right) * nt
+			ri += imag(right) * nt
+			q, t = t, nt
 		}
-		phi += 2 * cphi
-		gz -= 2 * cgz
+		phi += 2 * (pr*smr - pi*smi)
+		gz -= 2 * (gr*smr - gi*smi)
+		dr, di := lr-rr, li-ri
+		gx += dr*smr - di*smi
+		sr, si := lr+rr, li+ri
+		gy += sr*smi + si*smr
 	}
 }
 
 // EvaluateFused computes the M2P potential at x using terms up to degree p
 // (clamped to e.Degree), fusing the irregular-harmonic recurrence with the
-// coefficient dot product. Harmonics are consumed column-by-column (fixed
-// order m, increasing n) as the recurrence produces them, carried in three
-// scalar register pairs, so no scratch table is written or read and the
-// call performs no allocation. The real-valued recurrence scalars multiply
-// real/imaginary parts directly instead of going through complex
-// arithmetic, and the triangular coefficient index advances incrementally
-// (Idx(n+1,m) = Idx(n,m) + n + 1), so the inner loop is six multiplies and
-// a fused accumulate per term.
+// coefficient dot product. Harmonics are consumed column by column (fixed
+// order m, increasing n) as the recurrence produces them, in scalar
+// registers, so no scratch table is written or read and the call performs
+// no allocation.
 //
-// The recurrences and term pairing are exactly EvaluatePrefix's; only the
-// floating-point association order differs, so results agree to roundoff.
-// It is the one potential M2P kernel in production: the treecode's walk,
-// its batched shared M2P lists and its refinement band all evaluate
-// through it. The two-pass EvaluatePrefix stays as the readable reference
-// for tests and the error-budget analysis.
+// Along column m every harmonic is the diagonal one times a real factor,
+// S_n^m = S_m^m t_n, because the recurrence's coefficients are real:
+//
+//	t_m = 1,  t_{m+1} = (2m+1) z / rho^2,
+//	t_n = ((2n-1) z t_{n-1} - (n+m-1)(n-m-1) t_{n-2}) / rho^2.
+//
+// So the column runs this real recurrence, accumulates the complex sum
+// C = sum_n M_n^m t_n, and multiplies by the complex S_m^m once, at its end:
+// phi += w Re(C S_m^m), with w = 1 at m = 0 and 2 above (the conjugate -m
+// terms). A steady term costs three real operations of recurrence and two
+// multiply-adds of accumulation, where carrying the complex S_n^m costs six
+// and a complex multiply-add. The steady loop takes two rows per pass and
+// still sums them in row order, so its result is bitwise that of one row
+// per pass with less loop control. The diagonal steps
+// S_{m+1}^{m+1} = -(2m+1) (x+iy) S_m^m / rho^2 are EvaluatePrefix's.
+//
+// The harmonics and term pairing are EvaluatePrefix's; the factoring and
+// the association order differ, so results agree to roundoff on the
+// Theorem 1 scale (fused_test.go). It is the one potential M2P kernel in
+// production: the treecode's walk, its batched shared M2P lists and its
+// refinement band all evaluate through it. The two-pass EvaluatePrefix
+// stays as the readable reference for tests and the error-budget analysis.
 //
 //treecode:hot
 func (e *Expansion) EvaluateFused(x vec.V3, p int) float64 {
@@ -485,38 +514,49 @@ func (e *Expansion) EvaluateFused(x vec.V3, p int) float64 {
 		p = e.Degree
 	}
 	d := x.Sub(e.Center)
-	ux, uy, z := d.X, d.Y, d.Z
+	ux, uy := d.X, d.Y
 	invR2 := 1 / d.Norm2()
+	zr := d.Z * invR2
+	coeff := e.Coeff
 
 	smr, smi := math.Sqrt(invR2), 0.0 // S_m^m, seeded with S_0^0 = 1/rho
 	var phi float64
 	w := 1.0 // column weight: 1 for m = 0, 2 for m >= 1 (conjugate symmetry)
 	im := 0  // Idx(m, m)
 	for m := 0; ; m++ {
-		c := e.Coeff[im]
-		cs := real(c)*smr - imag(c)*smi // column dot product, Re(C * S)
+		c := coeff[im]
+		cr, ci := real(c), imag(c) // C = sum_n M_n^m t_n, from t_m = 1
 		if m < p {
-			// S_{m+1}^m = (2m+1) z S_m^m / rho^2
-			f := float64(2*m+1) * z * invR2
-			pr, pi := f*smr, f*smi
-			i := im + m + 1 // Idx(m+1, m)
-			c = e.Coeff[i]
-			cs += real(c)*pr - imag(c)*pi
-			qr, qi := smr, smi // S_{n-2}^m trails the recurrence
-			for n := m + 2; n <= p; n++ {
-				// S_n^m = ((2n-1) z S_{n-1}^m - (n+m-1)(n-m-1) S_{n-2}^m) / rho^2
-				c1 := float64(2*n-1) * z * invR2
-				c2 := float64((n+m-1)*(n-m-1)) * invR2
-				nr := c1*pr - c2*qr
-				ni := c1*pi - c2*qi
+			t := float64(2*m+1) * zr // t_{m+1}
+			i := im + m + 1          // Idx(m+1, m)
+			c = coeff[i]
+			cr += real(c) * t
+			ci += imag(c) * t
+			q := 1.0 // t_{n-2} trails the recurrence
+			// Rows n and n+1 per pass, summed in row order, then the row
+			// left over when the column's count is odd.
+			n := m + 2
+			for ; n < p; n += 2 {
+				t1 := float64(2*n-1)*zr*t - float64((n+m-1)*(n-m-1))*invR2*q
+				t2 := float64(2*n+1)*zr*t1 - float64((n+m)*(n-m))*invR2*t
 				i += n // Idx(n, m)
-				c = e.Coeff[i]
-				cs += real(c)*nr - imag(c)*ni
-				qr, qi = pr, pi
-				pr, pi = nr, ni
+				c = coeff[i]
+				cr += real(c) * t1
+				ci += imag(c) * t1
+				i += n + 1 // Idx(n+1, m)
+				c = coeff[i]
+				cr += real(c) * t2
+				ci += imag(c) * t2
+				q, t = t1, t2
+			}
+			if n == p {
+				t1 := float64(2*n-1)*zr*t - float64((n+m-1)*(n-m-1))*invR2*q
+				c = coeff[i+n]
+				cr += real(c) * t1
+				ci += imag(c) * t1
 			}
 		}
-		phi += w * cs
+		phi += w * (cr*smr - ci*smi)
 		if m == p {
 			return phi
 		}

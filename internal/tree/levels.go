@@ -9,9 +9,17 @@ import (
 // initLevels groups the nodes by level in a single pre-order walk. Pre-order
 // visits subtrees in ascending range order, so within each level the nodes
 // come out Start-ascending — a canonical order independent of how the build
-// was scheduled.
+// was scheduled. A refit that changed the decomposition regroups into the
+// previous grouping's arrays, so it allocates only for levels that grew.
 func (t *Tree) initLevels() {
-	t.levels = make([][]*Node, t.Height+1)
+	if n := t.Height + 1; cap(t.levels) < n {
+		t.levels = append(t.levels[:cap(t.levels)], make([][]*Node, n-cap(t.levels))...)
+	} else {
+		t.levels = t.levels[:n]
+	}
+	for l := range t.levels {
+		t.levels[l] = t.levels[l][:0]
+	}
 	t.Walk(func(n *Node) {
 		t.levels[n.Level] = append(t.levels[n.Level], n)
 	})

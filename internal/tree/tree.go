@@ -438,13 +438,18 @@ func walkPost(n *Node, f func(*Node)) {
 
 // Leaves returns all leaf nodes in tree order.
 func (t *Tree) Leaves() []*Node {
-	out := make([]*Node, 0, t.NLeaves)
+	return t.AppendLeaves(make([]*Node, 0, t.NLeaves))
+}
+
+// AppendLeaves appends all leaf nodes, in tree order, to dst and returns
+// the extended slice, so a caller can refill one array on every refit.
+func (t *Tree) AppendLeaves(dst []*Node) []*Node {
 	t.Walk(func(n *Node) {
 		if n.IsLeaf() {
-			out = append(out, n)
+			dst = append(dst, n)
 		}
 	})
-	return out
+	return dst
 }
 
 // LevelsWithNodes returns, per level, the number of nodes at that level.
