@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -142,7 +143,16 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		names = append(names, name)
+		// Only the files the build compiles for this GOOS/GOARCH: one
+		// package's per-architecture files (multipole's fused_amd64.go and
+		// fused_other.go) declare the same names.
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {

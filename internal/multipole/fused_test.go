@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"treecode/internal/harmonics"
@@ -138,11 +140,17 @@ func benchmarkM2P(b *testing.B, eval func(e *Expansion, x vec.V3, p int)) {
 	}
 }
 
-// BenchmarkEvaluateFused times the production potential kernel, and under
-// Ref the kernel it replaced, so one binary compares the two.
+// BenchmarkEvaluateFused times the production potential kernel (the AVX2
+// body where the CPU has it), under Go its pure-Go body, and under Ref the
+// kernel that body replaced, so one binary compares the three.
 func BenchmarkEvaluateFused(b *testing.B) {
 	benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
 		m2pSink = e.EvaluateFused(x, p)
+	})
+	b.Run("Go", func(b *testing.B) {
+		benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
+			m2pSink = e.evaluateFused(x, p, false)
+		})
 	})
 	b.Run("Ref", func(b *testing.B) {
 		benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
@@ -156,6 +164,11 @@ func BenchmarkEvaluateFused(b *testing.B) {
 func BenchmarkEvaluateFieldFused(b *testing.B) {
 	benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
 		_, fieldSink = e.EvaluateFieldFused(x, p)
+	})
+	b.Run("Go", func(b *testing.B) {
+		benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
+			_, fieldSink = e.evaluateFieldFused(x, p, false)
+		})
 	})
 	b.Run("Ref", func(b *testing.B) {
 		benchmarkM2P(b, func(e *Expansion, x vec.V3, p int) {
@@ -255,7 +268,8 @@ func TestEvaluateFieldFusedMatchesBuf(t *testing.T) {
 // (dx, dy, dz) give the target's direction (the +z axis when they carry no
 // usable direction), the fractional parts of ratio and logScale pick a/r in
 // [0.01, 0.99) and a length scale in [1e-8, 1e8), and k picks the
-// expansion's degree (0-20) and the prefix degree p (0-23, clamped).
+// expansion's degree deg (0-20) and the prefix degree p, from -1 (the
+// empty series) to deg+1 (clamped); k = 21 deg + deg gives p = deg.
 func fuzzCase(dx, dy, dz, ratio, logScale float64, k int) (e *Expansion, x vec.V3, deg, p int) {
 	frac := func(v float64) float64 {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -272,7 +286,8 @@ func fuzzCase(dx, dy, dz, ratio, logScale float64, k int) (e *Expansion, x vec.V
 	if k < 0 {
 		k = -(k + 1)
 	}
-	deg, p = k%21, (k/21)%24
+	deg = k % 21
+	p = (k/21+1)%(deg+3) - 1
 	e, x = fieldFusedCase(deg, dir, 0.01+0.98*frac(ratio), math.Pow(10, -8+16*frac(logScale)))
 	return e, x, deg, p
 }
@@ -284,16 +299,48 @@ func addFuzzSeeds(f *testing.F) {
 	f.Add(1.0, -2.0, 0.5, 0.2, 0.1, 0)        // p = 0
 	f.Add(0.3, 0.4, -0.5, 0.99, 0.75, 20*21+20)
 	f.Add(-1.0, 0.5, 0.25, 0.9999, 0.0, 12*21+12) // a/r near 1
+	f.Add(0.5, 0.5, 0.5, 0.5, 0.5, 20*21+4)       // degree 4, p = -1
+}
+
+// sameBits reports whether a and b are the same float64, bit for bit, or
+// both NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// bodiesMismatch evaluates both fused kernels at (x, p) through the
+// dispatched body (the AVX2 assembly where the CPU has it) and the Go
+// body, and returns "" when every result is bitwise the same.
+func bodiesMismatch(e *Expansion, x vec.V3, p int) string {
+	if got, want := e.EvaluateFused(x, p), e.evaluateFused(x, p, false); !sameBits(got, want) {
+		return fmt.Sprintf("EvaluateFused %v (%#x), Go body %v (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	phi, g := e.EvaluateFieldFused(x, p)
+	wantPhi, wantG := e.evaluateFieldFused(x, p, false)
+	if !sameBits(phi, wantPhi) || !sameBits(g.X, wantG.X) || !sameBits(g.Y, wantG.Y) || !sameBits(g.Z, wantG.Z) {
+		return fmt.Sprintf("EvaluateFieldFused %v %v, Go body %v %v", phi, g, wantPhi, wantG)
+	}
+	return ""
 }
 
 // FuzzEvaluateFieldFused maps arbitrary inputs onto a field evaluation
-// (fuzzCase). The fused kernel must return finite values within
-// fieldMismatch's tolerance of the two-pass reference and of the kernel it
-// replaced, evaluateFieldFusedRef.
+// (fuzzCase). The fused kernel must return bitwise its Go body's result,
+// and finite values within fieldMismatch's tolerance of the two-pass
+// reference and of the kernel it replaced, evaluateFieldFusedRef. At p < 0
+// it must return the empty series.
 func FuzzEvaluateFieldFused(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, dx, dy, dz, ratio, logScale float64, k int) {
 		e, x, deg, p := fuzzCase(dx, dy, dz, ratio, logScale, k)
+		if msg := bodiesMismatch(e, x, p); msg != "" {
+			t.Fatalf("degree %d prefix %d at %v: %s", deg, p, x, msg)
+		}
+		if p < 0 {
+			if phi, g := e.EvaluateFieldFused(x, p); phi != 0 || g != (vec.V3{}) {
+				t.Fatalf("degree %d prefix %d: %v %v, want the empty series", deg, p, phi, g)
+			}
+			return
+		}
 		if msg := fieldFusedMismatch(e, x, p); msg != "" {
 			t.Fatalf("degree %d prefix %d at %v: %s", deg, p, x, msg)
 		}
@@ -307,13 +354,23 @@ func FuzzEvaluateFieldFused(f *testing.F) {
 
 // FuzzEvaluateFused is FuzzEvaluateFieldFused for the potential kernel, the
 // one potential M2P in production: on the same inputs, EvaluateFused must
-// return a finite value within 1e-12 of the Theorem 1 scale A/(r-a) of the
-// two-pass EvaluatePrefix and of the kernel it replaced, evaluateFusedRef.
+// return bitwise its Go body's result, and a finite value within 1e-12 of
+// the Theorem 1 scale A/(r-a) of the two-pass EvaluatePrefix and of the
+// kernel it replaced, evaluateFusedRef. At p < 0 it must return 0.
 func FuzzEvaluateFused(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, dx, dy, dz, ratio, logScale float64, k int) {
 		e, x, deg, p := fuzzCase(dx, dy, dz, ratio, logScale, k)
+		if msg := bodiesMismatch(e, x, p); msg != "" {
+			t.Fatalf("degree %d prefix %d at %v: %s", deg, p, x, msg)
+		}
 		phi := e.EvaluateFused(x, p)
+		if p < 0 {
+			if phi != 0 {
+				t.Fatalf("degree %d prefix %d: potential %v, want the empty series", deg, p, phi)
+			}
+			return
+		}
 		tol := 1e-12 * e.AbsCharge / (x.Dist(e.Center) - e.Radius)
 		if math.IsNaN(phi) || math.IsInf(phi, 0) {
 			t.Fatalf("degree %d prefix %d at %v: non-finite potential %v", deg, p, x, phi)
@@ -332,6 +389,13 @@ func FuzzEvaluateFused(f *testing.F) {
 	})
 }
 
+// scaleWindowRatios and scaleWindowDirs are TestFusedScaleWindow's a/r
+// values and target directions: +z, -z, x and a generic one.
+var (
+	scaleWindowRatios = []float64{0.01, 0.5, 0.99}
+	scaleWindowDirs   = []vec.V3{{Z: 1}, {Z: -1}, {X: 1}, vec.V3{X: 0.3, Y: -0.5, Z: 0.8}.Scale(1 / math.Sqrt(0.98))}
+)
+
 // TestFusedScaleWindow: factoring the phase S_m^m out of each column must
 // not narrow the range of lengths over which the fused kernels are
 // accurate. Over degrees 0-30, a/r 0.01, 0.5 and 0.99, targets on +z, -z,
@@ -341,11 +405,10 @@ func FuzzEvaluateFused(f *testing.F) {
 // (evaluateFusedRef, evaluateFieldFusedRef) is within 1e-12 of the
 // Theorem 1 scale of it, the production kernel must be too.
 func TestFusedScaleWindow(t *testing.T) {
-	dirs := []vec.V3{{Z: 1}, {Z: -1}, {X: 1}, vec.V3{X: 0.3, Y: -0.5, Z: 0.8}.Scale(1 / math.Sqrt(0.98))}
 	var cases, refOK, newOK, refFieldOK, newFieldOK int
 	for deg := 0; deg <= 30; deg++ {
-		for _, ratio := range []float64{0.01, 0.5, 0.99} {
-			for _, dir := range dirs {
+		for _, ratio := range scaleWindowRatios {
+			for _, dir := range scaleWindowDirs {
 				e1, x1 := fieldFusedCase(deg, dir, ratio, 1)
 				phi1 := e1.EvaluatePrefix(x1, deg, nil)
 				fphi1, g1 := e1.EvaluateFieldBuf(x1, deg, nil)
@@ -383,4 +446,120 @@ func TestFusedScaleWindow(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases: potential accurate in %d (replaced kernel %d), field in %d (replaced kernel %d)", cases, newOK, refOK, newFieldOK, refFieldOK)
+}
+
+// TestFusedAVX2Bitwise: the dispatched fused kernels (the AVX2 assembly
+// where the CPU has it) return bitwise their Go bodies' results, two NaNs
+// counting as equal. The cases are TestFusedScaleWindow's 22,692 (degrees
+// 0-30, a/r 0.01-0.99, targets on +z, -z, x and a generic direction,
+// lengths 1e-30 to 1e30) at prefix degrees -1, 0, deg/2, deg-1, deg and
+// deg+1; targets at the center (rho = 0) and exactly on the z axis; zero
+// and negative-zero coefficients, whose sums must keep their signs; and
+// unstructured coefficients, complex in column 0 too.
+func TestFusedAVX2Bitwise(t *testing.T) {
+	if !useAVX2 {
+		t.Log("no AVX2 on this CPU: the dispatched kernels are the Go bodies")
+	}
+	check := func(where string, e *Expansion, x vec.V3, ps ...int) {
+		t.Helper()
+		for _, p := range ps {
+			if msg := bodiesMismatch(e, x, p); msg != "" {
+				t.Fatalf("%s prefix %d: %s", where, p, msg)
+			}
+		}
+	}
+	cases := 0
+	for deg := 0; deg <= 30; deg++ {
+		ps := []int{-1, 0, deg / 2, deg - 1, deg, deg + 1}
+		for _, ratio := range scaleWindowRatios {
+			for _, dir := range scaleWindowDirs {
+				for k := -30; k <= 30; k++ {
+					e, x := fieldFusedCase(deg, dir, ratio, math.Pow(10, float64(k)))
+					check(fmt.Sprintf("degree %d a/r %v dir %v scale 1e%d", deg, ratio, dir, k), e, x, ps...)
+					cases++
+				}
+				e, _ := fieldFusedCase(deg, dir, ratio, 1)
+				check(fmt.Sprintf("degree %d a/r %v at the center", deg, ratio), e, e.Center, ps...)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(deg)))
+		center := vec.V3{X: 0.25, Y: -0.5, Z: 0.125}
+		for _, z := range []float64{3, -3, 1e-3, -1e3} {
+			for _, sign := range []float64{1, -1} {
+				zero := NewExpansion(center, deg)
+				for i := range zero.Coeff {
+					zero.Coeff[i] = complex(math.Copysign(0, sign), math.Copysign(0, sign))
+				}
+				check(fmt.Sprintf("degree %d zero coefficients (sign %v) on the z axis at %v", deg, sign, z), zero, center.Add(vec.V3{Z: z}), ps...)
+				check(fmt.Sprintf("degree %d zero coefficients (sign %v) off the axis", deg, sign), zero, center.Add(vec.V3{X: z, Y: 1, Z: -2}), ps...)
+			}
+			e := NewExpansion(center, deg)
+			for i := range e.Coeff {
+				e.Coeff[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			x := vec.V3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(math.Abs(z))
+			check(fmt.Sprintf("degree %d unstructured coefficients at %v", deg, x), e, center.Add(x), ps...)
+			check(fmt.Sprintf("degree %d unstructured coefficients on the z axis at %v", deg, z), e, center.Add(vec.V3{Z: z}), ps...)
+		}
+	}
+	if cases != 22692 {
+		t.Fatalf("ran %d scale-window cases, want 22692", cases)
+	}
+}
+
+// TestEvaluateNegativeDegree: a negative prefix degree is the empty series
+// at all four M2P entry points, a potential of 0 and a zero gradient.
+func TestEvaluateNegativeDegree(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	pos, q := randomCluster(rng, 20, vec.V3{}, 0.5)
+	e := P2M(pos, q, vec.V3{}, 3)
+	x := vec.V3{X: 1.5, Y: -1, Z: 2}
+	for _, tc := range []struct {
+		name string
+		eval func(p int) (float64, vec.V3)
+	}{
+		{"EvaluatePrefix", func(p int) (float64, vec.V3) { return e.EvaluatePrefix(x, p, nil), vec.V3{} }},
+		{"EvaluateFieldBuf", func(p int) (float64, vec.V3) { return e.EvaluateFieldBuf(x, p, nil) }},
+		{"EvaluateFused", func(p int) (float64, vec.V3) { return e.EvaluateFused(x, p), vec.V3{} }},
+		{"EvaluateFieldFused", func(p int) (float64, vec.V3) { return e.EvaluateFieldFused(x, p) }},
+	} {
+		for _, p := range []int{-1, -3} {
+			if phi, g := tc.eval(p); math.Float64bits(phi) != 0 || g != (vec.V3{}) {
+				t.Errorf("%s at p = %d: %v %v, want 0 and a zero gradient", tc.name, p, phi, g)
+			}
+		}
+	}
+}
+
+// TestFusedShortCoeffPanics: an expansion whose Coeff is shorter than its
+// Degree implies makes both fused kernels panic with an index error, on
+// the dispatched body and on the Go body, even when the slice's capacity
+// would cover the read: the assembly must never read past len(Coeff).
+func TestFusedShortCoeffPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	pos, q := randomCluster(rng, 20, vec.V3{}, 0.5)
+	src := P2M(pos, q, vec.V3{}, 3)
+	e := *src
+	e.Degree = 4
+	e.Coeff = append(make([]complex128, 0, harmonics.Len(8)), src.Coeff...)
+	x := vec.V3{X: 1.5, Y: -1, Z: 2}
+	for _, tc := range []struct {
+		name string
+		eval func()
+	}{
+		{"EvaluateFused", func() { e.EvaluateFused(x, 4) }},
+		{"EvaluateFused Go body", func() { e.evaluateFused(x, 4, false) }},
+		{"EvaluateFieldFused", func() { e.EvaluateFieldFused(x, 4) }},
+		{"EvaluateFieldFused Go body", func() { e.evaluateFieldFused(x, 4, false) }},
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(runtime.Error)
+				if !ok || !strings.Contains(err.Error(), "index out of range") {
+					t.Errorf("%s on a short Coeff: recovered %v, want an index-out-of-range runtime error", tc.name, err)
+				}
+			}()
+			tc.eval()
+		}()
+	}
 }

@@ -250,23 +250,6 @@ func (e *Expansion) BoundAt(x vec.V3, p int) float64 {
 	return TruncationBound(e.AbsCharge, e.Radius, x.Dist(e.Center), p)
 }
 
-// AddScaled accumulates s * src into e. Both expansions must share the same
-// center; degrees may differ (missing higher-degree terms are treated as 0).
-func (e *Expansion) AddScaled(src *Expansion, s float64) {
-	sc := complex(s, 0)
-	n := len(src.Coeff)
-	if len(e.Coeff) < n {
-		n = len(e.Coeff)
-	}
-	for i := 0; i < n; i++ {
-		e.Coeff[i] += sc * src.Coeff[i]
-	}
-	e.AbsCharge += math.Abs(s) * src.AbsCharge
-	if src.Radius > e.Radius {
-		e.Radius = src.Radius
-	}
-}
-
 // Evaluate computes the potential at x from the expansion (M2P), using terms
 // up to degree p (p > e.Degree is clamped). x must be outside the cluster
 // radius for the result to be meaningful.
@@ -393,12 +376,28 @@ func (e *Expansion) EvaluateFieldBuf(x vec.V3, p int, buf []complex128) (phi flo
 // takes its real part; the imaginary part is zero up to the upward pass's
 // roundoff. Results agree with EvaluateFieldBuf to roundoff on the
 // Theorem 1 scale, A/(r-a) for the potential and A/(r-a)^2 for the
-// gradient (fused_test.go).
+// gradient (fused_test.go). A negative p is the empty series: 0 and a zero
+// gradient.
+//
+// On amd64 CPUs with AVX2 the columns K >= 1 run in assembly, two columns
+// per 256-bit register (fused_amd64.s); the result is bitwise the Go
+// body's (TestFusedAVX2Bitwise).
 //
 //treecode:hot
 func (e *Expansion) EvaluateFieldFused(x vec.V3, p int) (phi float64, grad vec.V3) {
+	return e.evaluateFieldFused(x, p, useAVX2)
+}
+
+// evaluateFieldFused is EvaluateFieldFused with the body for columns
+// K >= 1 named: the AVX2 assembly when avx2 is set, the Go loop otherwise.
+//
+//treecode:hot
+func (e *Expansion) evaluateFieldFused(x vec.V3, p int, avx2 bool) (phi float64, grad vec.V3) {
 	if p > e.Degree {
 		p = e.Degree
+	}
+	if p < 0 {
+		return 0, vec.V3{}
 	}
 	c := e.Coeff
 	d := x.Sub(e.Center)
@@ -424,6 +423,12 @@ func (e *Expansion) EvaluateFieldFused(x vec.V3, p int) (phi float64, grad vec.V
 	}
 	phi, gz = cphi, -cgz
 
+	if avx2 {
+		_ = c[harmonics.Len(p)-1] // the assembly reads c without bounds checks
+		acc := [4]float64{phi, gx, gy, gz}
+		fieldColumnsAVX2(&c[0], p, d.X, d.Y, zr, invR2, s0, &acc)
+		return acc[0], vec.V3{X: acc[1], Y: acc[2], Z: acc[3]}
+	}
 	smr, smi := s0, 0.0 // S_K^K
 	im := 0             // Idx(K, K)
 	for k := 1; ; k++ {
@@ -507,11 +512,27 @@ func (e *Expansion) EvaluateFieldFused(x vec.V3, p int) (phi float64, grad vec.V
 // production: the treecode's walk, its batched shared M2P lists and its
 // refinement band all evaluate through it. The two-pass EvaluatePrefix
 // stays as the readable reference for tests and the error-budget analysis.
+// A negative p is the empty series, 0.
+//
+// On amd64 CPUs with AVX2 the series runs in assembly, columns m and m+1
+// in one 256-bit register (fused_amd64.s); the result is bitwise the Go
+// body's (TestFusedAVX2Bitwise).
 //
 //treecode:hot
 func (e *Expansion) EvaluateFused(x vec.V3, p int) float64 {
+	return e.evaluateFused(x, p, useAVX2)
+}
+
+// evaluateFused is EvaluateFused with the body named: the AVX2 assembly
+// when avx2 is set, the Go loop otherwise.
+//
+//treecode:hot
+func (e *Expansion) evaluateFused(x vec.V3, p int, avx2 bool) float64 {
 	if p > e.Degree {
 		p = e.Degree
+	}
+	if p < 0 {
+		return 0
 	}
 	d := x.Sub(e.Center)
 	ux, uy := d.X, d.Y
@@ -520,6 +541,10 @@ func (e *Expansion) EvaluateFused(x vec.V3, p int) float64 {
 	coeff := e.Coeff
 
 	smr, smi := math.Sqrt(invR2), 0.0 // S_m^m, seeded with S_0^0 = 1/rho
+	if avx2 {
+		_ = coeff[harmonics.Len(p)-1] // the assembly reads coeff without bounds checks
+		return evaluateFusedAVX2(&coeff[0], p, ux, uy, zr, invR2, smr)
+	}
 	var phi float64
 	w := 1.0 // column weight: 1 for m = 0, 2 for m >= 1 (conjugate symmetry)
 	im := 0  // Idx(m, m)

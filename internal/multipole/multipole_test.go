@@ -284,21 +284,6 @@ func TestEvaluateDegreeClamp(t *testing.T) {
 	}
 }
 
-func TestAddScaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pos, q := randomCluster(rng, 20, vec.V3{}, 0.3)
-	e1 := P2M(pos, q, vec.V3{}, 8)
-	e2 := NewExpansion(vec.V3{}, 8)
-	e2.AddScaled(e1, 2)
-	x := vec.V3{X: 1.5, Y: 0.5, Z: -0.5}
-	if got, want := e2.Evaluate(x, 8), 2*e1.Evaluate(x, 8); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-		t.Errorf("AddScaled: %v vs %v", got, want)
-	}
-	if math.Abs(e2.AbsCharge-2*e1.AbsCharge) > 1e-12 {
-		t.Error("AddScaled AbsCharge")
-	}
-}
-
 func TestClear(t *testing.T) {
 	e := NewExpansion(vec.V3{}, 4)
 	e.AddParticle(vec.V3{X: 0.1}, 1)

@@ -55,9 +55,6 @@ func (v V3) Normalize() V3 {
 	return v.Scale(1 / n)
 }
 
-// MulElem returns the component-wise product of v and w.
-func (v V3) MulElem(w V3) V3 { return V3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
-
 // Min returns the component-wise minimum of v and w.
 func (v V3) Min(w V3) V3 {
 	return V3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
