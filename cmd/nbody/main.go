@@ -63,8 +63,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		cfg.Soften = 0.01
 		s, err := sim.New(sim.State{Set: set, Vel: make([]vec.V3, set.N())}, sim.Config{
-			Dt: *dt, Force: cfg, Soften: 0.01, Rebuild: policy, Block: bf.Config(),
+			Dt: *dt, Force: cfg, Rebuild: policy, Block: bf.Config(),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -25,12 +25,12 @@ func main() {
 	vel := make([]treecode.Vec3, n) // cold start
 
 	nb, err := treecode.NewNBody(parts, vel, treecode.NBodyConfig{
-		Dt:     5e-4,
-		Soften: 0.005,
+		Dt: 5e-4,
 		Force: treecode.Config{
 			Method: treecode.Adaptive,
 			Degree: 4,
 			Alpha:  0.5,
+			Soften: 0.005,
 		},
 	})
 	if err != nil {

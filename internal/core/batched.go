@@ -33,8 +33,8 @@ package core
 // the steady-state force call pays no traversal at all. Collect runs on an
 // explicit per-worker stack (deep refined trees cannot overflow goroutine
 // stacks, and the hot path pays no call overhead), classifies from
-// mac.SphereMAC.SphereSlacks — whose signs reproduce the boolean sphere
-// tests exactly — and emits the flat DFS plan the cached evaluation
+// mac.MAC.SphereSlacks — whose signs reproduce the boolean sphere tests
+// exactly — and emits the flat DFS plan the cached evaluation
 // replays in the fresh traversal's order bitwise.
 //
 // Leaf tasks are wildly uneven for clustered distributions, so they are
@@ -47,21 +47,18 @@ import (
 	"runtime"
 	"sync"
 
-	"treecode/internal/mac"
 	"treecode/internal/obs"
 	"treecode/internal/sched"
 	"treecode/internal/tree"
 	"treecode/internal/vec"
 )
 
-// batchWorker extends the walk worker with the conservative MAC and the
-// plan-traversal scratch. The scratch is reused across leaf tasks
-// (truncated, never reallocated once grown) and, through the evaluator's
-// pool, across evaluations, so steady-state leaf processing performs no
-// allocations.
+// batchWorker extends the walk worker with the plan-traversal scratch.
+// The scratch is reused across leaf tasks (truncated, never reallocated
+// once grown) and, through the evaluator's pool, across evaluations, so
+// steady-state leaf processing performs no allocations.
 type batchWorker struct {
 	worker
-	smac mac.SphereMAC
 	// active is the per-particle target mask of a FieldsFor evaluation
 	// (original index order); nil means every particle is a target.
 	active []bool
@@ -108,7 +105,6 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e.ensurePlans()
-	smac := e.Cfg.MAC.(mac.SphereMAC) // Validate guarantees the assertion
 	count := len(e.leaves)
 	if tasks != nil {
 		count = len(tasks)
@@ -122,7 +118,6 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 		}
 		w := &batchWorker{
 			worker:      worker{e: e, shard: e.Cfg.Obs.NewShard()},
-			smac:        smac,
 			active:      active,
 			planScratch: ps,
 		}
@@ -157,6 +152,7 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 //
 //treecode:hot
 func (w *batchWorker) collect(dst []planEntry, root *tree.Node, c vec.V3, rho float64) []planEntry {
+	m := w.e.Cfg.MAC
 	w.stack = append(w.stack[:0], planFrame{n: root})
 	for len(w.stack) > 0 {
 		f := w.stack[len(w.stack)-1]
@@ -166,7 +162,7 @@ func (w *batchWorker) collect(dst []planEntry, root *tree.Node, c vec.V3, rho fl
 			continue
 		}
 		n := f.n
-		acc, rej := w.smac.SphereSlacks(c, rho, n)
+		acc, rej := m.SphereSlacks(c, rho, n)
 		switch {
 		case acc >= 0: // == AcceptSphere
 			dst = append(dst, newPlanEntry(n, planM2P, acc))

@@ -42,18 +42,17 @@ func walkSet(e *Evaluator, x vec.V3, self int) map[interaction]int {
 // evaluation degree; particle with the target and source tree-order
 // indices. It re-traverses recursively with the boolean sphere tests,
 // independent of the plan machinery, so TestBatchedInteractionSetMatchesWalk
-// checks the classification itself. Requires a SphereMAC (as Validate
-// enforces for batched runs).
+// checks the classification itself.
 func visitBatchedInteractions(e *Evaluator, leaf *tree.Node,
 	cluster func(i int, n *tree.Node, degree int), particle func(i, j int)) {
-	smac := e.Cfg.MAC.(mac.SphereMAC)
+	crit := e.Cfg.MAC
 	var m2p, band, p2p []*tree.Node
 	var collect func(n *tree.Node)
 	collect = func(n *tree.Node) {
 		switch {
-		case smac.AcceptSphere(leaf.Centroid, leaf.BRadius, n):
+		case crit.AcceptSphere(leaf.Centroid, leaf.BRadius, n):
 			m2p = append(m2p, n)
-		case !smac.RejectSphere(leaf.Centroid, leaf.BRadius, n):
+		case !crit.RejectSphere(leaf.Centroid, leaf.BRadius, n):
 			band = append(band, n)
 		case n.IsLeaf():
 			p2p = append(p2p, n)
@@ -287,16 +286,8 @@ func TestBatchedCensusParity(t *testing.T) {
 	}
 }
 
-// TestBatchedValidation: batched mode must reject MACs without conservative
-// sphere tests, and ParseEvalMode must round-trip the two modes.
+// TestBatchedValidation: ParseEvalMode must round-trip the two modes.
 func TestBatchedValidation(t *testing.T) {
-	err := Config{MAC: pointOnlyMAC{}, Eval: EvalBatched}.Validate()
-	if err == nil {
-		t.Fatal("batched config with sphere-less MAC validated")
-	}
-	if err := (Config{MAC: pointOnlyMAC{}}).Validate(); err != nil {
-		t.Fatalf("walk config with sphere-less MAC rejected: %v", err)
-	}
 	for _, s := range []string{"walk", "batched", ""} {
 		if _, err := ParseEvalMode(s); err != nil {
 			t.Fatalf("ParseEvalMode(%q): %v", s, err)
@@ -309,16 +300,6 @@ func TestBatchedValidation(t *testing.T) {
 		t.Fatal("ParseEvalMode accepted garbage")
 	}
 }
-
-// pointOnlyMAC implements mac.MAC but not mac.SphereMAC.
-type pointOnlyMAC struct{}
-
-func (pointOnlyMAC) Accept(x vec.V3, n *tree.Node) bool {
-	r := x.Dist(n.Center)
-	return n.Radius <= 0.5*r && r > 0
-}
-
-func (pointOnlyMAC) String() string { return "point-only" }
 
 // TestBatchedSetCharges checks the iterative-solver pathway (recharge, then
 // re-evaluate) under batched mode.

@@ -127,10 +127,14 @@ type Config struct {
 	// Eval selects the traversal strategy for Potentials and Fields:
 	// EvalWalk (default) runs the per-particle recursive MAC walk,
 	// EvalBatched the leaf-batched dual-tree traversal with work-stealing
-	// scheduling. Batched mode requires the MAC to support conservative
-	// whole-sphere tests (mac.SphereMAC); all built-in criteria do.
-	// PotentialsAt always walks: arbitrary targets carry no leaf grouping.
+	// scheduling. PotentialsAt always walks: arbitrary targets carry no
+	// leaf grouping.
 	Eval EvalMode
+	// Soften is the Plummer softening length ε of the near field: every
+	// directly summed pair interacts through 1/sqrt(r²+ε²) instead of 1/r,
+	// while accepted clusters keep the unsoftened multipole expansion. 0,
+	// the default, is the paper's pure 1/r kernel bit for bit.
+	Soften float64
 	// RefQuantile selects the Theorem 3 reference cluster among the
 	// deepest-level leaves by charge quantile. 0 (default) is the theorem's
 	// choice — the smallest-charge leaf, the most accurate and most
@@ -170,10 +174,11 @@ func (c *Config) fill() {
 
 // Validate checks the configuration after defaults are applied: the
 // alpha-criterion needs 0 < Alpha < 1, degrees must be non-negative with
-// MaxDegree >= Degree, sizes must be positive, Workers non-negative, and
-// RefQuantile in [0, 1]. The float ranges are tested as !(in range), so
-// NaN fails them. New validates automatically; command-line drivers call
-// this early to reject bad flag values before any work is done.
+// MaxDegree >= Degree, sizes must be positive, Workers non-negative,
+// RefQuantile in [0, 1], and Soften finite and non-negative. The float
+// ranges are tested as !(in range), so NaN fails them. New validates
+// automatically; command-line drivers call this early to reject bad flag
+// values before any work is done.
 func (c Config) Validate() error {
 	c.fill()
 	switch {
@@ -193,11 +198,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: reference quantile must be in [0,1], got %v", c.RefQuantile)
 	case c.Eval != EvalWalk && c.Eval != EvalBatched:
 		return fmt.Errorf("core: unknown eval mode %d", c.Eval)
-	}
-	if c.Eval == EvalBatched {
-		if _, ok := c.MAC.(mac.SphereMAC); !ok {
-			return fmt.Errorf("core: batched evaluation needs a MAC with conservative sphere tests (mac.SphereMAC); %s has none", c.MAC)
-		}
+	case !(c.Soften >= 0) || math.IsInf(c.Soften, 1):
+		return fmt.Errorf("core: softening must be finite and non-negative, got %v", c.Soften)
 	}
 	return nil
 }
@@ -599,18 +601,23 @@ func (w *worker) walkBelow(n *tree.Node, x vec.V3, self int) float64 {
 }
 
 // direct sums the particles of leaf n at x (P2P over the leaf's contiguous
-// tree-order slice), skipping the self particle and coincident sources.
+// tree-order slice), skipping the self particle and any source at r = 0.
+// It and directField sum every near-field pair of every evaluation, so
+// they alone carry Config.Soften: r = sqrt(|x−x_j|² + ε²), with ε² read
+// once per call. At ε = 0 the added term is +0 and r is x.Dist(x_j) bit
+// for bit; at ε > 0 a coincident source contributes q_j/ε.
 //
 //treecode:hot
 func (w *worker) direct(n *tree.Node, x vec.V3, self int) (float64, int64) {
 	t := w.e.Tree
+	eps2 := w.e.Cfg.Soften * w.e.Cfg.Soften
 	var phi float64
 	var pp int64
 	for j := n.Start; j < n.End; j++ {
 		if j == self {
 			continue
 		}
-		r := x.Dist(t.Pos[j])
+		r := math.Sqrt(x.Dist2(t.Pos[j]) + eps2)
 		if r == 0 {
 			continue // coincident target and source: skip, as direct does
 		}
@@ -701,6 +708,7 @@ func (w *worker) walkFieldBelow(n *tree.Node, x vec.V3, self int) (float64, vec.
 //treecode:hot
 func (w *worker) directField(n *tree.Node, x vec.V3, self int) (float64, vec.V3, int64) {
 	t := w.e.Tree
+	eps2 := w.e.Cfg.Soften * w.e.Cfg.Soften
 	var phi float64
 	var f vec.V3
 	var pp int64
@@ -709,7 +717,7 @@ func (w *worker) directField(n *tree.Node, x vec.V3, self int) (float64, vec.V3,
 			continue
 		}
 		d := x.Sub(t.Pos[j])
-		r2 := d.Norm2()
+		r2 := d.Norm2() + eps2
 		if r2 == 0 {
 			continue
 		}

@@ -239,6 +239,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(set, Config{Degree: -2}); err == nil {
 		t.Error("negative degree should fail")
 	}
+	for _, eps := range []float64{math.NaN(), -1, math.Inf(1)} {
+		if _, err := New(set, Config{Soften: eps}); err == nil {
+			t.Errorf("softening %v should fail", eps)
+		}
+	}
 	if _, err := New(&points.Set{}, Config{}); err == nil {
 		t.Error("empty set should fail")
 	}
@@ -310,6 +315,42 @@ func TestCoincidentParticles(t *testing.T) {
 	for i, p := range got {
 		if math.IsNaN(p) || math.IsInf(p, 0) {
 			t.Fatalf("potential %d = %v", i, p)
+		}
+	}
+}
+
+// TestSoftenedNearField pins the Plummer law of the near field: pairs in
+// one leaf interact through 1/sqrt(r²+ε²) in potentials and fields, walk
+// and batched alike, and a coincident pair contributes q/ε with no field.
+func TestSoftenedNearField(t *testing.T) {
+	const eps = 0.05
+	set := &points.Set{Particles: []points.Particle{
+		{Pos: vec.V3{X: 0.1, Y: 0.2, Z: 0.3}, Charge: 1},
+		{Pos: vec.V3{X: 0.2, Y: 0.1, Z: 0.3}, Charge: 2},
+		{Pos: vec.V3{X: 0.2, Y: 0.1, Z: 0.3}, Charge: 3},
+	}}
+	for _, mode := range []EvalMode{EvalWalk, EvalBatched} {
+		e := mustEval(t, set, Config{Degree: 4, Eval: mode, Soften: eps})
+		phi, field, _ := e.Fields()
+		pot, _ := e.Potentials()
+		for i, pi := range set.Particles {
+			var wantPhi float64
+			var wantField vec.V3
+			for j, pj := range set.Particles {
+				if j == i {
+					continue
+				}
+				d := pi.Pos.Sub(pj.Pos)
+				r2 := d.Norm2() + eps*eps
+				wantPhi += pj.Charge / math.Sqrt(r2)
+				wantField = wantField.Add(d.Scale(pj.Charge / (r2 * math.Sqrt(r2))))
+			}
+			if math.Abs(phi[i]-wantPhi) > 1e-12*wantPhi || math.Abs(pot[i]-wantPhi) > 1e-12*wantPhi {
+				t.Fatalf("%s: particle %d potential %v (fields) %v (potentials), want %v", mode, i, phi[i], pot[i], wantPhi)
+			}
+			if field[i].Sub(wantField).Norm() > 1e-12*wantField.Norm() {
+				t.Fatalf("%s: particle %d field %v, want %v", mode, i, field[i], wantField)
+			}
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"treecode/internal/harmonics"
-	"treecode/internal/mac"
 	"treecode/internal/points"
 	"treecode/internal/vec"
 )
@@ -168,7 +167,6 @@ func TestBatchedLeafKernelZeroAllocs(t *testing.T) {
 	}
 	w := &batchWorker{
 		worker:      worker{e: e},
-		smac:        e.Cfg.MAC.(mac.SphereMAC),
 		planScratch: new(planScratch),
 	}
 	e.ensurePlans()

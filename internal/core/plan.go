@@ -15,7 +15,7 @@ package core
 // flat DFS-ordered list of planEntry records — the traversal's decision at
 // every node it touched, plus the *slack* by which the decision held at
 // build time (the signed margin of the conservative sphere test,
-// mac.SphereMAC.SphereSlacks). Revalidation is then O(1) per entry: a
+// mac.MAC.SphereSlacks). Revalidation is then O(1) per entry: a
 // decision at node n for target leaf l survives a refit as long as
 //
 //	SrcDrift(n) + TgtDrift(l) < slack,

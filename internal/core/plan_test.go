@@ -50,7 +50,7 @@ func comparePlanStructure(t *testing.T, label string, cached, fresh []leafPlan) 
 // margin would let drift carry a cached decision across its boundary.
 func checkSlackBounds(t *testing.T, label string, e *Evaluator) {
 	t.Helper()
-	smac := e.Cfg.MAC.(mac.SphereMAC)
+	crit := e.Cfg.MAC
 	for li := range e.plans {
 		pl := &e.plans[li]
 		for k := 0; k < len(pl.entries); {
@@ -59,7 +59,7 @@ func checkSlackBounds(t *testing.T, label string, e *Evaluator) {
 				k += en.span()
 				continue
 			}
-			acc, rej := smac.SphereSlacks(pl.leaf.Centroid, pl.leaf.BRadius, en.node)
+			acc, rej := crit.SphereSlacks(pl.leaf.Centroid, pl.leaf.BRadius, en.node)
 			margin := rej
 			switch en.kind() {
 			case planM2P:
@@ -290,16 +290,16 @@ func TestPlanEntrySetMatchesReferenceTraversal(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.Potentials()
-			smac := e.Cfg.MAC.(mac.SphereMAC)
+			crit := e.Cfg.MAC
 			for li, pl := range e.plans {
 				var want []planEntry
 				var ref func(n *tree.Node)
 				ref = func(n *tree.Node) {
 					c, rho := pl.leaf.Centroid, pl.leaf.BRadius
 					switch {
-					case smac.AcceptSphere(c, rho, n):
+					case crit.AcceptSphere(c, rho, n):
 						want = append(want, newPlanEntry(n, planM2P, 0))
-					case !smac.RejectSphere(c, rho, n):
+					case !crit.RejectSphere(c, rho, n):
 						want = append(want, newPlanEntry(n, planBand, 0))
 					case n.IsLeaf():
 						want = append(want, newPlanEntry(n, planP2P, 0))

@@ -16,18 +16,10 @@ import (
 	"treecode/internal/vec"
 )
 
-// MAC is a multipole acceptance criterion.
-type MAC interface {
-	// Accept reports whether the target point x may interact with node n
-	// through n's multipole expansion.
-	Accept(x vec.V3, n *tree.Node) bool
-	// String describes the criterion.
-	String() string
-}
-
-// SphereMAC extends a MAC with conservative whole-sphere tests, the basis
-// of dual-tree (leaf-batched) traversal: instead of one target point, the
-// criterion is decided for every point of a target bounding sphere at once.
+// MAC is a multipole acceptance criterion: a per-point test, plus the
+// conservative whole-sphere tests of dual-tree (leaf-batched) traversal,
+// which decide the criterion for every point of a target bounding sphere
+// at once.
 //
 // All three criteria in this package have the form
 //
@@ -46,8 +38,10 @@ type MAC interface {
 // interaction the per-point criterion would reject — the Theorem 2 error
 // budget depends on it); RejectSphere must likewise imply rejection for
 // every such point.
-type SphereMAC interface {
-	MAC
+type MAC interface {
+	// Accept reports whether the target point x may interact with node n
+	// through n's multipole expansion.
+	Accept(x vec.V3, n *tree.Node) bool
 	// AcceptSphere reports whether every target within distance rho of c
 	// accepts node n.
 	AcceptSphere(c vec.V3, rho float64, n *tree.Node) bool
@@ -72,6 +66,8 @@ type SphereMAC interface {
 	// reference point), the margin is clamped infinitesimally negative —
 	// the flip distance genuinely is zero there.
 	SphereSlacks(c vec.V3, rho float64, n *tree.Node) (accept, reject float64)
+	// String describes the criterion.
+	String() string
 }
 
 // Alpha is the paper's criterion in its sharp, radius-based form:
@@ -90,19 +86,19 @@ func (m Alpha) Accept(x vec.V3, n *tree.Node) bool {
 
 func (m Alpha) String() string { return fmt.Sprintf("alpha=%g (radius)", m.Alpha) }
 
-// AcceptSphere implements SphereMAC: a <= alpha*(r - rho) with r the
+// AcceptSphere implements MAC: a <= alpha*(r - rho) with r the
 // distance from the sphere center to the expansion center.
 func (m Alpha) AcceptSphere(c vec.V3, rho float64, n *tree.Node) bool {
 	r := c.Dist(n.Center) - rho
 	return r > 0 && n.Radius <= m.Alpha*r
 }
 
-// RejectSphere implements SphereMAC: a > alpha*(r + rho).
+// RejectSphere implements MAC: a > alpha*(r + rho).
 func (m Alpha) RejectSphere(c vec.V3, rho float64, n *tree.Node) bool {
 	return n.Radius > m.Alpha*(c.Dist(n.Center)+rho)
 }
 
-// SphereSlacks implements SphereMAC with extent a and reference point the
+// SphereSlacks implements MAC with extent a and reference point the
 // expansion center; the products mirror AcceptSphere/RejectSphere exactly
 // so the slack signs reproduce the booleans bit for bit.
 func (m Alpha) SphereSlacks(c vec.V3, rho float64, n *tree.Node) (accept, reject float64) {
@@ -129,18 +125,18 @@ func (m BoxAlpha) Accept(x vec.V3, n *tree.Node) bool {
 
 func (m BoxAlpha) String() string { return fmt.Sprintf("alpha=%g (box)", m.Alpha) }
 
-// AcceptSphere implements SphereMAC: s <= alpha*(r - rho).
+// AcceptSphere implements MAC: s <= alpha*(r - rho).
 func (m BoxAlpha) AcceptSphere(c vec.V3, rho float64, n *tree.Node) bool {
 	r := c.Dist(n.Center) - rho
 	return r > 0 && n.Size() <= m.Alpha*r
 }
 
-// RejectSphere implements SphereMAC: s > alpha*(r + rho).
+// RejectSphere implements MAC: s > alpha*(r + rho).
 func (m BoxAlpha) RejectSphere(c vec.V3, rho float64, n *tree.Node) bool {
 	return n.Size() > m.Alpha*(c.Dist(n.Center)+rho)
 }
 
-// SphereSlacks implements SphereMAC with extent s (the box edge, constant
+// SphereSlacks implements MAC with extent s (the box edge, constant
 // under refits) and reference point the expansion center.
 func (m BoxAlpha) SphereSlacks(c vec.V3, rho float64, n *tree.Node) (accept, reject float64) {
 	d := c.Dist(n.Center)
@@ -166,19 +162,19 @@ func (m MinDist) Accept(x vec.V3, n *tree.Node) bool {
 
 func (m MinDist) String() string { return fmt.Sprintf("alpha=%g (mindist)", m.Alpha) }
 
-// AcceptSphere implements SphereMAC: halfdiag <= alpha*(r - rho) with r the
+// AcceptSphere implements MAC: halfdiag <= alpha*(r - rho) with r the
 // distance from the sphere center to the box center.
 func (m MinDist) AcceptSphere(c vec.V3, rho float64, n *tree.Node) bool {
 	r := c.Dist(n.Box.Center()) - rho
 	return r > 0 && n.Box.HalfDiagonal() <= m.Alpha*r
 }
 
-// RejectSphere implements SphereMAC: halfdiag > alpha*(r + rho).
+// RejectSphere implements MAC: halfdiag > alpha*(r + rho).
 func (m MinDist) RejectSphere(c vec.V3, rho float64, n *tree.Node) bool {
 	return n.Box.HalfDiagonal() > m.Alpha*(c.Dist(n.Box.Center())+rho)
 }
 
-// SphereSlacks implements SphereMAC with extent halfdiag(box) and reference
+// SphereSlacks implements MAC with extent halfdiag(box) and reference
 // point the box center (both constant under refits, so only target-sphere
 // drift can erode these slacks).
 func (m MinDist) SphereSlacks(c vec.V3, rho float64, n *tree.Node) (accept, reject float64) {

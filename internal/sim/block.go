@@ -29,8 +29,8 @@ func (s *Simulator) strideOf(r int) int { return 1 << (s.Cfg.Block.MaxRungs - 1 
 // softening length when positive, else the particle's leaf size captured
 // at the last force evaluation.
 func (s *Simulator) scaleAt(i int) float64 {
-	if s.Cfg.Soften > 0 {
-		return s.Cfg.Soften
+	if eps := s.Cfg.Force.Soften; eps > 0 {
+		return eps
 	}
 	if i < len(s.scaleBuf) {
 		return s.scaleBuf[i]
@@ -43,7 +43,7 @@ func (s *Simulator) scaleAt(i int) float64 {
 // use the softening length instead, and non-block runs never ask, so both
 // skip the walk.
 func (s *Simulator) captureScales(e *core.Evaluator) {
-	if s.Cfg.Block.MaxRungs <= 1 || s.Cfg.Soften > 0 {
+	if s.Cfg.Block.MaxRungs <= 1 || s.Cfg.Force.Soften > 0 {
 		return
 	}
 	t := e.Tree

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -32,7 +31,7 @@ func TestBlockSingleRungBitwiseGlobal(t *testing.T) {
 	for _, soften := range []float64{0, 0.05} {
 		for _, policy := range []RebuildPolicy{RebuildAuto, RebuildEvery} {
 			st := gaussianState(t, 300)
-			cfg := Config{Dt: 1e-3, Force: core.Config{Degree: 4}, Soften: soften, Rebuild: policy}
+			cfg := Config{Dt: 1e-3, Force: core.Config{Degree: 4, Soften: soften}, Rebuild: policy}
 			global, err := New(cloneState(st), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -80,10 +79,9 @@ func TestBlockMultiRungReducesEvals(t *testing.T) {
 	// criterion dt spans several octaves: the outer bulk keeps coarse
 	// steps while the core subdivides.
 	block, err := New(cloneState(st), Config{
-		Dt:     0.01,
-		Force:  core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4, Obs: col},
-		Soften: 1e-3,
-		Block:  BlockConfig{MaxRungs: rungs, Eta: 1},
+		Dt:    0.01,
+		Force: core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4, Obs: col, Soften: 1e-3},
+		Block: BlockConfig{MaxRungs: rungs, Eta: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +121,8 @@ func TestBlockMultiRungReducesEvals(t *testing.T) {
 	// must still track a global-dt run at the finest step to a small
 	// fraction of the system scale.
 	ref, err := New(cloneState(st), Config{
-		Dt:     0.01 / (1 << (rungs - 1)),
-		Force:  core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4},
-		Soften: 1e-3,
+		Dt:    0.01 / (1 << (rungs - 1)),
+		Force: core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4, Soften: 1e-3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +220,7 @@ func TestBlockRefitWithinBudget(t *testing.T) {
 // the substep, force-eval, occupancy, and per-rung budget fields; the
 // first step (and a step after InvalidateForces) reports the fresh "build"
 // of its opening evaluation rather than the refit of a later substep.
-// Unsoftened, so the timestep criterion exercises the leaf-size scale and
-// the evaluations feed the MAC census the predicted budget is read from
-// (the softened visitor records realized bounds only).
+// Unsoftened, so the timestep criterion exercises the leaf-size scale.
 func TestBlockStepSeriesAndKind(t *testing.T) {
 	col := obs.New()
 	st := plummerState(t, 300)
@@ -283,64 +278,6 @@ func TestBlockStepSeriesAndKind(t *testing.T) {
 	}
 }
 
-// TestBlockCheckpointContinuation is the restart guarantee for block mode:
-// saving mid-run and loading must continue bit for bit, because version-2
-// checkpoints carry the rung assignments and cached per-particle
-// accelerations (without them the restored run would pay a re-seeding
-// evaluation and reshuffle its rungs). RebuildEvery keeps both runs on
-// construct-per-call evaluators, the bitwise-comparable lifecycle.
-func TestBlockCheckpointContinuation(t *testing.T) {
-	st := plummerState(t, 250)
-	cfg := Config{
-		Dt:      0.04,
-		Force:   core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4},
-		Soften:  0.01,
-		Rebuild: RebuildEvery,
-		Block:   BlockConfig{MaxRungs: 3, Eta: 1},
-	}
-	full, err := New(cloneState(st), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half, err := New(cloneState(st), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := full.Run(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := half.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := half.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(&buf, Config{Force: cfg.Force, Rebuild: cfg.Rebuild, Dt: 1, Block: cfg.Block})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Steps != 2 {
-		t.Fatalf("restored at step %d, want 2", restored.Steps)
-	}
-	if got := restored.Rungs(); len(got) != st.Set.N() {
-		t.Fatalf("restored rung state has %d entries, want %d", len(got), st.Set.N())
-	}
-	if err := restored.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range st.Set.Particles {
-		fp := full.State.Set.Particles[i].Pos
-		rp := restored.State.Set.Particles[i].Pos
-		if fp != rp { // a restored block run must continue the exact trajectory
-			t.Fatalf("position %d diverged after restore: full %v restored %v", i, fp, rp)
-		}
-		if full.State.Vel[i] != restored.State.Vel[i] { // same: restart must be invisible
-			t.Fatalf("velocity %d diverged after restore", i)
-		}
-	}
-}
-
 // TestBlockRungJournal verifies rung transitions surface as coalesced
 // journal events and block-metric counters rather than vanishing into the
 // integrator.
@@ -348,10 +285,9 @@ func TestBlockRungJournal(t *testing.T) {
 	col := obs.New()
 	st := plummerState(t, 400)
 	s, err := New(st, Config{
-		Dt:     0.04,
-		Force:  core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4, Obs: col},
-		Soften: 0.01,
-		Block:  BlockConfig{MaxRungs: 4, Eta: 1},
+		Dt:    0.04,
+		Force: core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4, Obs: col, Soften: 0.01},
+		Block: BlockConfig{MaxRungs: 4, Eta: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,9 +322,9 @@ func TestBlockConfigValidation(t *testing.T) {
 
 // TestAccelerationScratchReuse pins the per-call allocation fix: after
 // warm-up, repeated force evaluations must reuse the simulator's
-// acceleration and harmonics scratch instead of allocating fresh buffers
-// (and, on the softened path, fresh visitor closures per particle). The
-// bounds are far below one allocation per particle, so a reintroduced
+// acceleration and harmonics scratch instead of allocating fresh buffers,
+// softened or not. The bounds are far below one allocation per particle,
+// so a reintroduced
 // per-particle or per-call O(n) allocation trips them immediately.
 func TestAccelerationScratchReuse(t *testing.T) {
 	for _, tc := range []struct {
@@ -401,9 +337,8 @@ func TestAccelerationScratchReuse(t *testing.T) {
 	} {
 		st := gaussianState(t, 512)
 		s, err := New(st, Config{
-			Dt:     1e-6,
-			Force:  core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4},
-			Soften: tc.soften,
+			Dt:    1e-6,
+			Force: core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4, Soften: tc.soften},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,19 +6,18 @@
 // the interaction is attractive gravity with G = 1: the potential energy of
 // a pair is -m_i m_j / r and the acceleration of particle i is
 // -sum_j m_j (x_i - x_j)/r^3 = -E_i where E_i is the field computed by the
-// treecode for the 1/r kernel.
+// treecode for the 1/r kernel. A Plummer softening length ε
+// (core.Config.Soften) replaces r by sqrt(r²+ε²) in every directly summed
+// pair and in Energy; the multipole far field stays unsoftened.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"treecode/internal/core"
-	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
-	"treecode/internal/tree"
 	"treecode/internal/vec"
 )
 
@@ -75,10 +74,11 @@ func ParseRebuildPolicy(s string) (RebuildPolicy, error) {
 // particle stays a source at its last-drifted — possibly future — position,
 // the frozen mixed-age approximation). Rung assignment follows the
 // per-particle criterion dt_i = Eta*sqrt(scale_i/|a_i|), with scale_i the
-// softening length when positive and the particle's leaf size otherwise;
-// promotions to shorter timesteps apply immediately, demotions only at
-// substep boundaries aligned with the coarser rung's schedule, so every
-// particle's position time always lands on its own rung grid.
+// softening length (Force.Soften) when positive and the particle's leaf
+// size otherwise; promotions to shorter timesteps apply immediately,
+// demotions only at substep boundaries aligned with the coarser rung's
+// schedule, so every particle's position time always lands on its own
+// rung grid.
 type BlockConfig struct {
 	// MaxRungs is the number of rung bins. 0 disables block timesteps
 	// (the global-dt scheme); 1 runs the block machinery with a single
@@ -105,8 +105,7 @@ func (b BlockConfig) eta() float64 {
 // Config controls the simulation.
 type Config struct {
 	Dt      float64       // macro timestep
-	Force   core.Config   // treecode configuration used every step
-	Soften  float64       // Plummer softening length (0 = none)
+	Force   core.Config   // treecode configuration used every step, softening included
 	Rebuild RebuildPolicy // evaluator lifecycle across steps (default auto)
 	Block   BlockConfig   // hierarchical block timesteps (zero = global dt)
 }
@@ -132,7 +131,7 @@ type Simulator struct {
 	eng    *core.Evaluator
 	posBuf []vec.V3
 
-	// lastRebuild is what the most recent evaluator() call did — "build"
+	// lastRebuild is what the most recent evaluatorFor call did — "build"
 	// (fresh construction), "refit", or "full" (drift-policy fallback) —
 	// feeding the per-step obs time series.
 	lastRebuild string
@@ -158,9 +157,10 @@ type Simulator struct {
 
 // New validates and wraps the initial state. It rejects an empty system,
 // a non-finite position, charge or velocity, a dt that is not finite and
-// positive, a softening or block eta that is not finite and non-negative,
-// and a block rung count outside [0, 16]: each would otherwise fail only
-// at the first Step or silently change the run.
+// positive, a force configuration core.Config.Validate rejects (softening
+// included), a block eta that is not finite and non-negative, and a block
+// rung count outside [0, 16]: each would otherwise fail only at the first
+// Step or silently change the run.
 func New(st State, cfg Config) (*Simulator, error) {
 	if st.Set == nil || st.Set.N() == 0 {
 		return nil, fmt.Errorf("sim: empty system")
@@ -179,8 +179,8 @@ func New(st State, cfg Config) (*Simulator, error) {
 	if !(cfg.Dt > 0) || math.IsInf(cfg.Dt, 1) {
 		return nil, fmt.Errorf("sim: dt must be finite and positive, got %v", cfg.Dt)
 	}
-	if !(cfg.Soften >= 0) || math.IsInf(cfg.Soften, 1) {
-		return nil, fmt.Errorf("sim: softening must be finite and non-negative, got %v", cfg.Soften)
+	if err := cfg.Force.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if cfg.Block.MaxRungs < 0 || cfg.Block.MaxRungs > maxBlockRungs {
 		return nil, fmt.Errorf("sim: block rungs %d out of range [0,%d]", cfg.Block.MaxRungs, maxBlockRungs)
@@ -198,14 +198,12 @@ func finiteV3(v vec.V3) bool {
 		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
 }
 
-// evaluator returns a treecode evaluator positioned at the current State:
-// a fresh construction under RebuildEvery (or on the engine's first use),
-// an incremental Evaluator.Update of the persistent engine otherwise.
-func (s *Simulator) evaluator() (*core.Evaluator, error) { return s.evaluatorFor(nil) }
-
-// evaluatorFor is evaluator with an optional active mask (original particle
-// indices; nil = all moved). The mask reaches Evaluator.UpdateFor so a
-// block substep's refit touches only the moved particles' ancestor chains.
+// evaluatorFor returns a treecode evaluator positioned at the current
+// State: a fresh construction under RebuildEvery (or on the engine's first
+// use), an incremental Evaluator.UpdateFor of the persistent engine
+// otherwise. The optional active mask (original particle indices; nil =
+// all moved) lets a block substep's refit touch only the moved particles'
+// ancestor chains.
 func (s *Simulator) evaluatorFor(active []bool) (*core.Evaluator, error) {
 	if s.Cfg.Rebuild == RebuildEvery {
 		s.lastRebuild = "build"
@@ -263,11 +261,9 @@ func (s *Simulator) Accelerations() ([]vec.V3, *core.Stats, error) {
 // accelerationsFor computes accelerations for the active target subset (by
 // original particle index; nil = everyone, identical to Accelerations).
 // With a mask, only active entries of the returned scratch are written —
-// the rest hold stale values from earlier evaluations.
+// the rest hold stale values from earlier evaluations. The engine applies
+// Force.Soften itself, in its near-field kernels.
 func (s *Simulator) accelerationsFor(active []bool) ([]vec.V3, *core.Stats, error) {
-	if s.Cfg.Soften > 0 {
-		return s.softenedAccelFor(active)
-	}
 	e, err := s.evaluatorFor(active)
 	if err != nil {
 		return nil, nil, err
@@ -286,68 +282,6 @@ func (s *Simulator) accelerationsFor(active []bool) ([]vec.V3, *core.Stats, erro
 			acc[i] = f.Neg()
 		}
 	}
-	return acc, st, nil
-}
-
-// softenedAccelFor computes Plummer-softened accelerations directly through
-// the tree walk of near-field pairs plus far-field multipoles, restricted
-// to the active target subset (nil = all). Softening only matters at short
-// range, so it is applied to the direct part; the multipole far field is
-// unsoftened (r >> eps there).
-func (s *Simulator) softenedAccelFor(active []bool) ([]vec.V3, *core.Stats, error) {
-	e, err := s.evaluatorFor(active)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.captureScales(e)
-	t := e.Tree
-	eps2 := s.Cfg.Soften * s.Cfg.Soften
-	n := len(t.Pos)
-	acc := s.accScratch(n)
-	st := &core.Stats{
-		BuildTime:  e.BuildTime(),
-		TreeHeight: t.Height,
-		TreeNodes:  t.NNodes,
-		TreeLeaves: t.NLeaves,
-	}
-	start := time.Now()
-	// The visitor closures are hoisted out of the particle loop (reaching
-	// the per-particle state through a and xi) so the loop allocates
-	// nothing; per-iteration closures would escape once per particle.
-	var (
-		a  vec.V3
-		xi vec.V3
-	)
-	cluster := func(nd *tree.Node, degree int) {
-		st.PC++
-		st.Terms += multipole.Terms(degree)
-		if degree > st.MaxDegree {
-			st.MaxDegree = degree
-		}
-		st.BoundSum += nd.Mp.BoundAtFast(xi, degree)
-		_, grad := nd.Mp.EvaluateFieldFused(xi, degree)
-		a = a.Add(grad) // attractive: acc = +grad(phi) with phi = sum m/r
-	}
-	particle := func(j int) {
-		d := t.Pos[j].Sub(xi)
-		r2 := d.Norm2() + eps2
-		if r2 == 0 {
-			return
-		}
-		st.PP++
-		inv := 1 / r2
-		a = a.Add(d.Scale(t.Q[j] * inv * math.Sqrt(inv)))
-	}
-	for i := 0; i < n; i++ {
-		if active != nil && !active[t.Perm[i]] {
-			continue
-		}
-		a = vec.V3{}
-		xi = t.Pos[i]
-		e.VisitInteractions(xi, i, cluster, particle)
-		acc[t.Perm[i]] = a
-	}
-	st.EvalTime = time.Since(start)
 	return acc, st, nil
 }
 
@@ -440,7 +374,7 @@ func (s *Simulator) Energy() (kin, pot, total float64) {
 	for i, p := range ps {
 		kin += 0.5 * p.Charge * s.State.Vel[i].Norm2()
 	}
-	eps2 := s.Cfg.Soften * s.Cfg.Soften
+	eps2 := s.Cfg.Force.Soften * s.Cfg.Force.Soften
 	for i := range ps {
 		for j := i + 1; j < len(ps); j++ {
 			r2 := ps[i].Pos.Dist2(ps[j].Pos) + eps2

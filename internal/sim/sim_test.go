@@ -2,12 +2,15 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"treecode/internal/core"
+	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
+	"treecode/internal/tree"
 	"treecode/internal/vec"
 )
 
@@ -55,9 +58,8 @@ func TestMomentumConservation(t *testing.T) {
 	set, _ := points.Generate(points.Plummer, 300, 1)
 	vel := make([]vec.V3, set.N())
 	s, err := New(State{Set: set, Vel: vel}, Config{
-		Dt:     0.001,
-		Force:  core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4},
-		Soften: 0.01,
+		Dt:    0.001,
+		Force: core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4, Soften: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +83,7 @@ func TestSoftenedAccelFiniteForCoincident(t *testing.T) {
 		{Pos: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, Charge: 1},
 	}}
 	s, err := New(State{Set: set, Vel: make([]vec.V3, 2)}, Config{
-		Dt: 0.01, Soften: 0.05, Force: core.Config{Degree: 4},
+		Dt: 0.01, Force: core.Config{Degree: 4, Soften: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +106,7 @@ func TestSoftenedMatchesUnsoftenedAtLargeSeparation(t *testing.T) {
 	}}
 	mk := func(soften float64) vec.V3 {
 		s, err := New(State{Set: set.Clone(), Vel: make([]vec.V3, 2)}, Config{
-			Dt: 0.01, Soften: soften, Force: core.Config{Degree: 6},
+			Dt: 0.01, Force: core.Config{Degree: 6, Soften: soften},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -144,9 +146,10 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{"NaN dt", Config{Dt: nan}},
 		{"+Inf dt", Config{Dt: inf}},
-		{"NaN softening", Config{Dt: 0.1, Soften: nan}},
-		{"negative softening", Config{Dt: 0.1, Soften: -1}},
-		{"+Inf softening", Config{Dt: 0.1, Soften: inf}},
+		{"alpha 2", Config{Dt: 0.1, Force: core.Config{Alpha: 2}}},
+		{"NaN softening", Config{Dt: 0.1, Force: core.Config{Soften: nan}}},
+		{"negative softening", Config{Dt: 0.1, Force: core.Config{Soften: -1}}},
+		{"+Inf softening", Config{Dt: 0.1, Force: core.Config{Soften: inf}}},
 		{"NaN block eta", Config{Dt: 0.1, Block: BlockConfig{MaxRungs: 3, Eta: nan}}},
 		{"+Inf block eta", Config{Dt: 0.1, Block: BlockConfig{MaxRungs: 3, Eta: inf}}},
 	} {
@@ -199,7 +202,7 @@ func gaussianState(t *testing.T, n int) State {
 func TestStepAccelerationReuseBitwise(t *testing.T) {
 	for _, soften := range []float64{0, 0.05} {
 		st := gaussianState(t, 300)
-		cfg := Config{Dt: 0.01, Force: core.Config{Degree: 4}, Soften: soften, Rebuild: RebuildEvery}
+		cfg := Config{Dt: 0.01, Force: core.Config{Degree: 4, Soften: soften}, Rebuild: RebuildEvery}
 		cached, err := New(cloneState(st), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -320,16 +323,16 @@ func TestInvalidateForcesRebuildsEngine(t *testing.T) {
 	}
 }
 
-// TestSoftenedStatsPopulated pins the softened-path stats fix: the
-// softened traversal used to return all-zero interaction counters, which
-// made the observability layer blind to every softened run. The counters
-// must now reflect the actual M2P/P2P work of the walk.
+// TestSoftenedStatsPopulated pins softened runs' instrumentation: a
+// softened evaluation goes through the engine like any other, so its
+// stats reflect the actual M2P/P2P work and its obs collector receives
+// the per-level MAC census.
 func TestSoftenedStatsPopulated(t *testing.T) {
 	st := gaussianState(t, 400)
+	col := obs.New()
 	s, err := New(st, Config{
-		Dt:     1e-3,
-		Force:  core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.5},
-		Soften: 0.05,
+		Dt:    1e-3,
+		Force: core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.5, Soften: 0.05, Obs: col},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,6 +356,122 @@ func TestSoftenedStatsPopulated(t *testing.T) {
 	if stats.EvalTime <= 0 {
 		t.Fatalf("softened EvalTime = %v, want > 0", stats.EvalTime)
 	}
+	m := col.Metrics()
+	if len(m.Levels) == 0 || m.Accepts() != stats.PC || m.PPPairs() != stats.PP {
+		t.Fatalf("softened census: %d levels, %d accepts, %d pairs; stats PC=%d PP=%d",
+			len(m.Levels), m.Accepts(), m.PPPairs(), stats.PC, stats.PP)
+	}
+}
+
+// referenceSoftenedAccel writes the softened force law out as one serial
+// traversal per target, independent of the engine's kernels and traversal
+// modes: VisitInteractions' interaction set, a Plummer-softened direct sum
+// for every near-field pair, and an unsoftened EvaluateFieldFused with its
+// BoundAtFast bound for every accepted cluster. It returns accelerations
+// in original particle order and the stats an engine evaluation of the
+// same tree must reproduce.
+func referenceSoftenedAccel(e *core.Evaluator, eps float64) ([]vec.V3, core.Stats) {
+	t := e.Tree
+	eps2 := eps * eps
+	acc := make([]vec.V3, len(t.Pos))
+	var st core.Stats
+	for i, xi := range t.Pos {
+		var a vec.V3
+		e.VisitInteractions(xi, i, func(nd *tree.Node, degree int) {
+			st.PC++
+			st.Terms += multipole.Terms(degree)
+			st.MaxDegree = max(st.MaxDegree, degree)
+			st.BoundSum += nd.Mp.BoundAtFast(xi, degree)
+			_, grad := nd.Mp.EvaluateFieldFused(xi, degree)
+			a = a.Add(grad) // attractive: a = +grad(phi) with phi = sum m/r
+		}, func(j int) {
+			d := t.Pos[j].Sub(xi)
+			r2 := d.Norm2() + eps2
+			if r2 == 0 {
+				return
+			}
+			st.PP++
+			inv := 1 / r2
+			a = a.Add(d.Scale(t.Q[j] * inv * math.Sqrt(inv)))
+		})
+		acc[t.Perm[i]] = a
+	}
+	return acc, st
+}
+
+// TestSoftenedForcesMatchReference pins the one force path under
+// softening: in both eval modes and at 1 and 2 workers, the simulator's
+// accelerations match referenceSoftenedAccel to 1e-12 of the largest
+// component (the two differ only in summation order and the algebraic form
+// of the pair kernel), its stats count exactly the reference's
+// interactions, its accelerations are bitwise independent of the worker
+// count, and FieldsFor's active entries stay bitwise equal to Fields.
+func TestSoftenedForcesMatchReference(t *testing.T) {
+	st := plummerState(t, 1500)
+	for _, eps := range []float64{0.005, 0.05} {
+		var ref []vec.V3
+		var want core.Stats
+		var refMax float64
+		for _, mode := range []core.EvalMode{core.EvalWalk, core.EvalBatched} {
+			var first []vec.V3
+			for _, workers := range []int{1, 2} {
+				force := core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.5,
+					Eval: mode, Workers: workers, Soften: eps}
+				s, err := New(cloneState(st), Config{Dt: 1e-3, Force: force})
+				if err != nil {
+					t.Fatal(err)
+				}
+				acc, got, err := s.Accelerations()
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := s.Engine()
+				if ref == nil {
+					ref, want = referenceSoftenedAccel(e, eps)
+					for _, a := range ref {
+						refMax = max(refMax, math.Abs(a.X), math.Abs(a.Y), math.Abs(a.Z))
+					}
+				}
+				label := fmt.Sprintf("eps=%g %s workers=%d", eps, mode, workers)
+				var gap float64
+				for i, a := range acc {
+					d := a.Sub(ref[i])
+					gap = max(gap, math.Abs(d.X), math.Abs(d.Y), math.Abs(d.Z))
+				}
+				t.Logf("%s: max |a - a_ref| = %.3g of %.3g", label, gap/refMax, refMax)
+				if gap > 1e-12*refMax {
+					t.Fatalf("%s: accelerations differ from the reference by %.3g (max component %.3g)", label, gap, refMax)
+				}
+				if got.PC != want.PC || got.PP != want.PP || got.Terms != want.Terms || got.MaxDegree != want.MaxDegree {
+					t.Fatalf("%s: stats PC=%d PP=%d Terms=%d MaxDegree=%d, reference %d %d %d %d", label,
+						got.PC, got.PP, got.Terms, got.MaxDegree, want.PC, want.PP, want.Terms, want.MaxDegree)
+				}
+				if rel := math.Abs(got.BoundSum-want.BoundSum) / want.BoundSum; !(rel <= 1e-12) {
+					t.Fatalf("%s: BoundSum %v, reference %v (rel %.3g)", label, got.BoundSum, want.BoundSum, rel)
+				}
+				if first == nil {
+					first = append([]vec.V3(nil), acc...)
+				} else {
+					for i := range acc {
+						if acc[i] != first[i] { // worker count must not change a bit
+							t.Fatalf("%s: acceleration %d = %v, 1 worker gave %v", label, i, acc[i], first[i])
+						}
+					}
+				}
+				active := make([]bool, len(acc))
+				for i := range active {
+					active[i] = i%3 == 0
+				}
+				phiA, fieldA, _ := e.FieldsFor(active)
+				phi, field, _ := e.Fields()
+				for i, on := range active {
+					if on && (math.Float64bits(phiA[i]) != math.Float64bits(phi[i]) || fieldA[i] != field[i]) { // FieldsFor's contract is bitwise identity with Fields
+						t.Fatalf("%s: FieldsFor target %d: %v %v, Fields %v %v", label, i, phiA[i], fieldA[i], phi[i], field[i])
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestAutoMatchesEveryWithinBudget compares whole trajectories between the
@@ -366,8 +485,7 @@ func TestAutoMatchesEveryWithinBudget(t *testing.T) {
 		mk := func(p RebuildPolicy) *Simulator {
 			s, err := New(cloneState(st), Config{
 				Dt:      1e-3,
-				Force:   core.Config{Method: core.Adaptive, Degree: 8, Alpha: 0.4},
-				Soften:  soften,
+				Force:   core.Config{Method: core.Adaptive, Degree: 8, Alpha: 0.4, Soften: soften},
 				Rebuild: p,
 			})
 			if err != nil {

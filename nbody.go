@@ -17,20 +17,17 @@ type NBody struct {
 type NBodyConfig struct {
 	// Dt is the leapfrog timestep (required).
 	Dt float64
-	// Force configures the treecode used each step.
+	// Force configures the treecode used each step; its Soften is the
+	// Plummer softening length of the near-field pairs (0 disables it).
 	Force Config
-	// Soften is the Plummer softening length applied to near-field pairs
-	// (0 disables softening).
-	Soften float64
 }
 
 // NewNBody creates a simulation from particles (masses in Charge) and
 // matching initial velocities.
 func NewNBody(particles []Particle, velocities []Vec3, cfg NBodyConfig) (*NBody, error) {
 	s, err := sim.New(sim.State{Set: &points.Set{Particles: particles}, Vel: velocities}, sim.Config{
-		Dt:     cfg.Dt,
-		Force:  cfg.Force,
-		Soften: cfg.Soften,
+		Dt:    cfg.Dt,
+		Force: cfg.Force,
 	})
 	if err != nil {
 		return nil, err
