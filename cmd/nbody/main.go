@@ -31,8 +31,8 @@ func main() {
 	checkErr := flag.Bool("check", true, "compare against direct summation (O(n^2))")
 	steps := flag.Int("steps", 0, "leapfrog steps to advance (0 = potentials only)")
 	dt := flag.Float64("dt", 1e-3, "timestep for -steps")
-	rebuild := flag.String("rebuild", "auto", "evaluator lifecycle across steps: auto (persistent engine, incremental refits) | every (fresh build per force evaluation)")
-	bf := cliio.BlockFlagVars()
+	rungs := flag.Int("rungs", 0, "hierarchical block-timestep rungs for -steps: rung k steps at dt/2^k (0 and 1 both mean one rung, the global-dt leapfrog)")
+	eta := flag.Float64("eta", 0, "block-timestep criterion prefactor in dt_i = eta*sqrt(scale/|a_i|) (0 = sim default)")
 	ob := cliio.ObsFlagVars()
 	flag.Parse()
 
@@ -58,14 +58,9 @@ func main() {
 	}
 
 	if *steps > 0 {
-		policy, err := sim.ParseRebuildPolicy(*rebuild)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		cfg.Soften = 0.01
 		s, err := sim.New(sim.State{Set: set, Vel: make([]vec.V3, set.N())}, sim.Config{
-			Dt: *dt, Force: cfg, Rebuild: policy, Block: bf.Config(),
+			Dt: *dt, Force: cfg, Block: sim.BlockConfig{MaxRungs: *rungs, Eta: *eta},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -77,7 +72,7 @@ func main() {
 			os.Exit(1)
 		}
 		k1, p1, e1 := s.Energy()
-		fmt.Printf("advanced %d steps of %d-body %s system (dt=%g, rebuild=%s)\n", *steps, *n, *dist, *dt, policy)
+		fmt.Printf("advanced %d steps of %d-body %s system (dt=%g)\n", *steps, *n, *dist, *dt)
 		fmt.Printf("energy: kin %.6g -> %.6g, pot %.6g -> %.6g, total %.6g -> %.6g (drift %.3g)\n",
 			k0, k1, p0, p1, e0, e1, (e1-e0)/e0)
 		if col != nil {
@@ -87,13 +82,13 @@ func main() {
 					r.Updates, r.Refits, r.Rebuilds, r.Migrants, r.Splits, r.Merges, r.RadiusInflationMax)
 			}
 		}
-		if bf.Rungs > 0 {
-			if rungs := s.Rungs(); rungs != nil {
-				occ := make([]int, bf.Rungs)
-				for _, r := range rungs {
+		if *rungs > 0 {
+			if rs := s.Rungs(); rs != nil {
+				occ := make([]int, *rungs)
+				for _, r := range rs {
 					occ[r]++
 				}
-				fmt.Printf("block: %d rungs, final occupancy %v\n", bf.Rungs, occ)
+				fmt.Printf("block: %d rungs, final occupancy %v\n", *rungs, occ)
 			}
 			if col != nil {
 				if b := col.Metrics().Block; b.Substeps > 0 {

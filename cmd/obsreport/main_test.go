@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"treecode/internal/cliio"
 	"treecode/internal/obs"
@@ -32,7 +33,7 @@ func renderFile(t *testing.T, path string) (string, error) {
 
 func TestRenderObsSnapshot(t *testing.T) {
 	c := obs.New()
-	c.AddStepSample(obs.StepSample{RefitKind: "build", WallNS: 1e6, EvalNS: 5e5})
+	c.StepEnd(c.StepBegin(), obs.StepInfo{RefitKind: "build", EvalWall: 500 * time.Microsecond, N: 10})
 	c.AddEvent(obs.EventRebuildFallback, "migrant-fraction", 42)
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := obs.WriteJSON(c, path); err != nil {

@@ -195,17 +195,6 @@ func (o *Operator) entry(i, j int, adj [][][2]int) float64 {
 	return a
 }
 
-// Diagonal returns the matrix diagonal A[i][i] (for Jacobi preconditioning)
-// without assembling the matrix.
-func (o *Operator) Diagonal() []float64 {
-	adj := o.vertexSources()
-	d := make([]float64, o.N())
-	for i := range d {
-		d[i] = o.entry(i, i, adj)
-	}
-	return d
-}
-
 // BlockPreconditioner builds a near-field block-Jacobi preconditioner: the
 // mesh vertices are partitioned into spatial clusters of at most blockSize
 // by an octree, and the exact sub-matrix of each cluster is factored. This

@@ -10,21 +10,6 @@ import (
 	"treecode/internal/vec"
 )
 
-func TestDiagonalMatchesDense(t *testing.T) {
-	m := mesh.Sphere(1, 1, vec.V3{})
-	o, err := New(m, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := o.Dense()
-	diag := o.Diagonal()
-	for i := range diag {
-		if math.Abs(diag[i]-d.At(i, i)) > 1e-12*(1+math.Abs(d.At(i, i))) {
-			t.Fatalf("diagonal mismatch at %d: %v vs %v", i, diag[i], d.At(i, i))
-		}
-	}
-}
-
 func TestEntryMatchesDense(t *testing.T) {
 	m := mesh.Sphere(0, 1, vec.V3{})
 	o, err := New(m, 6, nil)

@@ -5,7 +5,6 @@ package cliio
 
 import (
 	"bufio"
-	"io"
 	"os"
 )
 
@@ -47,26 +46,4 @@ func (o *Output) Name() string {
 		return "stdout"
 	}
 	return o.f.Name()
-}
-
-// CloseChecked closes c and, if no earlier error is pending in *errp,
-// stores the close error there. It is the deferred-close form for
-// functions with a named error return:
-//
-//	func write(path string) (err error) {
-//		w, err := cliio.Create(path)
-//		if err != nil {
-//			return err
-//		}
-//		defer cliio.CloseChecked(&err, w)
-//		...
-//	}
-//
-// Unlike `defer w.Close()`, the close error (which for a buffered writer
-// carries any sticky write error) reaches the caller; unlike an explicit
-// trailing Close, early error returns still close the file.
-func CloseChecked(errp *error, c io.Closer) {
-	if cerr := c.Close(); *errp == nil {
-		*errp = cerr
-	}
 }

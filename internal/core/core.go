@@ -412,7 +412,8 @@ func (e *Evaluator) Fields() ([]float64, []vec.V3, *Stats) {
 // Target leaves without an active particle are not processed at all, so
 // their cached interaction plans are neither built nor repaired: they
 // survive active-only refits untouched for the step that next needs them.
-// A nil mask is Fields.
+// A non-nil mask has one entry per particle, as for UpdateFor; a nil mask
+// is Fields.
 func (e *Evaluator) FieldsFor(active []bool) ([]float64, []vec.V3, *Stats) {
 	if active == nil {
 		return e.Fields()

@@ -135,9 +135,10 @@ func (g *Engine) Update(pos []vec.V3) (RebuildKind, error) {
 // particles' ancestor chains, zeroing the drift of untouched nodes so plan
 // revalidation does not re-consume drift an earlier refresh recorded.
 // Passing a mask that omits a moved particle is a contract violation. A
-// nil mask is Update. A non-finite position (any particle, active or not)
-// is rejected with an error wrapping points.ErrNonFinite before anything
-// is written, so the engine keeps evaluating the previous positions.
+// nil mask is Update. A non-finite position (any particle, active or not;
+// an error wrapping points.ErrNonFinite) or a non-nil mask whose length is
+// not the particle count is rejected with an error before anything is
+// written, so the engine keeps evaluating the previous positions.
 func (g *Engine) UpdateFor(pos []vec.V3, active []bool) (RebuildKind, error) {
 	c := g.cfg()
 	t := g.Tree

@@ -284,3 +284,29 @@ func TestMigratingStepAllocs(t *testing.T) {
 	}
 	t.Logf("a migrating step allocates %d B: %d B of outputs and %d B more (%d leaves)", got, outputs, got-outputs, leaves)
 }
+
+// TestUpdateForRejectsBadActiveMask: UpdateFor inherits tree.Update's
+// rejection of a mask whose length is not the particle count, so the
+// engine keeps evaluating the previous positions and the next Fields is
+// bitwise the one before the call, in both eval modes.
+func TestUpdateForRejectsBadActiveMask(t *testing.T) {
+	set, _ := points.Generate(points.Uniform, 200, 1)
+	for _, mode := range []EvalMode{EvalWalk, EvalBatched} {
+		e, err := New(set, Config{Method: Adaptive, Degree: 4, Alpha: 0.5, Workers: 2, Eval: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		phi0, field0, _ := e.Fields()
+		pos := newPositions(e, rand.New(rand.NewSource(2)), 0.01)
+		if _, err := e.UpdateFor(pos, make([]bool, 10)); err == nil {
+			t.Fatalf("%s: UpdateFor accepted a 10-entry mask for %d particles", mode, len(pos))
+		}
+		phi, field, _ := e.Fields()
+		bitsEqual(t, phi, phi0, mode.String())
+		for i := range field0 {
+			if field[i] != field0[i] { // the rejected call must leave the engine untouched
+				t.Fatalf("%s: field %d changed to %v from %v", mode, i, field[i], field0[i])
+			}
+		}
+	}
+}

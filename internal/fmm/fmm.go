@@ -153,7 +153,7 @@ func (e *Evaluator) newSweep() *sweep {
 // sweepScratch returns one scratch buffer per worker, of
 // multipole.M2LBufLen at the largest local and source degree of an
 // evaluation: enough for any of its M2Ls, and so for each of its L2L and
-// L2P steps too. Potentials, FieldsFor and PotentialsAt all size their
+// L2P steps too. Potentials, Fields and PotentialsAt all size their
 // scratch here.
 func (e *Evaluator) sweepScratch() [][]complex128 {
 	p := max(e.Cfg.Degree, e.MaxSelectedDegree())

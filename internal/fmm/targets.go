@@ -14,19 +14,6 @@ import (
 // Fields evaluates potential and field E = -grad(phi) at every particle
 // (self-excluded), in the original particle order.
 func (e *Evaluator) Fields() (phi []float64, field []vec.V3, st *Stats) {
-	return e.FieldsFor(nil)
-}
-
-// FieldsFor is Fields restricted to a target subset: active marks, by
-// original particle index, the targets to evaluate; every particle remains
-// a source. The dual-tree traversal and M2L conversions are target-node
-// work shared by all particles of a node and run unchanged; the restriction
-// applies to the per-particle near-field sums and leaf L2P evaluations,
-// whose sums are independent per target, so active entries are bitwise
-// identical to the corresponding Fields entries. The returned slices are
-// full-length with zero entries for inactive particles. A nil mask
-// evaluates everything.
-func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st *Stats) {
 	t := e.Tree
 	n := len(t.Pos)
 	outP := make([]float64, n)
@@ -38,33 +25,16 @@ func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st 
 	s.traverse(t.Root, t.Root, st)
 	s.runM2L()
 
-	// Near field with forces; leaves without an active target are skipped
-	// entirely.
+	// Near field with forces.
 	leaves := make([]*tree.Node, 0, len(s.p2pTasks))
 	t.Walk(func(nd *tree.Node) {
-		if len(s.p2pTasks[nd]) == 0 {
-			return
+		if len(s.p2pTasks[nd]) > 0 {
+			leaves = append(leaves, nd)
 		}
-		if active != nil {
-			has := false
-			for i := nd.Start; i < nd.End; i++ {
-				if active[t.Perm[i]] {
-					has = true
-					break
-				}
-			}
-			if !has {
-				return
-			}
-		}
-		leaves = append(leaves, nd)
 	})
 	e.parallelOver(len(leaves), func(_, li int) {
 		a := leaves[li]
 		for i := a.Start; i < a.End; i++ {
-			if active != nil && !active[t.Perm[i]] {
-				continue
-			}
 			xi := t.Pos[i]
 			var p float64
 			var f vec.V3
@@ -95,9 +65,6 @@ func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st 
 		if n.IsLeaf() {
 			if l != nil {
 				for i := n.Start; i < n.End; i++ {
-					if active != nil && !active[t.Perm[i]] {
-						continue
-					}
 					p, g := l.EvaluateFieldBuf(t.Pos[i], s.bufs[0])
 					outP[i] += p
 					outF[i] = outF[i].Add(g.Neg()) // E = -grad(phi)

@@ -65,11 +65,6 @@ func (b AABB) Contains(p vec.V3) bool {
 // ContainsBox reports whether c lies entirely inside b.
 func (b AABB) ContainsBox(c AABB) bool { return b.Contains(c.Lo) && b.Contains(c.Hi) }
 
-// IsEmpty reports whether the box contains no points (Lo > Hi in some axis).
-func (b AABB) IsEmpty() bool {
-	return b.Lo.X > b.Hi.X || b.Lo.Y > b.Hi.Y || b.Lo.Z > b.Hi.Z
-}
-
 // Cube returns the smallest axis-aligned cube sharing b's center that
 // contains b. Octrees are built over cubes so that children halve uniformly.
 func (b AABB) Cube() AABB {

@@ -10,14 +10,11 @@ import (
 
 func TestEmptyAABB(t *testing.T) {
 	b := EmptyAABB()
-	if !b.IsEmpty() {
-		t.Fatal("EmptyAABB should be empty")
-	}
 	p := vec.V3{X: 1, Y: 2, Z: 3}
-	b = b.Extend(p)
-	if b.IsEmpty() {
-		t.Fatal("extended box should be non-empty")
+	if b.Contains(p) || b.Contains(vec.V3{}) {
+		t.Fatal("EmptyAABB should contain no point")
 	}
+	b = b.Extend(p)
 	if b.Lo != p || b.Hi != p {
 		t.Fatalf("degenerate box expected, got %+v", b)
 	}

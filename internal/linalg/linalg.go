@@ -41,11 +41,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Copy copies src into dst (lengths must match).
-func Copy(dst, src []float64) {
-	copy(dst, src)
-}
-
 // Dense is a row-major n x n matrix.
 type Dense struct {
 	N int
@@ -82,16 +77,15 @@ func (d *Dense) Apply(dst, src []float64) { d.MatVec(dst, src) }
 
 // LU holds an LU factorization with partial pivoting.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // Factor computes the LU factorization of d (d is not modified).
 func (d *Dense) Factor() (*LU, error) {
 	n := d.N
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, d.A)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -112,7 +106,6 @@ func (d *Dense) Factor() (*LU, error) {
 				f.lu[k*n+j], f.lu[p*n+j] = f.lu[p*n+j], f.lu[k*n+j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		inv := 1 / f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -150,13 +143,4 @@ func (f *LU) Solve(b []float64) []float64 {
 		x[i] = (x[i] - s) / f.lu[i*n+i]
 	}
 	return x
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }

@@ -24,11 +24,6 @@ func TestVectorOps(t *testing.T) {
 	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-15 {
 		t.Error("Norm2")
 	}
-	dst := make([]float64, 3)
-	Copy(dst, x)
-	if dst[2] != 3 {
-		t.Error("Copy")
-	}
 }
 
 func randomDense(rng *rand.Rand, n int) *Dense {
@@ -81,32 +76,6 @@ func TestLUSingular(t *testing.T) {
 	d2.Set(1, 1, 4)
 	if _, err := d2.Factor(); err == nil {
 		t.Error("rank-1 matrix should fail to factor")
-	}
-}
-
-func TestDet(t *testing.T) {
-	d := NewDense(2)
-	d.Set(0, 0, 3)
-	d.Set(0, 1, 1)
-	d.Set(1, 0, 2)
-	d.Set(1, 1, 4)
-	f, err := d.Factor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-10) > 1e-12 {
-		t.Errorf("det = %v, want 10", f.Det())
-	}
-	// Permutation sign: swap rows => det flips.
-	p := NewDense(2)
-	p.Set(0, 1, 1)
-	p.Set(1, 0, 1)
-	fp, err := p.Factor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fp.Det()+1) > 1e-12 {
-		t.Errorf("permutation det = %v, want -1", fp.Det())
 	}
 }
 

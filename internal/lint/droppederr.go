@@ -9,9 +9,9 @@ import (
 // value, including deferred calls (the classic `defer f.Close()` on a file
 // being written). The approved discards are an explicit `_ =` assignment
 // or the deferred-closure form `defer func() { _ = f.Close() }()` — both
-// show the drop was a decision, not an oversight. For close errors that
-// should propagate, internal/cliio.CloseChecked joins them into a named
-// error return: `defer cliio.CloseChecked(&err, f)`.
+// show the drop was a decision, not an oversight. A close error that
+// should propagate goes into a named error return from a deferred call:
+// `defer func() { if cerr := f.Close(); err == nil { err = cerr } }()`.
 //
 // Best-effort terminal output (fmt.Print* and fmt.Fprint* to
 // os.Stdout/os.Stderr) and never-failing writers (strings.Builder,

@@ -18,7 +18,7 @@ import (
 //     error signal;
 //   - the observability layer's Theorem 2 error-budget accumulators:
 //     calls into internal/obs (float arguments, and the float fields of
-//     obs struct arguments such as StepSample/StepInfo) and `+=` into a
+//     obs struct arguments such as StepInfo/BlockMetrics) and `+=` into a
 //     budget field (Budget, and the time-series accumulators BudgetPred
 //     and BudgetReal). One NaN poisons the whole per-level budget sum —
 //     or a whole per-step series rollup — and the predicted-vs-realized
@@ -548,7 +548,7 @@ func isBudgetField(name string) bool {
 }
 
 // isObsStruct reports whether t is a struct type defined in internal/obs
-// (StepSample, StepInfo, ...). Such values carry budget fields into the
+// (StepInfo, BlockMetrics, ...). Such values carry budget fields into the
 // collector, so obs calls taking them are budget sinks: a tainted float
 // anywhere in the composite literal flags the producer.
 func isObsStruct(t types.Type) bool {

@@ -49,7 +49,7 @@ func deferredClosureDiscard(f *os.File) {
 	defer func() { _ = f.Close() }() // exempt: the approved deferred-discard idiom
 }
 
-// closeChecked mirrors cliio.CloseChecked: the close error lands in the
+// closeChecked is a deferred-close helper: the close error lands in the
 // caller's named return instead of being dropped.
 func closeChecked(errp *error, f *os.File) {
 	if cerr := f.Close(); *errp == nil {

@@ -91,9 +91,9 @@ func guardedTimeSeriesAccumulator(r *rollup, pred, norm float64) { // clean: non
 	r.BudgetPred += pred / norm
 }
 
-func stepSampleStructArg(c *obs.Collector, pred, slack float64) {
-	e := pred / slack // WANT nanflow
-	c.AddStepSample(obs.StepSample{BudgetPred: e})
+func blockStructArg(c *obs.Collector, stale, dt float64) {
+	e := stale / dt // WANT nanflow
+	c.AddBlock(obs.BlockMetrics{Staleness: e})
 }
 
 func stepInfoStructArg(c *obs.Collector, mk obs.StepMark, bound, norm float64) {
@@ -101,8 +101,8 @@ func stepInfoStructArg(c *obs.Collector, mk obs.StepMark, bound, norm float64) {
 	c.StepEnd(mk, obs.StepInfo{RefitKind: "refit", BudgetReal: b, N: 1})
 }
 
-func cleanStepSample(c *obs.Collector, wall int64) { // clean: no tainted field
-	c.AddStepSample(obs.StepSample{WallNS: wall})
+func cleanBlock(c *obs.Collector, substeps int64) { // clean: no tainted field
+	c.AddBlock(obs.BlockMetrics{Substeps: substeps})
 }
 
 func flowsThroughAbs(a, b float64) bool {

@@ -630,11 +630,6 @@ func powInt(x float64, n int) float64 {
 	return y
 }
 
-// BoundAtFast is BoundAt using TruncationBoundFast.
-func (e *Expansion) BoundAtFast(x vec.V3, p int) float64 {
-	return TruncationBoundFast(e.AbsCharge, e.Radius, x.Dist(e.Center), p)
-}
-
 // Bound returns TruncationBound for this expansion at distance r.
 func (e *Expansion) Bound(r float64) float64 {
 	return TruncationBound(e.AbsCharge, e.Radius, r, e.Degree)
@@ -822,19 +817,6 @@ func axialSign(jk int, sr, si float64) complex128 {
 		si = -si
 	}
 	return complex(sr, si)
-}
-
-// AddP2L accumulates the local expansion of a single distant charge (P2L),
-// used by adaptive FMM variants for small far clusters.
-func (l *Local) AddP2L(pos vec.V3, q float64) {
-	// Phi(x) = q/|x - pos| = q/|u - s| with u = pos - center, s = x - center,
-	// |s| < |u|: = q sum conj(R(s)) S(u)  => L_j^k += q S_j^k(u).
-	u := pos.Sub(l.Center)
-	s := harmonics.Irregular(nil, u, l.Degree)
-	qc := complex(q, 0)
-	for i, c := range s {
-		l.Coeff[i] += qc * c
-	}
 }
 
 // Translate shifts the local expansion to a new center inside its domain of

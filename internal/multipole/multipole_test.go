@@ -197,13 +197,24 @@ func TestL2LExact(t *testing.T) {
 	}
 }
 
+// addP2L accumulates the local expansion of one distant charge into l:
+// q/|x − pos| = q Σ conj(R(x − c)) S(pos − c) for |x − c| < |pos − c|, so
+// L_j^k += q S_j^k(pos − c).
+func addP2L(l *Local, pos vec.V3, q float64) {
+	for i, c := range harmonics.Irregular(nil, pos.Sub(l.Center), l.Degree) {
+		l.Coeff[i] += complex(q, 0) * c
+	}
+}
+
+// TestP2L pins Local.Evaluate's convention against exact single-charge
+// local expansions.
 func TestP2L(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	center := vec.V3{X: 1, Y: 2, Z: 3}
 	l := NewLocal(center, 14)
 	pos, q := randomCluster(rng, 20, vec.V3{X: 6, Y: 2, Z: 3}, 0.5)
 	for i := range pos {
-		l.AddP2L(pos[i], q[i])
+		addP2L(l, pos[i], q[i])
 	}
 	for i := 0; i < 50; i++ {
 		x := center.Add(vec.V3{
@@ -297,7 +308,7 @@ func TestClear(t *testing.T) {
 		t.Fatal("Clear left stats")
 	}
 	l := NewLocal(vec.V3{}, 4)
-	l.AddP2L(vec.V3{X: 2}, 1)
+	addP2L(l, vec.V3{X: 2}, 1)
 	l.Clear()
 	for _, c := range l.Coeff {
 		if c != 0 {

@@ -119,9 +119,6 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	if c != nil {
 		c.mu.Lock()
-		if cap(c.series.buf) > 0 {
-			snap.Series.Retention = cap(c.series.buf)
-		}
 		snap.Journal.Dropped = c.journal.dropped
 		c.mu.Unlock()
 	}

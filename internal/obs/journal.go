@@ -51,39 +51,26 @@ type Event struct {
 }
 
 // journal is the bounded event ring. Like the step series, memory is
-// O(retention); evictions are counted, never silent.
+// O(DefaultRetention); evictions are counted, never silent.
 type journal struct {
-	events    []Event
-	next      int
-	retention int
-	dropped   int64
-	byKind    map[string]int64 // events ever journaled, per kind (survives eviction)
+	events  []Event
+	next    int
+	dropped int64
+	byKind  map[string]int64 // events ever journaled, per kind (survives eviction)
 }
 
 func (j *journal) add(e Event) {
-	if j.retention <= 0 {
-		j.retention = DefaultRetention
-	}
 	if j.byKind == nil {
 		j.byKind = make(map[string]int64)
 	}
 	j.byKind[e.Kind]++
-	if len(j.events) < j.retention {
+	if len(j.events) < DefaultRetention {
 		j.events = append(j.events, e)
 		return
 	}
 	j.events[j.next] = e
 	j.next = (j.next + 1) % len(j.events)
 	j.dropped++
-}
-
-// trim drops retained events beyond the (possibly shrunk) retention.
-func (j *journal) trim() {
-	if j.retention > 0 && len(j.events) > j.retention {
-		j.dropped += int64(len(j.events) - j.retention)
-		j.events = append([]Event(nil), j.snapshot()[len(j.events)-j.retention:]...)
-		j.next = 0
-	}
 }
 
 // snapshot returns the retained events in chronological order.

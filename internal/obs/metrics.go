@@ -190,7 +190,7 @@ type Metrics struct {
 	Batch        BatchMetrics   // leaf-batched evaluation counters (zero for walk mode)
 	Refit        RefitMetrics   // persistent-engine maintenance counters
 	Plan         PlanMetrics    // interaction-plan cache counters (zero for walk mode)
-	Block        BlockMetrics   // block-timestep counters (zero for global dt)
+	Block        BlockMetrics   // block-timestep counters (zero until a sim step records them)
 }
 
 // Accepts returns the total MAC acceptances across levels.

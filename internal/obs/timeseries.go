@@ -6,16 +6,16 @@ import (
 )
 
 // DefaultRetention is the number of StepSamples the collector's ring buffer
-// keeps when SetRetention was never called. Rollups cover every sample ever
-// appended, so eviction loses per-step detail but never the aggregates.
+// keeps, and the number of events its journal keeps. Rollups cover every
+// sample ever appended, so eviction loses per-step detail but never the
+// aggregates.
 const DefaultRetention = 1024
 
 // StepSample is one per-timestep telemetry record of a longitudinal run:
 // what the persistent engine did this step (refit kind, migrants, radius
 // inflation), what the evaluation cost (wall time, steals, allocations),
 // and how the Theorem 2 error budget evolved. The sim layer appends one
-// per Step via StepBegin/StepEnd; offline tools append them directly with
-// AddStepSample when replaying traces.
+// per Step via StepBegin/StepEnd.
 type StepSample struct {
 	Step    int64 `json:"step"`     // 0-based step index
 	StartNS int64 `json:"start_ns"` // step start, offset from the collector epoch
@@ -54,11 +54,12 @@ type StepSample struct {
 	PlanReuse     float64 `json:"plan_reuse"`
 	PlanCollectNS int64   `json:"plan_collect_ns"`
 
-	// Block-timestep telemetry (zero/nil under the global-dt scheme).
-	// Substeps is how many active-subset force evaluations the macro step
-	// ran, ForceEvals the per-particle force evaluations they paid in
-	// total (a global-dt run at the finest rung would pay N*Substeps),
-	// and RungOccupancy the particles-per-rung histogram at step end.
+	// Block-timestep telemetry (a one-rung, global-dt step records one
+	// substep, N force evaluations and occupancy [N]). Substeps is how
+	// many active-subset force evaluations the macro step ran, ForceEvals
+	// the per-particle force evaluations they paid in total (a global-dt
+	// run at the finest rung would pay N*Substeps), and RungOccupancy the
+	// particles-per-rung histogram at step end.
 	// RungBudgetPred/Real split the step's predicted and realized
 	// Theorem 2 budget across rungs, attributing each substep's share
 	// proportionally to its per-rung active counts; Staleness accumulates
@@ -160,6 +161,9 @@ type series struct {
 
 func (s *series) append(sm StepSample) {
 	s.roll.add(&sm)
+	if s.buf == nil {
+		s.buf = make([]StepSample, 0, DefaultRetention)
+	}
 	if len(s.buf) < cap(s.buf) {
 		s.buf = append(s.buf, sm)
 		return
@@ -182,44 +186,6 @@ func (s *series) snapshot() []StepSample {
 		out = append(out, s.buf...)
 	}
 	return out
-}
-
-// SetRetention bounds the per-step ring (and the event journal) to keep at
-// most n records each; n <= 0 resets to DefaultRetention. Call before the
-// run starts: resizing drops retained samples (rollups are preserved).
-// Nil-safe.
-func (c *Collector) SetRetention(n int) {
-	if c == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultRetention
-	}
-	c.mu.Lock()
-	roll := c.series.roll
-	roll.Dropped += int64(len(c.series.buf))
-	c.series = series{buf: make([]StepSample, 0, n), roll: roll}
-	c.journal.retention = n
-	c.journal.trim()
-	c.mu.Unlock()
-}
-
-// AddStepSample appends one per-step sample to the bounded time series,
-// filling Step and StartNS when the caller left them zero on a non-first
-// sample. Nil-safe.
-func (c *Collector) AddStepSample(s StepSample) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.series.buf == nil {
-		c.series.buf = make([]StepSample, 0, DefaultRetention)
-	}
-	if s.Step == 0 {
-		s.Step = c.series.roll.Steps
-	}
-	c.series.append(s)
-	c.mu.Unlock()
 }
 
 // StepSamples returns the retained per-step samples in chronological
@@ -300,8 +266,8 @@ type StepInfo struct {
 	BudgetReal float64       // realized per-interaction bound sum (Stats.BoundSum)
 	N          int           // particle count
 
-	// Block-timestep facts (zero/nil under the global-dt scheme); copied
-	// verbatim into the sample — see the StepSample field docs.
+	// Block-timestep facts, copied verbatim into the sample — see the
+	// StepSample field docs.
 	Substeps       int64
 	ForceEvals     int64
 	RungOccupancy  []int64
@@ -354,9 +320,6 @@ func (c *Collector) StepEnd(mk StepMark, info StepInfo) {
 	}
 	if c.metrics.Refit.Updates > mk.updates {
 		s.RadiusInflation = c.lastRefit.RadiusInflationMax
-	}
-	if c.series.buf == nil {
-		c.series.buf = make([]StepSample, 0, DefaultRetention)
 	}
 	c.series.append(s)
 	c.curStep = -1

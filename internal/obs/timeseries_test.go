@@ -8,67 +8,45 @@ import (
 )
 
 func TestStepSampleRingWraparound(t *testing.T) {
-	c := New()
-	c.SetRetention(4)
-	for i := 0; i < 10; i++ {
-		c.AddStepSample(StepSample{WallNS: int64(i + 1), RefitKind: "refit"})
+	const n = DefaultRetention + 6
+	var sr series
+	for i := 0; i < n; i++ {
+		sr.append(StepSample{Step: int64(i), WallNS: int64(i + 1), RefitKind: "refit"})
 	}
-	got := c.StepSamples()
-	if len(got) != 4 {
-		t.Fatalf("retention 4 kept %d samples", len(got))
+	got := sr.snapshot()
+	if len(got) != DefaultRetention {
+		t.Fatalf("retention %d kept %d samples", DefaultRetention, len(got))
 	}
 	for i, s := range got {
 		if s.Step != int64(6+i) || s.WallNS != int64(7+i) {
 			t.Fatalf("sample %d out of order: %+v", i, s)
 		}
 	}
-	roll := c.SeriesRollup()
-	if roll.Steps != 10 || roll.Dropped != 6 {
+	roll := sr.roll
+	if roll.Steps != n || roll.Dropped != 6 {
 		t.Fatalf("rollup steps/dropped wrong: %+v", roll)
 	}
-	if roll.Refits != 10 || roll.Builds != 0 || roll.Rebuilds != 0 {
+	if roll.Refits != n || roll.Builds != 0 || roll.Rebuilds != 0 {
 		t.Fatalf("kind counts wrong: %+v", roll)
 	}
-	// Rollups cover evicted samples: wall sum is 1+..+10, max is 10.
-	if roll.Wall.Sum != 55 || roll.Wall.Max != 10 {
+	// Rollups cover evicted samples: wall sum is 1+..+n, max is n.
+	if roll.Wall.Sum != n*(n+1)/2 || roll.Wall.Max != n {
 		t.Fatalf("wall rollup wrong: %+v", roll.Wall)
 	}
-	if mean := roll.Wall.Mean(roll.Steps); mean != 5.5 {
+	if mean := roll.Wall.Mean(roll.Steps); mean != (n+1)/2.0 {
 		t.Fatalf("wall mean wrong: %v", mean)
 	}
 }
 
 func TestSeriesRollupKinds(t *testing.T) {
-	c := New()
+	var sr series
 	for _, k := range []string{"build", "refit", "refit", "full", ""} {
-		c.AddStepSample(StepSample{RefitKind: k})
+		sr.append(StepSample{RefitKind: k})
 	}
-	roll := c.SeriesRollup()
+	roll := sr.roll
 	// Unknown/empty kinds count as builds (fresh constructions).
 	if roll.Builds != 2 || roll.Refits != 2 || roll.Rebuilds != 1 {
 		t.Fatalf("kind counts wrong: %+v", roll)
-	}
-}
-
-func TestSetRetentionResetsRingKeepsRollup(t *testing.T) {
-	c := New()
-	for i := 0; i < 5; i++ {
-		c.AddStepSample(StepSample{WallNS: 1})
-	}
-	c.SetRetention(2)
-	if got := c.StepSamples(); got != nil {
-		t.Fatalf("SetRetention kept samples: %v", got)
-	}
-	roll := c.SeriesRollup()
-	if roll.Steps != 5 || roll.Dropped != 5 {
-		t.Fatalf("rollup not preserved across SetRetention: %+v", roll)
-	}
-	c.AddStepSample(StepSample{Step: 100})
-	c.AddStepSample(StepSample{Step: 101})
-	c.AddStepSample(StepSample{Step: 102})
-	got := c.StepSamples()
-	if len(got) != 2 || got[0].Step != 101 || got[1].Step != 102 {
-		t.Fatalf("shrunk ring misbehaved: %+v", got)
 	}
 }
 
@@ -123,33 +101,33 @@ func TestStepBeginEndDerivesDeltas(t *testing.T) {
 }
 
 func TestJournalRingAndCounts(t *testing.T) {
+	const n = DefaultRetention + 2
 	c := New()
-	c.SetRetention(3)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < n; i++ {
 		c.AddEvent(EventRebuildFallback, "migrant-fraction", float64(i))
 	}
 	c.AddEvent(EventDegreeClamp, "cap", 1)
 	ev := c.Events()
-	if len(ev) != 3 {
-		t.Fatalf("retention 3 kept %d events", len(ev))
+	if len(ev) != DefaultRetention {
+		t.Fatalf("retention %d kept %d events", DefaultRetention, len(ev))
 	}
-	if ev[0].Value != 3 || ev[1].Value != 4 || ev[2].Kind != EventDegreeClamp {
-		t.Fatalf("eviction order wrong: %+v", ev)
+	if ev[0].Value != 3 || ev[1].Value != 4 || ev[len(ev)-1].Kind != EventDegreeClamp {
+		t.Fatalf("eviction order wrong: first %+v %+v, last %+v", ev[0], ev[1], ev[len(ev)-1])
 	}
 	counts := c.EventCounts()
-	if counts[EventRebuildFallback] != 5 || counts[EventDegreeClamp] != 1 {
+	if counts[EventRebuildFallback] != n || counts[EventDegreeClamp] != 1 {
 		t.Fatalf("counts must survive eviction: %v", counts)
 	}
 	snap := c.Snapshot()
-	if snap.Journal.Dropped != 3 || len(snap.Journal.Events) != 3 {
-		t.Fatalf("journal snapshot wrong: %+v", snap.Journal)
+	if snap.Journal.Dropped != 3 || len(snap.Journal.Events) != DefaultRetention {
+		t.Fatalf("journal snapshot wrong: dropped %d, %d events", snap.Journal.Dropped, len(snap.Journal.Events))
 	}
 }
 
 func TestJournalStepStamp(t *testing.T) {
 	c := New()
 	c.AddEvent(EventDegreeClamp, "outside", 1)
-	c.AddStepSample(StepSample{}) // advance to step 1
+	c.StepEnd(c.StepBegin(), StepInfo{}) // advance to step 1
 	mk := c.StepBegin()
 	c.AddEvent(EventRebuildFallback, "inside", 2)
 	c.StepEnd(mk, StepInfo{RefitKind: "full", N: 10})
@@ -177,8 +155,6 @@ func TestCollectorSelfJournals(t *testing.T) {
 
 func TestNilCollectorSeriesInert(t *testing.T) {
 	var c *Collector
-	c.SetRetention(8)
-	c.AddStepSample(StepSample{WallNS: 1})
 	c.AddEvent(EventDegreeClamp, "x", 1)
 	mk := c.StepBegin()
 	if mk.valid {
@@ -222,15 +198,17 @@ func TestRenderSpansDeepNesting(t *testing.T) {
 }
 
 func TestStepSeriesConcurrentAccess(t *testing.T) {
+	// Run past DefaultRetention so the sample ring and the journal both
+	// evict while readers take snapshots.
+	const steps = DefaultRetention + 200
 	c := New()
-	c.SetRetention(64)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Writers: step windows with shard recording inside, plus journal events.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 200; i++ {
+		for i := 0; i < steps; i++ {
 			mk := c.StepBegin()
 			sh := c.NewShard()
 			sh.Accept(1, 4, 25, 0.5, 1e-3)
@@ -259,7 +237,16 @@ func TestStepSeriesConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if roll := c.SeriesRollup(); roll.Steps != 200 || roll.Refits != 200 {
+	if roll := c.SeriesRollup(); roll.Steps != steps || roll.Refits != steps || roll.Dropped != steps-DefaultRetention {
 		t.Fatalf("lost samples under concurrency: %+v", roll)
+	}
+	if got := len(c.StepSamples()); got != DefaultRetention {
+		t.Fatalf("ring kept %d samples, want %d", got, DefaultRetention)
+	}
+	if snap := c.Snapshot(); snap.Journal.Dropped < steps-DefaultRetention || len(snap.Journal.Events) != DefaultRetention {
+		t.Fatalf("journal did not evict: dropped %d, %d events", snap.Journal.Dropped, len(snap.Journal.Events))
+	}
+	if n := c.EventCounts()[EventDegreeClamp]; n != steps {
+		t.Fatalf("event count %d, want %d", n, steps)
 	}
 }

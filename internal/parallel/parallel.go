@@ -8,8 +8,8 @@
 //
 // Two tools live here:
 //
-//  1. Measure: wall-clock runs of the real goroutine-parallel evaluator at
-//     different worker counts (the POSIX-threads analogue).
+//  1. MeasureTraced: wall-clock runs of the real goroutine-parallel
+//     evaluator at different worker counts (the POSIX-threads analogue).
 //
 //  2. Simulate: a deterministic cost model that reproduces the paper's
 //     32-processor Origin 2000 speedup experiment (Table 2) on machines
@@ -270,23 +270,18 @@ func placeChunks(profiles []chunkProfile, procs int, sched Schedule) []int {
 	return owner
 }
 
-// Measure times the real goroutine evaluation at the given worker count and
-// returns the wall-clock duration of one full potential evaluation. The
-// worker count is passed per call and leaves the evaluator's Config alone;
-// the concurrency contract is core.Evaluator.PotentialsWithWorkers'. In
-// walk mode Measure does not mutate the evaluator and may run concurrently
-// with other evaluations. In batched mode the first evaluation after
-// core.New or Update builds or repairs the persistent interaction plans, so
-// such a call must not overlap another evaluation (or Update); once the
-// plan store is warm, further calls only read it and may run concurrently.
-func Measure(e *core.Evaluator, workers int) time.Duration {
-	return MeasureTraced(e, workers, nil)
-}
-
-// MeasureTraced is Measure with an observability collector: the timed
-// evaluation is wrapped in a "parallel/measure" span (the evaluator's own
-// phase spans, if it carries a collector, nest independently). It has
-// Measure's concurrency contract.
+// MeasureTraced times the real goroutine evaluation at the given worker
+// count and returns the wall-clock duration of one full potential
+// evaluation, wrapped in a "parallel/measure" span of col (nil records
+// nothing; the evaluator's own phase spans, if it carries a collector, nest
+// independently). The worker count is passed per call and leaves the
+// evaluator's Config alone; the concurrency contract is
+// core.Evaluator.PotentialsWithWorkers'. In walk mode MeasureTraced does
+// not mutate the evaluator and may run concurrently with other
+// evaluations. In batched mode the first evaluation after core.New or
+// Update builds or repairs the persistent interaction plans, so such a call
+// must not overlap another evaluation (or Update); once the plan store is
+// warm, further calls only read it and may run concurrently.
 func MeasureTraced(e *core.Evaluator, workers int, col *obs.Collector) time.Duration {
 	sp := col.Start("parallel/measure")
 	start := time.Now()

@@ -131,14 +131,14 @@ func TestSimulateErrors(t *testing.T) {
 
 func TestMeasureRuns(t *testing.T) {
 	e := buildEval(t, core.Original, 2000)
-	d1 := Measure(e, 1)
-	d2 := Measure(e, 2)
+	d1 := MeasureTraced(e, 1, nil)
+	d2 := MeasureTraced(e, 2, nil)
 	if d1 <= 0 || d2 <= 0 {
-		t.Error("Measure returned non-positive duration")
+		t.Error("MeasureTraced returned non-positive duration")
 	}
 	// Workers config restored.
 	if e.Cfg.Workers != 0 {
-		t.Error("Measure must restore Workers")
+		t.Error("MeasureTraced must leave Workers alone")
 	}
 }
 

@@ -42,7 +42,7 @@ func TestSimulateRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if d := Measure(e, 4); d < 0 {
+			if d := MeasureTraced(e, 4, nil); d < 0 {
 				t.Errorf("negative measured duration %v", d)
 			}
 		}()

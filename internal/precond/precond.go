@@ -1,10 +1,10 @@
-// Package precond provides the preconditioners used with GMRES on the
-// boundary-element systems: point Jacobi and block Jacobi over spatial
-// vertex clusters. First-kind single-layer systems on open sheets (the
-// propeller blades) are ill-conditioned; near-field block preconditioning
-// — the approach of the authors' companion work on hierarchical solvers
-// for boundary element methods — restores the fast GMRES(10) convergence
-// the paper reports.
+// Package precond provides the preconditioner used with GMRES on the
+// boundary-element systems: block Jacobi over spatial vertex clusters.
+// First-kind single-layer systems on open sheets (the propeller blades)
+// are ill-conditioned; near-field block preconditioning — the approach
+// of the authors' companion work on hierarchical solvers for boundary
+// element methods — restores the fast GMRES(10) convergence the paper
+// reports.
 package precond
 
 import (
@@ -12,30 +12,6 @@ import (
 
 	"treecode/internal/linalg"
 )
-
-// Jacobi is diagonal scaling: z_i = r_i / d_i.
-type Jacobi struct {
-	inv []float64
-}
-
-// NewJacobi builds a Jacobi preconditioner from the matrix diagonal.
-func NewJacobi(diag []float64) (*Jacobi, error) {
-	inv := make([]float64, len(diag))
-	for i, d := range diag {
-		if d == 0 {
-			return nil, fmt.Errorf("precond: zero diagonal entry %d", i)
-		}
-		inv[i] = 1 / d
-	}
-	return &Jacobi{inv: inv}, nil
-}
-
-// Apply implements the krylov.Operator contract (z = M^{-1} r).
-func (j *Jacobi) Apply(dst, src []float64) {
-	for i, v := range src {
-		dst[i] = v * j.inv[i]
-	}
-}
 
 // BlockJacobi inverts dense diagonal blocks over disjoint index clusters.
 type BlockJacobi struct {

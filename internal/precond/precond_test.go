@@ -9,23 +9,6 @@ import (
 	"treecode/internal/linalg"
 )
 
-func TestJacobi(t *testing.T) {
-	j, err := NewJacobi([]float64{2, 4, -5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 3)
-	j.Apply(dst, []float64{2, 4, -5})
-	for _, v := range dst {
-		if math.Abs(v-1) > 1e-15 {
-			t.Fatalf("Jacobi apply = %v", dst)
-		}
-	}
-	if _, err := NewJacobi([]float64{1, 0}); err == nil {
-		t.Fatal("zero diagonal should fail")
-	}
-}
-
 func TestBlockJacobiIsExactForBlockDiagonal(t *testing.T) {
 	// For a block-diagonal matrix, block Jacobi is the exact inverse.
 	rng := rand.New(rand.NewSource(1))
@@ -139,11 +122,15 @@ func TestPrecondAcceleratesGMRES(t *testing.T) {
 		return res.Iterations
 	}
 	plain := run(nil)
-	diag := make([]float64, n)
-	for i := range diag {
-		diag[i] = a.At(i, i)
+	// One-index blocks: block Jacobi is diagonal scaling.
+	blocks := make([][]int, n)
+	mats := make([]*linalg.Dense, n)
+	for i := range blocks {
+		blocks[i] = []int{i}
+		mats[i] = linalg.NewDense(1)
+		mats[i].Set(0, 0, a.At(i, i))
 	}
-	j, err := NewJacobi(diag)
+	j, err := NewBlockJacobi(n, blocks, mats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,21 +9,21 @@ import (
 	"treecode/internal/vec"
 )
 
-// This file implements hierarchical block timesteps (see BlockConfig): one
-// macro Step of size Dt runs 2^(MaxRungs-1) substeps of size dt_min, and a
-// rung-r particle takes full kick-drift-kick steps of dt_r = Dt/2^r, due
-// every 2^(MaxRungs-1-r) substeps. Between its own steps a particle is
-// frozen at the position its last drift jumped to — possibly ahead of the
-// substep clock — so every force evaluation sees mixed-age sources; the
-// per-evaluation mass-weighted misalignment is accumulated as the
-// staleness term of the step telemetry (DESIGN.md §15 folds it into the
+// This file implements the integrator, hierarchical block timesteps (see
+// BlockConfig): one macro Step of size Dt runs 2^(rungs-1) substeps of size
+// dt_min, and a rung-r particle takes full kick-drift-kick steps of
+// dt_r = Dt/2^r, due every 2^(rungs-1-r) substeps. Between its own steps a
+// particle is frozen at the position its last drift jumped to — possibly
+// ahead of the substep clock — so every force evaluation sees mixed-age
+// sources; the per-evaluation mass-weighted misalignment is accumulated as
+// the staleness term of the step telemetry (DESIGN.md §15 folds it into the
 // Theorem 2 error accounting). All rungs divide the macro step exactly, so
-// every particle is synchronized at macro boundaries, and a single-rung
-// configuration reproduces the global-dt trajectory bit for bit.
+// every particle is synchronized at macro boundaries. With one rung every
+// step is one fully-active substep: the global-dt leapfrog.
 
 // strideOf returns the substep stride of rung r: how many dt_min substeps
 // one rung-r step spans.
-func (s *Simulator) strideOf(r int) int { return 1 << (s.Cfg.Block.MaxRungs - 1 - r) }
+func (s *Simulator) strideOf(r int) int { return 1 << (s.Cfg.Block.rungs() - 1 - r) }
 
 // scaleAt returns the length scale of particle i's timestep criterion: the
 // softening length when positive, else the particle's leaf size captured
@@ -39,11 +39,11 @@ func (s *Simulator) scaleAt(i int) float64 {
 }
 
 // captureScales snapshots each particle's leaf size (by original index)
-// into scaleBuf for the unsoftened timestep criterion. Softened block runs
-// use the softening length instead, and non-block runs never ask, so both
-// skip the walk.
+// into scaleBuf for the unsoftened timestep criterion. Softened runs use
+// the softening length instead, and one-rung runs never ask, so both skip
+// the walk.
 func (s *Simulator) captureScales(e *core.Evaluator) {
-	if s.Cfg.Block.MaxRungs <= 1 || s.Cfg.Force.Soften > 0 {
+	if s.Cfg.Block.rungs() == 1 || s.Cfg.Force.Soften > 0 {
 		return
 	}
 	t := e.Tree
@@ -78,21 +78,32 @@ func (s *Simulator) desiredRung(a vec.V3, scale float64) int {
 	if r < 0 {
 		r = 0
 	}
-	if r > s.Cfg.Block.MaxRungs-1 {
-		r = s.Cfg.Block.MaxRungs - 1
+	if r > s.Cfg.Block.rungs()-1 {
+		r = s.Cfg.Block.rungs() - 1
 	}
 	return r
 }
 
-// blockStep advances one macro step Dt with hierarchical block timesteps.
-func (s *Simulator) blockStep() error {
+// Step advances the system by one macro step Dt with the block scheme
+// (see BlockConfig); with one rung (MaxRungs 0 or 1) it is the global-dt
+// kick-drift-kick leapfrog. Each particle's opening kick reuses the
+// acceleration of its previous closing kick, taken at the same position,
+// so only the first Step pays an extra, all-particle opening evaluation.
+//
+// When the force configuration carries an obs collector, Step appends one
+// StepSample to its per-step time series — the refit kind of the step's
+// first evaluation, the evaluation stats, the block counters and the
+// collector's own counter deltas — and folds the block counters into its
+// metrics. With obs disabled the mark is the inert zero value and no
+// telemetry code runs.
+func (s *Simulator) Step() error {
 	obsCol := s.Cfg.Force.Obs
 	mark := obsCol.StepBegin()
-	rungs := s.Cfg.Block.MaxRungs
+	rungs := s.Cfg.Block.rungs()
 	nsub := s.strideOf(0)
 	st := s.State
 	n := len(st.Vel)
-	dtMin := s.Cfg.Dt / float64(nsub) //lint:ignore nanflow nsub = 2^(MaxRungs-1) >= 1 by config validation
+	dtMin := s.Cfg.Dt / float64(nsub) //lint:ignore nanflow nsub = 2^(rungs-1) >= 1
 	kind := ""
 
 	if len(s.rung) != n {
@@ -108,9 +119,9 @@ func (s *Simulator) blockStep() error {
 	mask := s.maskBuf[:n]
 
 	if s.blockAcc == nil {
-		// Opening evaluation: first step, or after InvalidateForces. All
-		// particles are synchronized here, so evaluate everyone and seed
-		// the rung assignments from the fresh accelerations.
+		// Opening evaluation of the first step. All particles are
+		// synchronized here, so evaluate everyone and seed the rung
+		// assignments from the fresh accelerations.
 		a, _, err := s.accelerationsFor(nil)
 		if err != nil {
 			return err
@@ -172,9 +183,8 @@ func (s *Simulator) blockStep() error {
 			st.Set.Particles[i].Pos = st.Set.Particles[i].Pos.Add(st.Vel[i].Scale(dtI))
 		}
 
-		// A fully-active substep is evaluated through the unmasked path —
-		// structurally the same calls as the global-dt scheme, which makes
-		// the single-rung configuration bitwise identical to it.
+		// A fully-active substep (every substep of a one-rung run) takes
+		// the unmasked evaluation path.
 		m := mask
 		if activeAll {
 			m = nil
@@ -255,9 +265,16 @@ func (s *Simulator) blockStep() error {
 	for _, r := range s.rung {
 		occ[r]++
 	}
-	if kind == "" {
-		kind = s.lastRebuild
-	}
+	// Block counters first: AddBlock journals rung transitions, and only
+	// inside the step window do they carry this step's index.
+	obsCol.AddBlock(obs.BlockMetrics{
+		Substeps:   substeps,
+		ForceEvals: forceEvals,
+		Promotions: promotions,
+		Demotions:  demotions,
+		Staleness:  staleness,
+		Occupancy:  occ,
+	})
 	obsCol.StepEnd(mark, obs.StepInfo{
 		RefitKind:      kind,
 		N:              n,
@@ -272,20 +289,13 @@ func (s *Simulator) blockStep() error {
 		Demotions:      demotions,
 		Staleness:      staleness,
 	})
-	obsCol.AddBlock(obs.BlockMetrics{
-		Substeps:   substeps,
-		ForceEvals: forceEvals,
-		Promotions: promotions,
-		Demotions:  demotions,
-		Staleness:  staleness,
-		Occupancy:  occ,
-	})
 	return nil
 }
 
 // Rungs returns a copy of the current per-particle rung assignments
-// (original particle order), or nil before the first block step or outside
-// block mode. Diagnostic access for drivers reporting rung occupancy.
+// (original particle order), or nil before the first Step. A one-rung run
+// (MaxRungs 0 or 1) has every particle on rung 0. Diagnostic access for
+// drivers reporting rung occupancy.
 func (s *Simulator) Rungs() []int {
 	if s.blockAcc == nil || len(s.rung) == 0 {
 		return nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -22,40 +23,75 @@ func plummerState(t *testing.T, n int) State {
 	return State{Set: set, Vel: make([]vec.V3, set.N())}
 }
 
-// TestBlockSingleRungBitwiseGlobal pins the block scheme's anchor: with
-// MaxRungs = 1 the block machinery runs one fully-active substep per macro
-// step through the same unmasked evaluation calls as the global-dt path,
-// so whole trajectories must match it bit for bit — softened and not,
-// persistent engine and construct-per-call alike.
+// kdkSteps is the global-dt kick-drift-kick loop Step's one-rung case
+// replaced, kept as a reference: it advances st by k steps of dt, taking
+// every evaluation's accelerations from accel at st's current positions.
+// Like Step, it reuses each closing acceleration as the next opening kick,
+// so accel runs k+1 times.
+func kdkSteps(st State, dt float64, k int, accel func() ([]vec.V3, error)) error {
+	acc, err := accel()
+	if err != nil {
+		return err
+	}
+	for step := 0; step < k; step++ {
+		for i := range st.Vel {
+			st.Vel[i] = st.Vel[i].Add(acc[i].Scale(dt / 2))
+			st.Set.Particles[i].Pos = st.Set.Particles[i].Pos.Add(st.Vel[i].Scale(dt))
+		}
+		if acc, err = accel(); err != nil {
+			return err
+		}
+		for i := range st.Vel {
+			st.Vel[i] = st.Vel[i].Add(acc[i].Scale(dt / 2))
+		}
+	}
+	return nil
+}
+
+// TestBlockSingleRungBitwiseGlobal pins the block scheme's anchor: with one
+// rung (MaxRungs 0 or 1) Step runs one fully-active substep per macro step
+// through the same unmasked evaluation calls as kdkSteps on the simulator's
+// own engine, so whole trajectories must match it bit for bit — walk and
+// batched, softened and not, at a small and a large dt.
 func TestBlockSingleRungBitwiseGlobal(t *testing.T) {
-	for _, soften := range []float64{0, 0.05} {
-		for _, policy := range []RebuildPolicy{RebuildAuto, RebuildEvery} {
-			st := gaussianState(t, 300)
-			cfg := Config{Dt: 1e-3, Force: core.Config{Degree: 4, Soften: soften}, Rebuild: policy}
-			global, err := New(cloneState(st), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bcfg := cfg
-			bcfg.Block = BlockConfig{MaxRungs: 1}
-			block, err := New(cloneState(st), bcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := global.Run(5); err != nil {
-				t.Fatal(err)
-			}
-			if err := block.Run(5); err != nil {
-				t.Fatal(err)
-			}
-			for i := range st.Set.Particles {
-				gp := global.State.Set.Particles[i].Pos
-				bp := block.State.Set.Particles[i].Pos
-				if gp != bp { // single-rung block mode must reproduce the global-dt trajectory bitwise
-					t.Fatalf("soften=%v policy=%v: position %d diverged: global %v block %v", soften, policy, i, gp, bp)
+	const steps = 6
+	for _, mode := range []core.EvalMode{core.EvalWalk, core.EvalBatched} {
+		for _, soften := range []float64{0, 0.05} {
+			for _, dt := range []float64{1e-3, 1e-2} {
+				st := gaussianState(t, 300)
+				cfg := Config{Dt: dt, Force: core.Config{Degree: 4, Eval: mode, Workers: 2, Soften: soften}}
+				ref, err := New(cloneState(st), cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if global.State.Vel[i] != block.State.Vel[i] { // same: the schemes must be the same integrator
-					t.Fatalf("soften=%v policy=%v: velocity %d diverged", soften, policy, i)
+				err = kdkSteps(ref.State, dt, steps, func() ([]vec.V3, error) {
+					acc, _, err := ref.accelerationsFor(nil)
+					return acc, err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rungs := range []int{0, 1} {
+					bcfg := cfg
+					bcfg.Block = BlockConfig{MaxRungs: rungs}
+					s, err := New(cloneState(st), bcfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Run(steps); err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s soften=%v dt=%v rungs=%d", mode, soften, dt, rungs)
+					for i := range st.Set.Particles {
+						gp := ref.State.Set.Particles[i].Pos
+						bp := s.State.Set.Particles[i].Pos
+						if gp != bp { // the one-rung block scheme must reproduce the global-dt trajectory bitwise
+							t.Fatalf("%s: position %d diverged: global %v block %v", label, i, gp, bp)
+						}
+						if ref.State.Vel[i] != s.State.Vel[i] { // same: the schemes must be the same integrator
+							t.Fatalf("%s: velocity %d diverged", label, i)
+						}
+					}
 				}
 			}
 		}
@@ -218,9 +254,9 @@ func TestBlockRefitWithinBudget(t *testing.T) {
 // TestBlockStepSeriesAndKind pins the block path's per-step telemetry and
 // the opening-eval-kind rule: every macro step appends one sample carrying
 // the substep, force-eval, occupancy, and per-rung budget fields; the
-// first step (and a step after InvalidateForces) reports the fresh "build"
-// of its opening evaluation rather than the refit of a later substep.
-// Unsoftened, so the timestep criterion exercises the leaf-size scale.
+// first step reports the fresh "build" of its opening evaluation rather
+// than the refit of a later substep. Unsoftened, so the timestep criterion
+// exercises the leaf-size scale.
 func TestBlockStepSeriesAndKind(t *testing.T) {
 	col := obs.New()
 	st := plummerState(t, 300)
@@ -235,19 +271,12 @@ func TestBlockStepSeriesAndKind(t *testing.T) {
 	if err := s.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	s.InvalidateForces()
-	if err := s.Step(); err != nil {
-		t.Fatal(err)
-	}
 	samples := col.StepSamples()
-	if len(samples) != 3 {
-		t.Fatalf("3 macro steps produced %d samples", len(samples))
+	if len(samples) != 2 {
+		t.Fatalf("2 macro steps produced %d samples", len(samples))
 	}
 	if samples[0].RefitKind != "build" {
-		t.Fatalf("first step kind %q, want build", samples[0].RefitKind)
-	}
-	if samples[2].RefitKind != "build" {
-		t.Fatalf("post-invalidate step kind %q, want build (opening-eval kind wins)", samples[2].RefitKind)
+		t.Fatalf("first step kind %q, want build (opening-eval kind wins)", samples[0].RefitKind)
 	}
 	for i, sm := range samples {
 		if sm.Substeps <= 0 || sm.ForceEvals <= 0 {
@@ -279,8 +308,8 @@ func TestBlockStepSeriesAndKind(t *testing.T) {
 }
 
 // TestBlockRungJournal verifies rung transitions surface as coalesced
-// journal events and block-metric counters rather than vanishing into the
-// integrator.
+// journal events, stamped with their step, and block-metric counters
+// rather than vanishing into the integrator.
 func TestBlockRungJournal(t *testing.T) {
 	col := obs.New()
 	st := plummerState(t, 400)
@@ -303,6 +332,11 @@ func TestBlockRungJournal(t *testing.T) {
 	if counts[obs.EventRungPromote]+counts[obs.EventRungDemote] == 0 {
 		t.Fatalf("rung transitions (%d promotions, %d demotions) journaled no events: %v",
 			m.Block.Promotions, m.Block.Demotions, counts)
+	}
+	for _, ev := range col.Events() {
+		if (ev.Kind == obs.EventRungPromote || ev.Kind == obs.EventRungDemote) && ev.Step < 0 {
+			t.Fatalf("rung event not attributed to a step: %+v", ev)
+		}
 	}
 }
 
@@ -343,11 +377,11 @@ func TestAccelerationScratchReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.Accelerations(); err != nil { // warm up engine and scratch
+		if _, _, err := s.accelerationsFor(nil); err != nil { // warm up engine and scratch
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, err := s.Accelerations(); err != nil {
+			if _, _, err := s.accelerationsFor(nil); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"treecode/internal/core"
-	"treecode/internal/obs"
 	"treecode/internal/points"
 	"treecode/internal/vec"
 )
@@ -27,62 +26,24 @@ type State struct {
 	Vel []vec.V3
 }
 
-// RebuildPolicy selects how the simulator maintains its force evaluator
-// across steps.
-type RebuildPolicy int
-
-const (
-	// RebuildAuto (the default) keeps one persistent evaluator alive for
-	// the simulator's lifetime and moves it with Evaluator.Update each
-	// force evaluation: an in-place refit when per-step drift is small, an
-	// automatic full rebuild when the drift policy demands it. Under
-	// batched evaluation (core.EvalBatched) the persistent evaluator also
-	// carries its interaction-plan cache across steps, so steady-state
-	// force calls skip the dual-tree traversal almost entirely; the
-	// per-step plan reuse shows up in the obs time series (PlanReused,
-	// PlanRebuilt, PlanCollectNS on each StepSample).
-	RebuildAuto RebuildPolicy = iota
-	// RebuildEvery constructs a fresh evaluator for every force
-	// evaluation — the historical construct-per-call behavior, reproduced
-	// bit for bit, kept for comparison runs and bitwise regression tests.
-	RebuildEvery
-)
-
-func (p RebuildPolicy) String() string {
-	if p == RebuildEvery {
-		return "every"
-	}
-	return "auto"
-}
-
-// ParseRebuildPolicy parses the command-line spelling of a rebuild policy.
-func ParseRebuildPolicy(s string) (RebuildPolicy, error) {
-	switch s {
-	case "", "auto":
-		return RebuildAuto, nil
-	case "every":
-		return RebuildEvery, nil
-	}
-	return RebuildAuto, fmt.Errorf("sim: unknown rebuild policy %q (want auto or every)", s)
-}
-
 // BlockConfig configures hierarchical block timesteps — Valdarnini's
-// power-of-two individual-timestep scheme. Particles are binned into
-// rungs; rung r integrates with dt_r = Dt/2^r, so one Step call advances
-// the whole system by the macro step Dt in 2^(MaxRungs-1) substeps, each
-// evaluating forces only for the particles whose rung is due (every
-// particle stays a source at its last-drifted — possibly future — position,
-// the frozen mixed-age approximation). Rung assignment follows the
-// per-particle criterion dt_i = Eta*sqrt(scale_i/|a_i|), with scale_i the
-// softening length (Force.Soften) when positive and the particle's leaf
-// size otherwise; promotions to shorter timesteps apply immediately,
+// power-of-two individual-timestep scheme, which every Step runs; a global
+// step is its one-rung case. Particles are binned into rungs; rung r
+// integrates with dt_r = Dt/2^r, so one Step call advances the whole
+// system by the macro step Dt in 2^(MaxRungs-1) substeps (one for
+// MaxRungs 0), each evaluating forces only for the particles whose rung is
+// due (every particle stays a source at its last-drifted — possibly future
+// — position, the frozen mixed-age approximation). Rung assignment follows
+// the per-particle criterion dt_i = Eta*sqrt(scale_i/|a_i|), with scale_i
+// the softening length (Force.Soften) when positive and the particle's
+// leaf size otherwise; promotions to shorter timesteps apply immediately,
 // demotions only at substep boundaries aligned with the coarser rung's
 // schedule, so every particle's position time always lands on its own
 // rung grid.
 type BlockConfig struct {
-	// MaxRungs is the number of rung bins. 0 disables block timesteps
-	// (the global-dt scheme); 1 runs the block machinery with a single
-	// rung, which reproduces the global-dt trajectory bit for bit.
+	// MaxRungs is the number of rung bins. 0 and 1 are the same one-rung
+	// scheme: every particle steps the macro step Dt together, which is
+	// the global-dt kick-drift-kick leapfrog.
 	MaxRungs int
 	// Eta scales the timestep criterion dt_i = Eta*sqrt(scale_i/|a_i|).
 	// 0 means the default 0.3.
@@ -95,6 +56,10 @@ const maxBlockRungs = 16
 
 const defaultBlockEta = 0.3
 
+// rungs returns the rung count the scheme runs at: MaxRungs, with 0
+// meaning the one-rung (global-dt) case.
+func (b BlockConfig) rungs() int { return max(1, b.MaxRungs) }
+
 func (b BlockConfig) eta() float64 {
 	if b.Eta == 0 {
 		return defaultBlockEta
@@ -104,30 +69,30 @@ func (b BlockConfig) eta() float64 {
 
 // Config controls the simulation.
 type Config struct {
-	Dt      float64       // macro timestep
-	Force   core.Config   // treecode configuration used every step, softening included
-	Rebuild RebuildPolicy // evaluator lifecycle across steps (default auto)
-	Block   BlockConfig   // hierarchical block timesteps (zero = global dt)
+	Dt    float64     // macro timestep
+	Force core.Config // treecode configuration used every step, softening included
+	Block BlockConfig // hierarchical block timesteps (zero = one rung, global dt)
 }
 
 // Simulator advances an n-body system with leapfrog and treecode forces.
+//
+// Only Step may change State's positions, masses or particle count. Each
+// particle's opening kick reuses the acceleration of its last closing
+// kick, and the persistent engine follows positions alone, so a position
+// moved by hand is kicked with the force at its old place, and an edited
+// mass never reaches the forces (Energy does read it).
 type Simulator struct {
 	Cfg   Config
 	State State
 
 	Steps int
 
-	// acc caches the closing-kick acceleration of the previous Step. The
-	// opening kick of step k+1 needs the acceleration at exactly the
-	// positions the closing kick of step k used (nothing moves between
-	// them), so reusing it halves the force evaluations per step without
-	// changing a single bit of the trajectory.
-	acc []vec.V3
-
-	// eng is the persistent evaluator engine of the RebuildAuto policy: it
-	// lives for the simulator's lifetime and follows the particles through
-	// Evaluator.Update. posBuf is the reused original-order position
-	// snapshot handed to Update.
+	// eng is the persistent evaluator engine: it lives for the simulator's
+	// lifetime and follows the particles through Evaluator.UpdateFor — an
+	// in-place refit when per-step drift is small, a full rebuild when the
+	// drift policy demands it. Under batched evaluation it also carries
+	// its interaction-plan cache across steps. posBuf is the reused
+	// original-order position snapshot handed to UpdateFor.
 	eng    *core.Evaluator
 	posBuf []vec.V3
 
@@ -136,18 +101,18 @@ type Simulator struct {
 	// feeding the per-step obs time series.
 	lastRebuild string
 
-	// accBuf is the reused scratch behind the slice Accelerations returns
-	// (copy it to keep it across evaluations), sized on first use and grown
-	// monotonically.
+	// accBuf is the reused scratch behind the slice accelerationsFor
+	// returns, sized on first use and grown monotonically.
 	accBuf []vec.V3
 
-	// Block-timestep state (nil outside block mode). rung, blockAcc, and
+	// Block-timestep state (nil before the first Step). rung, blockAcc, and
 	// nextSub are indexed by original particle index: the particle's
 	// current rung, the acceleration from its most recent force evaluation
 	// (its next opening kick consumes it; valid across substeps because
-	// inactive particles do not move), and the substep index at which it is
-	// next due. scaleBuf is the per-particle leaf-size scratch of the
-	// unsoftened timestep criterion.
+	// inactive particles do not move, and across steps because nothing
+	// moves between a closing kick and the next opening kick), and the
+	// substep index at which it is next due. scaleBuf is the per-particle
+	// leaf-size scratch of the unsoftened multi-rung timestep criterion.
 	rung     []int
 	blockAcc []vec.V3
 	nextSub  []int
@@ -198,17 +163,12 @@ func finiteV3(v vec.V3) bool {
 		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
 }
 
-// evaluatorFor returns a treecode evaluator positioned at the current
-// State: a fresh construction under RebuildEvery (or on the engine's first
-// use), an incremental Evaluator.UpdateFor of the persistent engine
-// otherwise. The optional active mask (original particle indices; nil =
-// all moved) lets a block substep's refit touch only the moved particles'
-// ancestor chains.
+// evaluatorFor returns the persistent engine positioned at the current
+// State: a fresh construction on first use, an incremental
+// Evaluator.UpdateFor otherwise. The optional active mask (original
+// particle indices; nil = all moved) lets a block substep's refit touch
+// only the moved particles' ancestor chains.
 func (s *Simulator) evaluatorFor(active []bool) (*core.Evaluator, error) {
-	if s.Cfg.Rebuild == RebuildEvery {
-		s.lastRebuild = "build"
-		return core.New(s.State.Set, s.Cfg.Force)
-	}
 	if s.eng == nil {
 		e, err := core.New(s.State.Set, s.Cfg.Force)
 		if err != nil {
@@ -245,24 +205,18 @@ func (s *Simulator) accScratch(n int) []vec.V3 {
 	return s.accBuf
 }
 
-// Engine returns the persistent evaluator of the RebuildAuto policy, or
-// nil before the first force evaluation and under RebuildEvery. Read-only
-// diagnostic access (refit counters live in the evaluator's obs collector;
-// potentials at the current positions can be read off it directly).
+// Engine returns the persistent evaluator, or nil before the first force
+// evaluation. Read-only diagnostic access (refit counters live in the
+// evaluator's obs collector; potentials at the current positions can be
+// read off it directly).
 func (s *Simulator) Engine() *core.Evaluator { return s.eng }
 
-// Accelerations computes gravitational accelerations with the treecode.
-// The returned slice is the simulator's reused scratch: it is valid until
-// the next force evaluation; copy it to keep it longer.
-func (s *Simulator) Accelerations() ([]vec.V3, *core.Stats, error) {
-	return s.accelerationsFor(nil)
-}
-
-// accelerationsFor computes accelerations for the active target subset (by
-// original particle index; nil = everyone, identical to Accelerations).
-// With a mask, only active entries of the returned scratch are written —
-// the rest hold stale values from earlier evaluations. The engine applies
-// Force.Soften itself, in its near-field kernels.
+// accelerationsFor computes gravitational accelerations for the active
+// target subset (by original particle index; nil = everyone). The returned
+// slice is the simulator's reused scratch, valid until the next force
+// evaluation. With a mask, only active entries are written — the rest hold
+// stale values from earlier evaluations. The engine applies Force.Soften
+// itself, in its near-field kernels.
 func (s *Simulator) accelerationsFor(active []bool) ([]vec.V3, *core.Stats, error) {
 	e, err := s.evaluatorFor(active)
 	if err != nil {
@@ -283,78 +237,6 @@ func (s *Simulator) accelerationsFor(active []bool) ([]vec.V3, *core.Stats, erro
 		}
 	}
 	return acc, st, nil
-}
-
-// Step advances one kick-drift-kick timestep. The opening kick reuses the
-// previous step's closing acceleration when available (one force
-// evaluation per step instead of two); call InvalidateForces after
-// mutating positions or masses outside Step. With Block.MaxRungs > 0 the
-// step runs the hierarchical block-timestep scheme instead, advancing the
-// same macro interval Dt through per-rung substeps (see BlockConfig).
-//
-// When the force configuration carries an obs collector, Step appends one
-// StepSample to its per-step time series — the refit kind and evaluation
-// stats of the closing kick plus the collector's own counter deltas. With
-// obs disabled the mark is the inert zero value and no telemetry code runs.
-func (s *Simulator) Step() error {
-	if s.Cfg.Block.MaxRungs > 0 {
-		return s.blockStep()
-	}
-	mark := s.Cfg.Force.Obs.StepBegin()
-	acc := s.acc
-	// kind is the step's evaluator lifecycle for the time series. A step
-	// that pays an opening evaluation (first step, or after
-	// InvalidateForces) reports that kind — the fresh "build" — rather
-	// than the routine refit of its closing kick.
-	kind := ""
-	if acc == nil {
-		a, _, err := s.Accelerations()
-		if err != nil {
-			return err
-		}
-		acc = a
-		kind = s.lastRebuild
-	}
-	dt := s.Cfg.Dt
-	st := s.State
-	for i := range st.Vel {
-		st.Vel[i] = st.Vel[i].Add(acc[i].Scale(dt / 2))
-		st.Set.Particles[i].Pos = st.Set.Particles[i].Pos.Add(st.Vel[i].Scale(dt))
-	}
-	s.acc = nil // positions moved: the cache is stale until the closing kick
-	acc2, stats, err := s.Accelerations()
-	if err != nil {
-		return err
-	}
-	for i := range st.Vel {
-		st.Vel[i] = st.Vel[i].Add(acc2[i].Scale(dt / 2))
-	}
-	s.acc = acc2
-	s.Steps++
-	if kind == "" {
-		kind = s.lastRebuild
-	}
-	info := obs.StepInfo{RefitKind: kind, N: len(st.Vel)}
-	if stats != nil {
-		info.EvalWall = stats.EvalTime
-		info.BudgetReal = stats.BoundSum
-	}
-	s.Cfg.Force.Obs.StepEnd(mark, info)
-	return nil
-}
-
-// InvalidateForces drops the cached trailing acceleration and the
-// persistent evaluator engine. Call it after mutating State (positions,
-// masses, particle count) by hand: the next force evaluation recomputes
-// its opening kick and, under RebuildAuto, constructs a fresh engine —
-// a full rebuild — instead of refitting a tree whose charges and shape no
-// longer match the state.
-func (s *Simulator) InvalidateForces() {
-	s.acc = nil
-	s.eng = nil
-	s.posBuf = nil
-	s.blockAcc = nil // the next block step re-evaluates and re-seeds rungs
-	s.rung = nil
 }
 
 // Run advances k steps.

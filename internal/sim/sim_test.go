@@ -88,7 +88,7 @@ func TestSoftenedAccelFiniteForCoincident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, _, err := s.Accelerations()
+	acc, _, err := s.accelerationsFor(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSoftenedMatchesUnsoftenedAtLargeSeparation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc, _, err := s.Accelerations()
+		acc, _, err := s.accelerationsFor(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,49 +190,6 @@ func gaussianState(t *testing.T, n int) State {
 	return State{Set: set, Vel: make([]vec.V3, set.N())}
 }
 
-// TestStepAccelerationReuseBitwise pins the KDK optimization: reusing the
-// closing-kick acceleration of step k as the opening kick of step k+1 must
-// leave multi-step trajectories bitwise unchanged, because the positions
-// are identical at both kicks and Accelerations is a pure function of the
-// positions. The reference simulator invalidates the cache before every
-// step, which forces the historical evaluate-twice behavior. RebuildEvery
-// keeps both simulators on construct-per-call evaluators: InvalidateForces
-// also drops the persistent engine, so under RebuildAuto the reference
-// would legitimately differ by summation-order ulps from the refit path.
-func TestStepAccelerationReuseBitwise(t *testing.T) {
-	for _, soften := range []float64{0, 0.05} {
-		st := gaussianState(t, 300)
-		cfg := Config{Dt: 0.01, Force: core.Config{Degree: 4, Soften: soften}, Rebuild: RebuildEvery}
-		cached, err := New(cloneState(st), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := New(cloneState(st), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 5; step++ {
-			if err := cached.Step(); err != nil {
-				t.Fatal(err)
-			}
-			fresh.InvalidateForces()
-			if err := fresh.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := range st.Set.Particles {
-			cp := cached.State.Set.Particles[i].Pos
-			fp := fresh.State.Set.Particles[i].Pos
-			if cp != fp { // the reuse must be bitwise exact; any drift means the cache returned forces for the wrong positions
-				t.Fatalf("soften=%v: position %d diverged: cached %v fresh %v", soften, i, cp, fp)
-			}
-			if cached.State.Vel[i] != fresh.State.Vel[i] { // same: trajectories must match bitwise
-				t.Fatalf("soften=%v: velocity %d diverged", soften, i)
-			}
-		}
-	}
-}
-
 // countSpans returns how many top-level spans with the given name the
 // collector recorded.
 func countSpans(col *obs.Collector, name string) int {
@@ -245,31 +202,11 @@ func countSpans(col *obs.Collector, name string) int {
 	return n
 }
 
-// TestStepForceEvaluationCount verifies the cache halves the per-step
-// force evaluations: k steps cost k+1 force evaluations (2 for the first
-// step, 1 for each subsequent one) instead of 2k — under RebuildEvery,
-// k+1 tree builds.
-func TestStepForceEvaluationCount(t *testing.T) {
-	col := obs.New()
-	st := gaussianState(t, 200)
-	s, err := New(st, Config{Dt: 0.01, Force: core.Config{Degree: 3, Obs: col}, Rebuild: RebuildEvery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 4
-	if err := s.Run(k); err != nil {
-		t.Fatal(err)
-	}
-	if builds := countSpans(col, "core/build"); builds != k+1 {
-		t.Fatalf("%d steps cost %d tree builds, want %d (trailing acceleration not reused?)", k, builds, k+1)
-	}
-}
-
-// TestStepPersistentEngineRefits verifies the RebuildAuto lifecycle: one
-// construction when the engine is born, then one incremental Update per
-// subsequent force evaluation — k steps cost 1 build + k refits. Small dt
-// keeps per-step drift far below the fallback thresholds, so no Update
-// escalates to a rebuild.
+// TestStepPersistentEngineRefits verifies the simulator's one evaluator
+// lifecycle and its acceleration reuse: one construction when the engine
+// is born, then one incremental Update per subsequent force evaluation —
+// k steps cost 1 build + k refits. Small dt keeps per-step drift far below
+// the fallback thresholds, so no Update escalates to a rebuild.
 func TestStepPersistentEngineRefits(t *testing.T) {
 	col := obs.New()
 	st := gaussianState(t, 200)
@@ -282,44 +219,17 @@ func TestStepPersistentEngineRefits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if builds := countSpans(col, "core/build"); builds != 1 {
-		t.Fatalf("%d steps cost %d tree builds under auto, want 1", k, builds)
+		t.Fatalf("%d steps cost %d tree builds, want 1", k, builds)
 	}
 	if refits := countSpans(col, "core/refit"); refits != k {
-		t.Fatalf("%d steps cost %d refits under auto, want %d", k, refits, k)
+		t.Fatalf("%d steps cost %d refits, want %d", k, refits, k)
 	}
 	m := col.Metrics().Refit
 	if m.Updates != k || m.Refits != k || m.Rebuilds != 0 {
 		t.Fatalf("refit counters = %+v, want %d pure refits", m, k)
 	}
 	if s.Engine() == nil {
-		t.Fatal("persistent engine missing after auto-policy run")
-	}
-}
-
-// TestInvalidateForcesRebuildsEngine verifies the extended InvalidateForces
-// contract: it discards the persistent engine, so the next force
-// evaluation pays a full construction instead of refitting a tree that no
-// longer matches a hand-mutated state.
-func TestInvalidateForcesRebuildsEngine(t *testing.T) {
-	col := obs.New()
-	st := gaussianState(t, 150)
-	s, err := New(st, Config{Dt: 1e-4, Force: core.Config{Degree: 3, Obs: col}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(1); err != nil {
-		t.Fatal(err)
-	}
-	s.State.Set.Particles[0].Charge *= 2
-	s.InvalidateForces()
-	if s.Engine() != nil {
-		t.Fatal("InvalidateForces kept the engine alive")
-	}
-	if err := s.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if builds := countSpans(col, "core/build"); builds != 2 {
-		t.Fatalf("%d builds after InvalidateForces, want 2 (initial + forced)", builds)
+		t.Fatal("persistent engine missing after a run")
 	}
 }
 
@@ -337,7 +247,7 @@ func TestSoftenedStatsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := s.Accelerations()
+	_, stats, err := s.accelerationsFor(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +277,7 @@ func TestSoftenedStatsPopulated(t *testing.T) {
 // traversal per target, independent of the engine's kernels and traversal
 // modes: VisitInteractions' interaction set, a Plummer-softened direct sum
 // for every near-field pair, and an unsoftened EvaluateFieldFused with its
-// BoundAtFast bound for every accepted cluster. It returns accelerations
+// TruncationBoundFast bound for every accepted cluster. It returns accelerations
 // in original particle order and the stats an engine evaluation of the
 // same tree must reproduce.
 func referenceSoftenedAccel(e *core.Evaluator, eps float64) ([]vec.V3, core.Stats) {
@@ -381,7 +291,7 @@ func referenceSoftenedAccel(e *core.Evaluator, eps float64) ([]vec.V3, core.Stat
 			st.PC++
 			st.Terms += multipole.Terms(degree)
 			st.MaxDegree = max(st.MaxDegree, degree)
-			st.BoundSum += nd.Mp.BoundAtFast(xi, degree)
+			st.BoundSum += multipole.TruncationBoundFast(nd.Mp.AbsCharge, nd.Mp.Radius, xi.Dist(nd.Mp.Center), degree)
 			_, grad := nd.Mp.EvaluateFieldFused(xi, degree)
 			a = a.Add(grad) // attractive: a = +grad(phi) with phi = sum m/r
 		}, func(j int) {
@@ -421,7 +331,7 @@ func TestSoftenedForcesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				acc, got, err := s.Accelerations()
+				acc, got, err := s.accelerationsFor(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -475,39 +385,50 @@ func TestSoftenedForcesMatchReference(t *testing.T) {
 }
 
 // TestAutoMatchesEveryWithinBudget compares whole trajectories between the
-// persistent-engine policy and construct-per-call: both evaluate with
+// persistent engine and construct-per-call evaluation: both evaluate with
 // conservative MACs satisfying the same Theorem 2 budget, so after a few
 // steps the positions agree to treecode accuracy (far tighter than the
 // integration error, far looser than roundoff).
 func TestAutoMatchesEveryWithinBudget(t *testing.T) {
 	for _, soften := range []float64{0, 0.02} {
 		st := gaussianState(t, 400)
-		mk := func(p RebuildPolicy) *Simulator {
-			s, err := New(cloneState(st), Config{
-				Dt:      1e-3,
-				Force:   core.Config{Method: core.Adaptive, Degree: 8, Alpha: 0.4, Soften: soften},
-				Rebuild: p,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+		cfg := Config{
+			Dt:    1e-3,
+			Force: core.Config{Method: core.Adaptive, Degree: 8, Alpha: 0.4, Soften: soften},
 		}
-		auto, every := mk(RebuildAuto), mk(RebuildEvery)
+		auto, err := New(cloneState(st), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := auto.Run(5); err != nil {
 			t.Fatal(err)
 		}
-		if err := every.Run(5); err != nil {
+		// The construct-per-call lifecycle the simulator no longer has: a
+		// fresh core.New + Fields for every evaluation.
+		every := cloneState(st)
+		err = kdkSteps(every, cfg.Dt, 5, func() ([]vec.V3, error) {
+			e, err := core.New(every.Set, cfg.Force)
+			if err != nil {
+				return nil, err
+			}
+			_, field, _ := e.Fields()
+			acc := make([]vec.V3, len(field))
+			for i, f := range field {
+				acc[i] = f.Neg()
+			}
+			return acc, nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		var scale float64
 		for i := range st.Set.Particles {
-			scale = math.Max(scale, every.State.Set.Particles[i].Pos.Norm())
+			scale = math.Max(scale, every.Set.Particles[i].Pos.Norm())
 		}
 		for i := range st.Set.Particles {
-			d := auto.State.Set.Particles[i].Pos.Sub(every.State.Set.Particles[i].Pos).Norm()
+			d := auto.State.Set.Particles[i].Pos.Sub(every.Set.Particles[i].Pos).Norm()
 			if d > 1e-6*scale {
-				t.Fatalf("soften=%v: particle %d drifted %.3g between policies", soften, i, d)
+				t.Fatalf("soften=%v: particle %d drifted %.3g between lifecycles", soften, i, d)
 			}
 		}
 	}
@@ -540,7 +461,7 @@ func TestStepSeriesRecorded(t *testing.T) {
 			t.Fatalf("sample %d has step index %d", i, sm.Step)
 		}
 		if i > 0 && sm.RefitKind != "refit" {
-			t.Fatalf("step %d kind %q, want refit under auto policy", i, sm.RefitKind)
+			t.Fatalf("step %d kind %q, want refit", i, sm.RefitKind)
 		}
 		if sm.WallNS <= 0 || sm.EvalNS <= 0 || sm.WallNS < sm.EvalNS {
 			t.Fatalf("step %d timings implausible: %+v", i, sm)

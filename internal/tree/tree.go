@@ -425,17 +425,6 @@ func walk(n *Node, f func(*Node)) {
 	}
 }
 
-// WalkPost visits every node in post-order (children before parents), the
-// order needed by the upward multipole pass.
-func (t *Tree) WalkPost(f func(*Node)) { walkPost(t.Root, f) }
-
-func walkPost(n *Node, f func(*Node)) {
-	for _, c := range n.Children {
-		walkPost(c, f)
-	}
-	f(n)
-}
-
 // Leaves returns all leaf nodes in tree order.
 func (t *Tree) Leaves() []*Node {
 	return t.AppendLeaves(make([]*Node, 0, t.NLeaves))

@@ -252,22 +252,6 @@ func TestZeroChargeCluster(t *testing.T) {
 	}
 }
 
-func TestWalkPostOrder(t *testing.T) {
-	_, tr := buildUniform(t, 500, 8)
-	visited := make(map[*Node]bool)
-	tr.WalkPost(func(n *Node) {
-		for _, c := range n.Children {
-			if !visited[c] {
-				t.Fatal("post-order visited parent before child")
-			}
-		}
-		visited[n] = true
-	})
-	if len(visited) != tr.NNodes {
-		t.Fatal("post-order missed nodes")
-	}
-}
-
 func TestLeavesAndLevels(t *testing.T) {
 	_, tr := buildUniform(t, 1000, 8)
 	leaves := tr.Leaves()

@@ -82,7 +82,8 @@ type UpdateOpts struct {
 	// node's SrcDrift/TgtDrift is zeroed, since its contents provably
 	// did not move. Passing a mask that omits a particle whose position
 	// changed is a contract violation: the tree would keep stale
-	// geometry for it. nil means every particle may have moved.
+	// geometry for it. A non-nil mask has one entry per particle; nil
+	// means every particle may have moved.
 	Active []bool
 }
 
@@ -144,8 +145,9 @@ func (st UpdateStats) RebuildReason() string {
 // grows if some of them left it (see growRoot); all node statistics
 // refresh bottom-up with conservative radii (see the package comment).
 // When the returned stats report NeedRebuild the caller should discard the
-// tree and build fresh from the new positions. A NaN or infinite position is
-// rejected with an error wrapping points.ErrNonFinite before anything is
+// tree and build fresh from the new positions. A NaN or infinite position
+// (an error wrapping points.ErrNonFinite), or an Active mask whose length
+// is not the particle count, is rejected with an error before anything is
 // written, so the tree stays as it was.
 func (t *Tree) Update(pos []vec.V3, opts UpdateOpts) (UpdateStats, error) {
 	var st UpdateStats
@@ -154,6 +156,9 @@ func (t *Tree) Update(pos []vec.V3, opts UpdateOpts) (UpdateStats, error) {
 	}
 	if err := points.CheckFinitePositions(pos); err != nil {
 		return st, fmt.Errorf("tree: %w", err)
+	}
+	if opts.Active != nil && len(opts.Active) != len(pos) {
+		return st, fmt.Errorf("tree: active mask of %d entries for %d particles", len(opts.Active), len(pos))
 	}
 	opts.fill()
 	t.seq++

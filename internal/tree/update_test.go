@@ -391,3 +391,30 @@ func TestRootBoxContainsExtremes(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateRejectsBadActiveMask: an Active mask whose length is not the
+// particle count must fail before Update writes anything — Seq and Pos stay
+// as they were. A short mask used to panic mid-pass, after Pos had been
+// overwritten.
+func TestUpdateRejectsBadActiveMask(t *testing.T) {
+	set, _ := points.Generate(points.Uniform, 200, 1)
+	tr, err := Build(set, Config{LeafCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]vec.V3(nil), tr.Pos...)
+	pos := perturb(tr, rand.New(rand.NewSource(2)), 0.01)
+	for _, n := range []int{10, len(pos) - 1, len(pos) + 1} {
+		if _, err := tr.Update(pos, UpdateOpts{Active: make([]bool, n)}); err == nil {
+			t.Fatalf("mask of %d entries for %d particles accepted", n, len(pos))
+		}
+		if tr.Seq() != 0 {
+			t.Fatalf("mask of %d entries: Seq went to %d", n, tr.Seq())
+		}
+		for i := range before {
+			if !v3Bits(tr.Pos[i], before[i]) { // nothing may be written before the rejection
+				t.Fatalf("mask of %d entries: Pos[%d] overwritten", n, i)
+			}
+		}
+	}
+}

@@ -42,6 +42,9 @@ func (n *NBody) Step() error { return n.s.Step() }
 func (n *NBody) Run(k int) error { return n.s.Run(k) }
 
 // Particles returns the live particle slice (positions update in place).
+// Treat it as read-only: Step reuses each particle's last acceleration
+// for its opening kick and never rereads masses, so a position or mass
+// edited between steps does not reach the forces.
 func (n *NBody) Particles() []Particle { return n.s.State.Set.Particles }
 
 // Velocities returns the live velocity slice.
