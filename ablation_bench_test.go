@@ -73,30 +73,6 @@ func BenchmarkAblationLeafCap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSchedule compares the static costzones placement with
-// dynamic self-scheduling in the parallel cost simulator.
-func BenchmarkAblationSchedule(b *testing.B) {
-	set, _ := points.Generate(points.MultiGauss, 20000, 3)
-	e, err := core.New(set, core.Config{Method: core.Adaptive, Degree: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, s := range []parallel.Schedule{parallel.Static, parallel.Dynamic} {
-		b.Run(s.String(), func(b *testing.B) {
-			var rep *parallel.Report
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err = parallel.Simulate(e, 32, 64, s, parallel.CostModel{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(rep.Speedup, "speedup32")
-			b.ReportMetric(rep.Imbalance, "imbalance")
-		})
-	}
-}
-
 // BenchmarkAblationChunkSize explores the aggregation factor w of the
 // paper's parallel formulation.
 func BenchmarkAblationChunkSize(b *testing.B) {
@@ -110,7 +86,7 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 			var rep *parallel.Report
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err = parallel.Simulate(e, 32, w, parallel.Static, parallel.CostModel{})
+				rep, err = parallel.Simulate(e, 32, w, parallel.CostModel{}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -119,7 +119,7 @@ func BenchmarkTable2(b *testing.B) {
 				var rep *parallel.Report
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rep, err = parallel.Simulate(e, 32, 64, parallel.Static, parallel.CostModel{})
+					rep, err = parallel.Simulate(e, 32, 64, parallel.CostModel{}, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -77,7 +77,7 @@ func main() {
 				return
 			}
 			serial := parallel.MeasureTraced(e, 1, col).Seconds()
-			rep, err := parallel.SimulateTraced(e, *procs, *w, parallel.Static, parallel.CostModel{}, col)
+			rep, err := parallel.Simulate(e, *procs, *w, parallel.CostModel{}, col)
 			if err != nil {
 				fmt.Println("error:", err)
 				return

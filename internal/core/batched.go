@@ -37,14 +37,13 @@ package core
 // exactly — and emits the flat DFS plan the cached evaluation
 // replays in the fresh traversal's order bitwise.
 //
-// Leaf tasks are wildly uneven for clustered distributions, so they are
-// balanced by the work-stealing scheduler in internal/sched rather than the
-// static chunk slicing the walk uses. Results are independent of the
+// Leaf tasks are wildly uneven for clustered distributions; the
+// work-stealing scheduler in internal/sched, which also runs the walk's
+// target chunks (fanOut), balances them. Results are independent of the
 // schedule bitwise: each particle's contributions are summed in the
 // deterministic per-leaf list order, whichever worker runs the leaf.
 
 import (
-	"runtime"
 	"sync"
 
 	"treecode/internal/obs"
@@ -85,32 +84,17 @@ type planFrame struct {
 	patch int
 }
 
-// batchedLeaves drives one batched evaluation: leaf tasks over the
-// work-stealing scheduler, one batchWorker per goroutine, stats and shards
-// merged exactly as parallelChunks does, plus the pool's steal count folded
-// into the batch metrics. The body receives the leaf's index into
-// e.leaves/e.plans so workers address their plan slots directly; slots are
-// disjoint per task, so plan builds and repairs race nothing.
-func (e *Evaluator) batchedLeaves(workers int, parent *obs.Span, stats *Stats, body func(w *batchWorker, li int)) {
-	e.batchedOver(nil, nil, workers, parent, stats, body)
-}
-
-// batchedOver is batchedLeaves restricted to an explicit task list of leaf
-// indices (nil means every leaf) with an optional per-particle target mask
-// the workers consult in their particle loops — the batched engine of
-// FieldsFor. Leaves absent from the task list are never touched, so their
-// cached plans stay exactly as the last pass left them.
-func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent *obs.Span, stats *Stats, body func(w *batchWorker, li int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e.ensurePlans()
-	count := len(e.leaves)
-	if tasks != nil {
-		count = len(tasks)
-	}
+// fanOut runs tasks 0..count-1 of one evaluation on the work-stealing
+// scheduler — the walk's target chunks and the batched mode's target
+// leaves alike. Each goroutine gets one batchWorker, with its own obs shard
+// and "worker" span under parent, and plan scratch from the evaluator's
+// pool; at the end its stats merge into stats and its shard into the
+// collector. active is the per-particle target mask the batched particle
+// loops consult (nil for every particle). Tasks write disjoint outputs, so
+// results are bitwise independent of the schedule.
+func (e *Evaluator) fanOut(count, workers int, active []bool, parent *obs.Span, stats *Stats, task func(w *batchWorker, t int)) sched.Stats {
 	var mu sync.Mutex
-	st := sched.Run(count, workers, func(id int, next func() (int, bool)) {
+	return sched.Run(count, workers, func(id int, next func() (int, bool)) {
 		sp := parent.ChildWorker("worker", id)
 		ps, _ := e.scratchPool.Get().(*planScratch)
 		if ps == nil {
@@ -122,11 +106,7 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 			planScratch: ps,
 		}
 		for t, ok := next(); ok; t, ok = next() {
-			li := t
-			if tasks != nil {
-				li = tasks[t]
-			}
-			body(w, li)
+			task(w, t)
 		}
 		e.scratchPool.Put(ps)
 		mu.Lock()
@@ -134,6 +114,29 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 		mu.Unlock()
 		w.shard.Merge()
 		sp.End()
+	})
+}
+
+// batchedOver drives one batched evaluation: the leaves of an explicit
+// task list of leaf indices (nil means every leaf) as fanOut tasks, with an
+// optional per-particle target mask the workers consult in their particle
+// loops (FieldsFor), and the scheduler's steal count folded into the batch
+// metrics. The body receives the leaf's index into e.leaves/e.plans so
+// workers address their plan slots directly; slots are disjoint per task,
+// so plan builds and repairs race nothing. Leaves absent from the task
+// list are never touched, so their cached plans stay exactly as the last
+// pass left them.
+func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent *obs.Span, stats *Stats, body func(w *batchWorker, li int)) {
+	e.ensurePlans()
+	count := len(e.leaves)
+	if tasks != nil {
+		count = len(tasks)
+	}
+	st := e.fanOut(count, workers, active, parent, stats, func(w *batchWorker, t int) {
+		if tasks != nil {
+			t = tasks[t]
+		}
+		body(w, t)
 	})
 	e.Cfg.Obs.AddSteals(st.Steals)
 }

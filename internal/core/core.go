@@ -25,9 +25,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"treecode/internal/bounds"
@@ -341,15 +339,13 @@ func (e *Evaluator) PotentialsWithWorkers(workers int) ([]float64, *Stats) {
 	sp := e.Cfg.Obs.Start("core/potentials")
 	start := time.Now()
 	if e.Cfg.Eval == EvalBatched {
-		e.batchedLeaves(workers, sp, stats, func(w *batchWorker, li int) {
+		e.batchedOver(nil, nil, workers, sp, stats, func(w *batchWorker, li int) {
 			w.leafPotentials(li, out)
 		})
 	} else {
-		e.parallelChunks(n, workers, func(lo, hi int, w *worker) {
-			for i := lo; i < hi; i++ {
-				out[t.Perm[i]] = w.potential(t.Pos[i], i)
-			}
-		}, stats, sp)
+		e.walkChunks(n, workers, sp, stats, func(w *batchWorker, i int) {
+			out[t.Perm[i]] = w.potential(t.Pos[i], i)
+		})
 	}
 	stats.EvalTime = time.Since(start)
 	sp.End()
@@ -363,11 +359,9 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats) {
 	stats := e.newStats()
 	sp := e.Cfg.Obs.Start("core/potentials-at")
 	start := time.Now()
-	e.parallelChunks(len(targets), e.Cfg.Workers, func(lo, hi int, w *worker) {
-		for i := lo; i < hi; i++ {
-			out[i] = w.potential(targets[i], -1)
-		}
-	}, stats, sp)
+	e.walkChunks(len(targets), e.Cfg.Workers, sp, stats, func(w *batchWorker, i int) {
+		out[i] = w.potential(targets[i], -1)
+	})
 	stats.EvalTime = time.Since(start)
 	sp.End()
 	return out, stats
@@ -376,29 +370,7 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats) {
 // Fields returns the potential and field E = -grad(phi) at every particle
 // (self-excluded), in original order.
 func (e *Evaluator) Fields() ([]float64, []vec.V3, *Stats) {
-	t := e.Tree
-	n := len(t.Pos)
-	phi := make([]float64, n)
-	field := make([]vec.V3, n)
-	stats := e.newStats()
-	sp := e.Cfg.Obs.Start("core/fields")
-	start := time.Now()
-	if e.Cfg.Eval == EvalBatched {
-		e.batchedLeaves(e.Cfg.Workers, sp, stats, func(w *batchWorker, li int) {
-			w.leafFields(li, phi, field)
-		})
-	} else {
-		e.parallelChunks(n, e.Cfg.Workers, func(lo, hi int, w *worker) {
-			for i := lo; i < hi; i++ {
-				p, f := w.field(t.Pos[i], i)
-				phi[t.Perm[i]] = p
-				field[t.Perm[i]] = f
-			}
-		}, stats, sp)
-	}
-	stats.EvalTime = time.Since(start)
-	sp.End()
-	return phi, field, stats
+	return e.fields(nil)
 }
 
 // FieldsFor is Fields restricted to a target subset: active marks, by
@@ -412,12 +384,20 @@ func (e *Evaluator) Fields() ([]float64, []vec.V3, *Stats) {
 // Target leaves without an active particle are not processed at all, so
 // their cached interaction plans are neither built nor repaired: they
 // survive active-only refits untouched for the step that next needs them.
-// A non-nil mask has one entry per particle, as for UpdateFor; a nil mask
-// is Fields.
-func (e *Evaluator) FieldsFor(active []bool) ([]float64, []vec.V3, *Stats) {
-	if active == nil {
-		return e.Fields()
+// A non-nil mask has one entry per particle, as for UpdateFor; a mask of
+// any other length is rejected with an error before any plan is built or
+// repaired. A nil mask is Fields.
+func (e *Evaluator) FieldsFor(active []bool) ([]float64, []vec.V3, *Stats, error) {
+	if active != nil && len(active) != len(e.Tree.Pos) {
+		return nil, nil, nil, fmt.Errorf("core: active mask of %d entries for %d particles", len(active), len(e.Tree.Pos))
 	}
+	phi, field, stats := e.fields(active)
+	return phi, field, stats, nil
+}
+
+// fields is the body of Fields and FieldsFor; active is a checked mask or
+// nil.
+func (e *Evaluator) fields(active []bool) ([]float64, []vec.V3, *Stats) {
 	t := e.Tree
 	n := len(t.Pos)
 	phi := make([]float64, n)
@@ -426,12 +406,15 @@ func (e *Evaluator) FieldsFor(active []bool) ([]float64, []vec.V3, *Stats) {
 	sp := e.Cfg.Obs.Start("core/fields")
 	start := time.Now()
 	if e.Cfg.Eval == EvalBatched {
-		tasks := make([]int, 0, len(e.leaves))
-		for li, leaf := range e.leaves {
-			for i := leaf.Start; i < leaf.End; i++ {
-				if active[t.Perm[i]] {
-					tasks = append(tasks, li)
-					break
+		var tasks []int
+		if active != nil {
+			tasks = make([]int, 0, len(e.leaves))
+			for li, leaf := range e.leaves {
+				for i := leaf.Start; i < leaf.End; i++ {
+					if active[t.Perm[i]] {
+						tasks = append(tasks, li)
+						break
+					}
 				}
 			}
 		}
@@ -439,16 +422,14 @@ func (e *Evaluator) FieldsFor(active []bool) ([]float64, []vec.V3, *Stats) {
 			w.leafFields(li, phi, field)
 		})
 	} else {
-		e.parallelChunks(n, e.Cfg.Workers, func(lo, hi int, w *worker) {
-			for i := lo; i < hi; i++ {
-				if !active[t.Perm[i]] {
-					continue
-				}
-				p, f := w.field(t.Pos[i], i)
-				phi[t.Perm[i]] = p
-				field[t.Perm[i]] = f
+		e.walkChunks(n, e.Cfg.Workers, sp, stats, func(w *batchWorker, i int) {
+			if active != nil && !active[t.Perm[i]] {
+				return
 			}
-		}, stats, sp)
+			p, f := w.field(t.Pos[i], i)
+			phi[t.Perm[i]] = p
+			field[t.Perm[i]] = f
+		})
 	}
 	stats.EvalTime = time.Since(start)
 	sp.End()
@@ -475,66 +456,17 @@ type worker struct {
 	shard *obs.Shard
 }
 
-func (e *Evaluator) newWorker() *worker {
-	return &worker{e: e, shard: e.Cfg.Obs.NewShard()}
-}
-
-// parallelChunks runs body over [0,n) in ChunkSize blocks on the given
-// number of goroutines and merges per-worker stats (and, when obs is
-// enabled, per-worker metric shards and spans under parent).
-func (e *Evaluator) parallelChunks(n, workers int, body func(lo, hi int, w *worker), stats *Stats, parent *obs.Span) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// walkChunks runs the per-particle walk body over targets [0,n) in
+// ChunkSize blocks of consecutive (tree-ordered, hence proximity-
+// preserving) targets — the paper's w — one fanOut task per block.
+func (e *Evaluator) walkChunks(n, workers int, parent *obs.Span, stats *Stats, body func(w *batchWorker, i int)) {
 	chunk := e.Cfg.ChunkSize
-	nChunks := (n + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		sp := parent.ChildWorker("worker", 0)
-		w := e.newWorker()
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi, w)
+	e.fanOut((n+chunk-1)/chunk, workers, nil, parent, stats, func(w *batchWorker, c int) {
+		hi := min(n, (c+1)*chunk)
+		for i := c * chunk; i < hi; i++ {
+			body(w, i)
 		}
-		stats.add(&w.stats)
-		w.shard.Merge()
-		sp.End()
-		return
-	}
-	var next atomic.Int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func(g int) {
-			defer wg.Done()
-			sp := parent.ChildWorker("worker", g)
-			w := e.newWorker()
-			for {
-				c := next.Add(1) - 1
-				lo := int(c) * chunk
-				if lo >= n {
-					break
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi, w)
-			}
-			mu.Lock()
-			stats.add(&w.stats)
-			mu.Unlock()
-			w.shard.Merge()
-			sp.End()
-		}(g)
-	}
-	wg.Wait()
+	})
 }
 
 // potential evaluates the treecode potential at x; self >= 0 excludes the

@@ -355,11 +355,12 @@ func (g *Engine) Upward() {
 
 func (g *Engine) upward(c *EngineConfig) {
 	t := g.Tree
-	tree.LevelSyncUp(t, g.upScratch(c.Workers),
-		func(n *tree.Node, buf []complex128) {
+	bufs := g.upScratch(c.Workers)
+	tree.LevelSyncUp(t, len(bufs),
+		func(n *tree.Node, id int) {
 			st := g.up[n]
 			p := st.carry
-			buf = buf[:harmonics.Len(p)]
+			buf := bufs[id][:harmonics.Len(p)]
 			if n.Mp == nil || cap(n.Mp.Coeff) < len(buf) {
 				n.Mp = multipole.NewExpansion(n.Center, p)
 			} else {

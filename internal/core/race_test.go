@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"treecode/internal/points"
+	"treecode/internal/vec"
 )
 
 // raceSet builds a small deterministic workload for the -race exercises:
@@ -20,38 +23,62 @@ func raceSet(t *testing.T) *points.Set {
 }
 
 // TestPotentialsRace exercises one evaluator from concurrent goroutines,
-// each running a multi-worker evaluation. Run with -race; the results must
-// also be bit-identical because workers only write disjoint output slots.
+// each running a multi-worker evaluation: Potentials, and PotentialsAt at
+// off-particle targets. Run with -race; the results must also be
+// bit-identical to a one-worker evaluator's, because workers only write
+// disjoint output slots.
 func TestPotentialsRace(t *testing.T) {
 	set := raceSet(t)
-	e, err := New(set, Config{Method: Adaptive, Degree: 3, Alpha: 0.5, Workers: 4})
+	cfg := Config{Method: Adaptive, Degree: 3, Alpha: 0.5, Workers: 4}
+	e, err := New(set, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := e.Potentials()
+	targets := make([]vec.V3, 600)
+	rng := rand.New(rand.NewSource(5))
+	for i := range targets {
+		targets[i] = vec.V3{X: 1.2*rng.Float64() - 0.1, Y: 1.2*rng.Float64() - 0.1, Z: 1.2*rng.Float64() - 0.1}
+	}
+	cfg.Workers = 1
+	serial, err := New(set, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := serial.Potentials()
+	refAt, _ := serial.PotentialsAt(targets)
 
 	const callers = 4
 	results := make([][]float64, callers)
+	resultsAt := make([][]float64, callers)
 	var wg sync.WaitGroup
-	wg.Add(callers)
+	wg.Add(2 * callers)
 	for c := 0; c < callers; c++ {
 		go func(c int) {
 			defer wg.Done()
 			phi, _ := e.Potentials()
 			results[c] = phi
 		}(c)
+		go func(c int) {
+			defer wg.Done()
+			phi, _ := e.PotentialsAt(targets)
+			resultsAt[c] = phi
+		}(c)
 	}
 	wg.Wait()
-	for c, phi := range results {
-		if len(phi) != len(ref) {
-			t.Fatalf("caller %d: %d potentials, want %d", c, len(phi), len(ref))
-		}
-		for i := range phi {
-			if phi[i] != ref[i] {
-				t.Fatalf("caller %d: phi[%d] = %g differs from serial reference %g", c, i, phi[i], ref[i])
+	check := func(what string, got [][]float64, want []float64) {
+		for c, phi := range got {
+			if len(phi) != len(want) {
+				t.Fatalf("%s caller %d: %d potentials, want %d", what, c, len(phi), len(want))
+			}
+			for i := range phi {
+				if math.Float64bits(phi[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s caller %d: phi[%d] = %g differs from serial reference %g", what, c, i, phi[i], want[i])
+				}
 			}
 		}
 	}
+	check("Potentials", results, ref)
+	check("PotentialsAt", resultsAt, refAt)
 }
 
 // TestFieldsRace exercises concurrent Fields evaluations on one evaluator.

@@ -65,7 +65,7 @@ func TestEvaluatorUpdateIdentityBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Tree.RefreshGeometry(ref.Cfg.Workers)
+	ref.Tree.RefreshGeometry(ref.Cfg.Workers, nil)
 	ref.Upward()
 	want, _ := ref.Potentials()
 
@@ -286,9 +286,10 @@ func TestMigratingStepAllocs(t *testing.T) {
 }
 
 // TestUpdateForRejectsBadActiveMask: UpdateFor inherits tree.Update's
-// rejection of a mask whose length is not the particle count, so the
-// engine keeps evaluating the previous positions and the next Fields is
-// bitwise the one before the call, in both eval modes.
+// rejection of a mask whose length is not the particle count, and FieldsFor
+// rejects such a mask before any plan is built or repaired, so the engine
+// keeps evaluating the previous positions and the next Fields is bitwise
+// the one before the calls, in both eval modes.
 func TestUpdateForRejectsBadActiveMask(t *testing.T) {
 	set, _ := points.Generate(points.Uniform, 200, 1)
 	for _, mode := range []EvalMode{EvalWalk, EvalBatched} {
@@ -298,13 +299,18 @@ func TestUpdateForRejectsBadActiveMask(t *testing.T) {
 		}
 		phi0, field0, _ := e.Fields()
 		pos := newPositions(e, rand.New(rand.NewSource(2)), 0.01)
-		if _, err := e.UpdateFor(pos, make([]bool, 10)); err == nil {
-			t.Fatalf("%s: UpdateFor accepted a 10-entry mask for %d particles", mode, len(pos))
+		for _, n := range []int{10, len(pos) - 1, len(pos) + 1} {
+			if _, err := e.UpdateFor(pos, make([]bool, n)); err == nil {
+				t.Fatalf("%s: UpdateFor accepted a %d-entry mask for %d particles", mode, n, len(pos))
+			}
+			if _, _, _, err := e.FieldsFor(make([]bool, n)); err == nil {
+				t.Fatalf("%s: FieldsFor accepted a %d-entry mask for %d particles", mode, n, len(pos))
+			}
 		}
 		phi, field, _ := e.Fields()
 		bitsEqual(t, phi, phi0, mode.String())
 		for i := range field0 {
-			if field[i] != field0[i] { // the rejected call must leave the engine untouched
+			if field[i] != field0[i] { // the rejected calls must leave the engine untouched
 				t.Fatalf("%s: field %d changed to %v from %v", mode, i, field[i], field0[i])
 			}
 		}

@@ -1,16 +1,17 @@
 // Package direct computes exact O(n^2) potentials and fields. It is the
 // accuracy reference for every error measurement in the experiments (the
 // vector a in the paper's error definition ||a - a'|| / ||a||) and the
-// brute-force baseline for the benchmarks.
+// brute-force baseline for the benchmarks. Each function runs its target
+// loop on the work-stealing pool (internal/sched), one task per target;
+// every target's sum is its own, so results do not depend on the worker
+// count.
 package direct
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"treecode/internal/points"
+	"treecode/internal/sched"
 	"treecode/internal/vec"
 )
 
@@ -22,16 +23,18 @@ import (
 func SelfPotentials(set *points.Set, workers int) []float64 {
 	n := set.N()
 	out := make([]float64, n)
-	parallelFor(n, workers, func(i int) {
-		xi := set.Particles[i].Pos
-		var phi float64
-		for j, pj := range set.Particles {
-			if j == i {
-				continue
+	sched.Run(n, workers, func(_ int, next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			xi := set.Particles[i].Pos
+			var phi float64
+			for j, pj := range set.Particles {
+				if j == i {
+					continue
+				}
+				phi += pj.Charge / xi.Dist(pj.Pos)
 			}
-			phi += pj.Charge / xi.Dist(pj.Pos)
+			out[i] = phi
 		}
-		out[i] = phi
 	})
 	return out
 }
@@ -42,12 +45,14 @@ func SelfPotentials(set *points.Set, workers int) []float64 {
 //treecode:hot
 func Potentials(sources []points.Particle, targets []vec.V3, workers int) []float64 {
 	out := make([]float64, len(targets))
-	parallelFor(len(targets), workers, func(i int) {
-		var phi float64
-		for _, s := range sources {
-			phi += s.Charge / targets[i].Dist(s.Pos)
+	sched.Run(len(targets), workers, func(_ int, next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			var phi float64
+			for _, s := range sources {
+				phi += s.Charge / targets[i].Dist(s.Pos)
+			}
+			out[i] = phi
 		}
-		out[i] = phi
 	})
 	return out
 }
@@ -60,61 +65,24 @@ func SelfFields(set *points.Set, workers int) (phi []float64, field []vec.V3) {
 	n := set.N()
 	phi = make([]float64, n)
 	field = make([]vec.V3, n)
-	parallelFor(n, workers, func(i int) {
-		xi := set.Particles[i].Pos
-		var p float64
-		var f vec.V3
-		for j, pj := range set.Particles {
-			if j == i {
-				continue
+	sched.Run(n, workers, func(_ int, next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			xi := set.Particles[i].Pos
+			var p float64
+			var f vec.V3
+			for j, pj := range set.Particles {
+				if j == i {
+					continue
+				}
+				d := xi.Sub(pj.Pos)
+				r2 := d.Norm2()
+				invR := 1 / math.Sqrt(r2)
+				p += pj.Charge * invR
+				f = f.Add(d.Scale(pj.Charge * invR / r2))
 			}
-			d := xi.Sub(pj.Pos)
-			r2 := d.Norm2()
-			invR := 1 / math.Sqrt(r2)
-			p += pj.Charge * invR
-			f = f.Add(d.Scale(pj.Charge * invR / r2))
+			phi[i] = p
+			field[i] = f
 		}
-		phi[i] = p
-		field[i] = f
 	})
 	return phi, field
-}
-
-// parallelFor runs f(i) for i in [0, n) on the given number of workers.
-func parallelFor(n, workers int, f func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	const chunk = 64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := next.Add(chunk) - chunk
-				if lo >= int64(n) {
-					return
-				}
-				hi := lo + chunk
-				if hi > int64(n) {
-					hi = int64(n)
-				}
-				for i := lo; i < hi; i++ {
-					f(int(i))
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

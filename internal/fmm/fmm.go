@@ -26,13 +26,13 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"treecode/internal/core"
 	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
+	"treecode/internal/sched"
 	"treecode/internal/tree"
 )
 
@@ -127,10 +127,11 @@ type Evaluator struct {
 	core.Engine
 }
 
-// sweep is the mutable state of one Potentials call (task lists from the
-// dual-tree traversal, the accumulated local expansions and the per-worker
-// scratch of the translation kernels), kept per-call so concurrent
-// evaluations on one Evaluator share neither maps nor scratch.
+// sweep is the mutable state of one evaluation — Potentials, Fields or
+// PotentialsAt — (task lists from the dual-tree traversal, the accumulated
+// local expansions and the per-worker scratch of the translation kernels),
+// kept per call so concurrent evaluations on one Evaluator share neither
+// maps nor scratch.
 type sweep struct {
 	e        *Evaluator
 	locals   map[*tree.Node]*multipole.Local
@@ -206,7 +207,7 @@ func (e *Evaluator) Potentials() ([]float64, *Stats) {
 	s.traverse(t.Root, t.Root, st)
 	sp.End()
 	sp = esp.Child("m2l")
-	s.runM2L()
+	s.runM2L(t)
 	sp.End()
 	sp = esp.Child("p2p")
 	s.runP2P(out)
@@ -231,7 +232,9 @@ func (e *Evaluator) separated(a, b *tree.Node) bool {
 	return d > 0 && a.Radius+b.Radius <= e.Cfg.Alpha*d
 }
 
-// traverse pairs target node a with source node b, collecting tasks.
+// traverse pairs target node a with source node b, collecting tasks. a
+// may lie in a separate target tree (PotentialsAt), where the a == b cases
+// never arise.
 func (s *sweep) traverse(a, b *tree.Node, st *Stats) {
 	if a != b && s.e.separated(a, b) {
 		s.m2lTasks[a] = append(s.m2lTasks[a], b)
@@ -258,99 +261,78 @@ func (s *sweep) traverse(a, b *tree.Node, st *Stats) {
 	}
 }
 
-// runM2L executes all multipole-to-local conversions, one goroutine per
-// chunk of target nodes (each target's local is touched by exactly one
-// task list, so no synchronization on the expansions is needed).
-func (s *sweep) runM2L() {
-	e := s.e
-	targets := make([]*tree.Node, 0, len(s.m2lTasks))
-	// Deterministic order: tree order by Start index, ties by level.
-	e.Tree.Walk(func(n *tree.Node) {
-		if len(s.m2lTasks[n]) > 0 {
-			targets = append(targets, n)
-		}
-	})
+// runM2L executes all multipole-to-local conversions into locals of the
+// nodes of tt — the source tree itself, or PotentialsAt's target tree — at
+// each target node's Degree. It runs one task per target node on the
+// work-stealing pool (each target's local is touched by exactly one task
+// list, so no synchronization on the expansions is needed), and each
+// worker converts with the scratch its id keys.
+func (s *sweep) runM2L(tt *tree.Tree) {
+	targets := withTasks(tt, s.m2lTasks)
 	var mu sync.Mutex
-	e.parallelOver(len(targets), func(w, i int) {
-		a := targets[i]
-		la := multipole.NewLocal(a.Center, a.Degree)
-		for _, b := range s.m2lTasks[a] {
-			la.AccumulateM2L(b.Mp, s.bufs[w])
+	sched.Run(len(targets), s.e.Cfg.Workers, func(w int, next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			a := targets[i]
+			la := multipole.NewLocal(a.Center, a.Degree)
+			for _, b := range s.m2lTasks[a] {
+				la.AccumulateM2L(b.Mp, s.bufs[w])
+			}
+			mu.Lock()
+			s.locals[a] = la
+			mu.Unlock()
 		}
-		mu.Lock()
-		s.locals[a] = la
-		mu.Unlock()
 	})
 }
 
-// runP2P executes all near-field direct sums, one target leaf at a time
+// runP2P executes all near-field direct sums, one task per target leaf
 // (out slots of distinct leaves are disjoint).
 func (s *sweep) runP2P(out []float64) {
-	e := s.e
-	t := e.Tree
-	leaves := make([]*tree.Node, 0, len(s.p2pTasks))
-	e.Tree.Walk(func(n *tree.Node) {
-		if len(s.p2pTasks[n]) > 0 {
-			leaves = append(leaves, n)
-		}
-	})
-	e.parallelOver(len(leaves), func(_, li int) {
-		a := leaves[li]
-		for i := a.Start; i < a.End; i++ {
-			xi := t.Pos[i]
-			var phi float64
-			for _, b := range s.p2pTasks[a] {
-				for j := b.Start; j < b.End; j++ {
-					if i == j {
-						continue
+	t := s.e.Tree
+	leaves := withTasks(t, s.p2pTasks)
+	sched.Run(len(leaves), s.e.Cfg.Workers, func(_ int, next func() (int, bool)) {
+		for li, ok := next(); ok; li, ok = next() {
+			a := leaves[li]
+			for i := a.Start; i < a.End; i++ {
+				xi := t.Pos[i]
+				var phi float64
+				for _, b := range s.p2pTasks[a] {
+					for j := b.Start; j < b.End; j++ {
+						if i == j {
+							continue
+						}
+						r := xi.Dist(t.Pos[j])
+						if r == 0 {
+							continue
+						}
+						phi += t.Q[j] / r
 					}
-					r := xi.Dist(t.Pos[j])
-					if r == 0 {
-						continue
-					}
-					phi += t.Q[j] / r
 				}
+				out[i] += phi
 			}
-			out[i] += phi
 		}
 	})
 }
 
-// workers returns the configured worker count (0 means GOMAXPROCS).
+// withTasks lists the nodes of tt that have a task in tasks, in tree
+// order: the deterministic task list of a parallel phase.
+func withTasks(tt *tree.Tree, tasks map[*tree.Node][]*tree.Node) []*tree.Node {
+	nodes := make([]*tree.Node, 0, len(tasks))
+	tt.Walk(func(n *tree.Node) {
+		if len(tasks[n]) > 0 {
+			nodes = append(nodes, n)
+		}
+	})
+	return nodes
+}
+
+// workers returns the configured worker count (0 means GOMAXPROCS): the
+// most workers a sched.Run fan-out of an evaluation can use, and so the
+// number of per-worker scratch buffers it needs.
 func (e *Evaluator) workers() int {
 	if e.Cfg.Workers > 0 {
 		return e.Cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// parallelOver runs f(w, i) for i in [0,n) on at most e.workers()
-// goroutines; w < e.workers() numbers the goroutine making the call, so f
-// may use per-worker scratch indexed by w.
-func (e *Evaluator) parallelOver(n int, f func(w, i int)) {
-	workers := min(e.workers(), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				f(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // downward pushes local expansions to children and evaluates them at leaf

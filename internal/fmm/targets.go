@@ -2,11 +2,11 @@ package fmm
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"treecode/internal/multipole"
 	"treecode/internal/points"
+	"treecode/internal/sched"
 	"treecode/internal/tree"
 	"treecode/internal/vec"
 )
@@ -23,38 +23,35 @@ func (e *Evaluator) Fields() (phi []float64, field []vec.V3, st *Stats) {
 
 	s := e.newSweep()
 	s.traverse(t.Root, t.Root, st)
-	s.runM2L()
+	s.runM2L(t)
 
 	// Near field with forces.
-	leaves := make([]*tree.Node, 0, len(s.p2pTasks))
-	t.Walk(func(nd *tree.Node) {
-		if len(s.p2pTasks[nd]) > 0 {
-			leaves = append(leaves, nd)
-		}
-	})
-	e.parallelOver(len(leaves), func(_, li int) {
-		a := leaves[li]
-		for i := a.Start; i < a.End; i++ {
-			xi := t.Pos[i]
-			var p float64
-			var f vec.V3
-			for _, b := range s.p2pTasks[a] {
-				for j := b.Start; j < b.End; j++ {
-					if i == j {
-						continue
+	leaves := withTasks(t, s.p2pTasks)
+	sched.Run(len(leaves), e.Cfg.Workers, func(_ int, next func() (int, bool)) {
+		for li, ok := next(); ok; li, ok = next() {
+			a := leaves[li]
+			for i := a.Start; i < a.End; i++ {
+				xi := t.Pos[i]
+				var p float64
+				var f vec.V3
+				for _, b := range s.p2pTasks[a] {
+					for j := b.Start; j < b.End; j++ {
+						if i == j {
+							continue
+						}
+						d := xi.Sub(t.Pos[j])
+						r2 := d.Norm2()
+						if r2 == 0 {
+							continue
+						}
+						invR := 1 / math.Sqrt(r2)
+						p += t.Q[j] * invR
+						f = f.Add(d.Scale(t.Q[j] * invR / r2))
 					}
-					d := xi.Sub(t.Pos[j])
-					r2 := d.Norm2()
-					if r2 == 0 {
-						continue
-					}
-					invR := 1 / math.Sqrt(r2)
-					p += t.Q[j] * invR
-					f = f.Add(d.Scale(t.Q[j] * invR / r2))
 				}
+				outP[i] += p
+				outF[i] = outF[i].Add(f)
 			}
-			outP[i] += p
-			outF[i] = outF[i].Add(f)
 		}
 	})
 
@@ -110,85 +107,39 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
 	}
 	start := time.Now()
 
-	m2l := make(map[*tree.Node][]*tree.Node)
-	p2p := make(map[*tree.Node][]*tree.Node)
-	var trav func(a, b *tree.Node)
-	trav = func(a, b *tree.Node) {
-		d := a.Center.Dist(b.Center)
-		if d > 0 && a.Radius+b.Radius <= e.Cfg.Alpha*d {
-			m2l[a] = append(m2l[a], b)
-			st.M2L++
-			st.M2LTerms += multipole.Terms(b.Degree)
-			return
-		}
-		aLeaf, bLeaf := a.IsLeaf(), b.IsLeaf()
-		switch {
-		case aLeaf && bLeaf:
-			p2p[a] = append(p2p[a], b)
-			st.P2P += int64(a.Count()) * int64(b.Count())
-		case bLeaf || (!aLeaf && a.Radius >= b.Radius):
-			for _, c := range a.Children {
-				trav(c, b)
-			}
-		default:
-			for _, c := range b.Children {
-				trav(a, c)
-			}
+	s := e.newSweep()
+	s.traverse(tt.Root, e.Tree.Root, st)
+	// A target cluster's local takes the largest source degree it
+	// receives, floored at Cfg.Degree.
+	for a, srcs := range s.m2lTasks {
+		a.Degree = e.Cfg.Degree
+		for _, b := range srcs {
+			a.Degree = max(a.Degree, b.Degree)
 		}
 	}
-	trav(tt.Root, e.Tree.Root)
-
-	// M2L into target locals (degree = max source degree, floor Cfg.Degree).
-	locals := make(map[*tree.Node]*multipole.Local, len(m2l))
-	tgtNodes := make([]*tree.Node, 0, len(m2l))
-	tt.Walk(func(n *tree.Node) {
-		if len(m2l[n]) > 0 {
-			tgtNodes = append(tgtNodes, n)
-		}
-	})
-	bufs := e.sweepScratch()
-	var localsMu sync.Mutex
-	e.parallelOver(len(tgtNodes), func(w, i int) {
-		a := tgtNodes[i]
-		p := e.Cfg.Degree
-		for _, b := range m2l[a] {
-			if b.Degree > p {
-				p = b.Degree
-			}
-		}
-		la := multipole.NewLocal(a.Center, p)
-		for _, b := range m2l[a] {
-			la.AccumulateM2L(b.Mp, bufs[w])
-		}
-		localsMu.Lock()
-		locals[a] = la
-		localsMu.Unlock()
-	})
+	s.runM2L(tt)
 
 	out := make([]float64, len(targets)) // target tree order
 	// Near field.
-	tLeaves := make([]*tree.Node, 0, len(p2p))
-	tt.Walk(func(n *tree.Node) {
-		if len(p2p[n]) > 0 {
-			tLeaves = append(tLeaves, n)
-		}
-	})
+	tLeaves := withTasks(tt, s.p2pTasks)
 	src := e.Tree
-	e.parallelOver(len(tLeaves), func(_, li int) {
-		a := tLeaves[li]
-		for i := a.Start; i < a.End; i++ {
-			x := tt.Pos[i]
-			var phi float64
-			for _, b := range p2p[a] {
-				for j := b.Start; j < b.End; j++ {
-					r := x.Dist(src.Pos[j])
-					if r == 0 {
-						continue
+	sched.Run(len(tLeaves), e.Cfg.Workers, func(_ int, next func() (int, bool)) {
+		for li, ok := next(); ok; li, ok = next() {
+			a := tLeaves[li]
+			for i := a.Start; i < a.End; i++ {
+				x := tt.Pos[i]
+				var phi float64
+				for _, b := range s.p2pTasks[a] {
+					for j := b.Start; j < b.End; j++ {
+						r := x.Dist(src.Pos[j])
+						if r == 0 {
+							continue
+						}
+						phi += src.Q[j] / r
 					}
-					phi += src.Q[j] / r
 				}
+				out[i] += phi
 			}
-			out[i] += phi
 		}
 	})
 
@@ -196,7 +147,7 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
 	// degree than the child's own; the child's local then grows to it.
 	var down func(n *tree.Node, inherited *multipole.Local)
 	down = func(n *tree.Node, inherited *multipole.Local) {
-		l := locals[n]
+		l := s.locals[n]
 		if inherited != nil {
 			deg := max(e.Cfg.Degree, inherited.Degree)
 			if l != nil {
@@ -209,12 +160,12 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
 				}
 				l = grown
 			}
-			l.AccumulateL2L(inherited, bufs[0])
+			l.AccumulateL2L(inherited, s.bufs[0])
 		}
 		if n.IsLeaf() {
 			if l != nil {
 				for i := n.Start; i < n.End; i++ {
-					out[i] += l.EvaluateBuf(tt.Pos[i], bufs[0])
+					out[i] += l.EvaluateBuf(tt.Pos[i], s.bufs[0])
 				}
 			}
 			return

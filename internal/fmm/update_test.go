@@ -50,7 +50,7 @@ func TestFMMUpdateRefit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Tree.RefreshGeometry(ref.Cfg.Workers)
+	ref.Tree.RefreshGeometry(ref.Cfg.Workers, nil)
 	ref.Upward()
 	want, _ := ref.Potentials()
 

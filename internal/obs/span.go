@@ -157,10 +157,3 @@ func renderSpans(b *strings.Builder, spans []SpanData, depth int) {
 		renderSpans(b, s.Children, depth+1)
 	}
 }
-
-// PhaseTiming is a flat (name, duration) pair for reports that carry
-// coarse phase data without a full span tree — parallel.Report uses it.
-type PhaseTiming struct {
-	Name string        `json:"name"`
-	Dur  time.Duration `json:"dur_ns"`
-}

@@ -8,67 +8,43 @@ import (
 	"treecode/internal/obs"
 )
 
-// TestReportScheduleInvariants checks the placement bookkeeping for both
-// schedules: every chunk lands on exactly one processor, so the per-processor
-// costs must sum to the serial cost plus one overhead per chunk, and every
+// TestReportScheduleInvariants checks the costzones placement bookkeeping:
+// every chunk lands on exactly one processor, so the per-processor costs
+// must sum to the serial cost plus one overhead per chunk, and every
 // processor index stays in range.
 func TestReportScheduleInvariants(t *testing.T) {
 	e := buildEval(t, core.Adaptive, 5000)
 	model := CostModel{ChunkOverhead: 7}
-	for _, sched := range []Schedule{Static, Dynamic} {
-		rep, err := Simulate(e, 11, 48, sched, model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := (5000 + 47) / 48; rep.Chunks != want {
-			t.Errorf("%v: chunks = %d, want %d", sched, rep.Chunks, want)
-		}
-		if len(rep.WorkPer) != 11 || len(rep.CommPer) != 11 {
-			t.Fatalf("%v: per-proc slices sized %d/%d, want 11", sched, len(rep.WorkPer), len(rep.CommPer))
-		}
-		var sum float64
-		for p, w := range rep.WorkPer {
-			if w < 0 || rep.CommPer[p] < 0 {
-				t.Errorf("%v: negative cost on proc %d", sched, p)
-			}
-			sum += w
-		}
-		want := rep.SerialCost + float64(rep.Chunks)*model.ChunkOverhead
-		if math.Abs(sum-want) > 1e-9*want {
-			t.Errorf("%v: chunk placement lost work: per-proc sum %v, want %v", sched, sum, want)
-		}
-		// Makespan is the maximum per-processor total, never below it.
-		var maxT float64
-		for p := range rep.WorkPer {
-			if tot := rep.WorkPer[p] + rep.CommPer[p]; tot > maxT {
-				maxT = tot
-			}
-		}
-		if rep.Makespan != maxT {
-			t.Errorf("%v: makespan %v != max per-proc total %v", sched, rep.Makespan, maxT)
-		}
-	}
-}
-
-// TestSimulatePhases verifies Report.Phases records the simulator's own
-// passes in order, with or without a collector attached.
-func TestSimulatePhases(t *testing.T) {
-	e := buildEval(t, core.Original, 3000)
-	rep, err := Simulate(e, 4, 64, Static, CostModel{})
+	rep, err := Simulate(e, 11, 48, model, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNames := []string{"profile", "place", "tally"}
-	if len(rep.Phases) != len(wantNames) {
-		t.Fatalf("Phases = %v, want %v", rep.Phases, wantNames)
+	if want := (5000 + 47) / 48; rep.Chunks != want {
+		t.Errorf("chunks = %d, want %d", rep.Chunks, want)
 	}
-	for i, ph := range rep.Phases {
-		if ph.Name != wantNames[i] {
-			t.Errorf("phase %d = %q, want %q", i, ph.Name, wantNames[i])
+	if len(rep.WorkPer) != 11 || len(rep.CommPer) != 11 {
+		t.Fatalf("per-proc slices sized %d/%d, want 11", len(rep.WorkPer), len(rep.CommPer))
+	}
+	var sum float64
+	for p, w := range rep.WorkPer {
+		if w < 0 || rep.CommPer[p] < 0 {
+			t.Errorf("negative cost on proc %d", p)
 		}
-		if ph.Dur < 0 {
-			t.Errorf("phase %q has negative duration %v", ph.Name, ph.Dur)
+		sum += w
+	}
+	want := rep.SerialCost + float64(rep.Chunks)*model.ChunkOverhead
+	if math.Abs(sum-want) > 1e-9*want {
+		t.Errorf("chunk placement lost work: per-proc sum %v, want %v", sum, want)
+	}
+	// Makespan is the maximum per-processor total, never below it.
+	var maxT float64
+	for p := range rep.WorkPer {
+		if tot := rep.WorkPer[p] + rep.CommPer[p]; tot > maxT {
+			maxT = tot
 		}
+	}
+	if rep.Makespan != maxT {
+		t.Errorf("makespan %v != max per-proc total %v", rep.Makespan, maxT)
 	}
 }
 
@@ -77,7 +53,7 @@ func TestSimulatePhases(t *testing.T) {
 func TestSimulateTracedSpans(t *testing.T) {
 	e := buildEval(t, core.Original, 2000)
 	col := obs.New()
-	if _, err := SimulateTraced(e, 4, 64, Static, CostModel{}, col); err != nil {
+	if _, err := Simulate(e, 4, 64, CostModel{}, col); err != nil {
 		t.Fatal(err)
 	}
 	if d := MeasureTraced(e, 2, col); d <= 0 {

@@ -63,31 +63,10 @@ func (m *CostModel) fill() {
 	}
 }
 
-// Schedule selects how chunks are placed on processors.
-type Schedule int
-
-const (
-	// Static assigns each processor a contiguous run of chunks balanced by
-	// predicted work (costzones over the proximity order) — the locality-
-	// preserving choice, and the default.
-	Static Schedule = iota
-	// Dynamic assigns each chunk to the currently least-loaded processor
-	// (self-scheduling work queue).
-	Dynamic
-)
-
-func (s Schedule) String() string {
-	if s == Dynamic {
-		return "dynamic"
-	}
-	return "static"
-}
-
 // Report summarizes one simulated run.
 type Report struct {
 	Procs      int
 	Chunks     int
-	Schedule   Schedule
 	SerialCost float64   // total work, single processor, no comm/overhead
 	Makespan   float64   // simulated parallel time
 	Speedup    float64   // SerialCost / Makespan
@@ -96,11 +75,6 @@ type Report struct {
 	CommPer    []float64 // per-processor communication cost
 	CommWords  float64   // total remote coefficient words fetched
 	Imbalance  float64   // max work / mean work
-	// Phases holds the wall-clock durations of the simulator's own passes
-	// (profile, place, tally) — the span data of the simulation itself,
-	// always populated, mirrored into the obs collector when one is given
-	// to SimulateTraced.
-	Phases []obs.PhaseTiming
 }
 
 // chunkProfile is the measured cost signature of one chunk of targets.
@@ -111,15 +85,12 @@ type chunkProfile struct {
 
 // Simulate runs the cost model for the evaluator's workload: targets are the
 // evaluator's own particles in tree (proximity) order, grouped into chunks
-// of w, placed on procs processors.
-func Simulate(e *core.Evaluator, procs, w int, sched Schedule, model CostModel) (*Report, error) {
-	return SimulateTraced(e, procs, w, sched, model, nil)
-}
-
-// SimulateTraced is Simulate with an observability collector: the
-// simulator's profile / place / tally passes are recorded as nested spans
-// (and always mirrored into Report.Phases, collector or not).
-func SimulateTraced(e *core.Evaluator, procs, w int, sched Schedule, model CostModel, col *obs.Collector) (*Report, error) {
+// of w (0 means 64), placed on procs processors by static costzones — each
+// processor a contiguous run of chunks of equal predicted work, the
+// locality-preserving placement. The simulator's profile / place / tally
+// passes are recorded as nested spans of a "parallel/simulate" span of col
+// (nil records nothing).
+func Simulate(e *core.Evaluator, procs, w int, model CostModel, col *obs.Collector) (*Report, error) {
 	if procs <= 0 {
 		return nil, fmt.Errorf("parallel: procs must be positive, got %d", procs)
 	}
@@ -129,12 +100,6 @@ func SimulateTraced(e *core.Evaluator, procs, w int, sched Schedule, model CostM
 	model.fill()
 	root := col.Start("parallel/simulate")
 	defer root.End()
-	var phases []obs.PhaseTiming
-	phaseStart := time.Now()
-	endPhase := func(name string) {
-		phases = append(phases, obs.PhaseTiming{Name: name, Dur: time.Since(phaseStart)})
-		phaseStart = time.Now()
-	}
 	t := e.Tree
 	n := len(t.Pos)
 	nChunks := (n + w - 1) / w
@@ -143,10 +108,7 @@ func SimulateTraced(e *core.Evaluator, procs, w int, sched Schedule, model CostM
 	sp := root.Child("profile")
 	profiles := make([]chunkProfile, nChunks)
 	for c := range profiles {
-		lo, hi := c*w, (c+1)*w
-		if hi > n {
-			hi = n
-		}
+		lo, hi := c*w, min((c+1)*w, n)
 		p := chunkProfile{nodes: make(map[*tree.Node]struct{})}
 		for i := lo; i < hi; i++ {
 			e.VisitInteractions(t.Pos[i], i, func(nd *tree.Node, degree int) {
@@ -159,13 +121,11 @@ func SimulateTraced(e *core.Evaluator, procs, w int, sched Schedule, model CostM
 		profiles[c] = p
 	}
 	sp.End()
-	endPhase("profile")
 
 	// Place chunks on processors.
 	sp = root.Child("place")
-	owner := placeChunks(profiles, procs, sched)
+	owner := placeChunks(profiles, procs)
 	sp.End()
-	endPhase("place")
 	sp = root.Child("tally")
 
 	// Node homes: the processor owning the chunk containing the node's
@@ -173,11 +133,10 @@ func SimulateTraced(e *core.Evaluator, procs, w int, sched Schedule, model CostM
 	home := func(nd *tree.Node) int { return owner[min(nd.Start/w, nChunks-1)] }
 
 	rep := &Report{
-		Procs:    procs,
-		Chunks:   nChunks,
-		Schedule: sched,
-		WorkPer:  make([]float64, procs),
-		CommPer:  make([]float64, procs),
+		Procs:   procs,
+		Chunks:  nChunks,
+		WorkPer: make([]float64, procs),
+		CommPer: make([]float64, procs),
 	}
 	fetched := make([]map[*tree.Node]struct{}, procs)
 	for i := range fetched {
@@ -225,47 +184,29 @@ func SimulateTraced(e *core.Evaluator, procs, w int, sched Schedule, model CostM
 		rep.Imbalance = mw / mean
 	}
 	sp.End()
-	endPhase("tally")
-	rep.Phases = phases
 	return rep, nil
 }
 
-// placeChunks returns the owning processor of every chunk.
-func placeChunks(profiles []chunkProfile, procs int, sched Schedule) []int {
+// placeChunks returns the owning processor of every chunk under static
+// costzones: contiguous runs of chunks, equal predicted work per processor.
+func placeChunks(profiles []chunkProfile, procs int) []int {
 	owner := make([]int, len(profiles))
 	if procs <= 0 {
 		return owner // degenerate caller: everything on processor 0
 	}
-	switch sched {
-	case Dynamic:
-		// Least-loaded processor takes the next chunk (arrival order, which
-		// preserves rough locality since chunks arrive in proximity order).
-		load := make([]float64, procs)
-		for c, p := range profiles {
-			best := 0
-			for q := 1; q < procs; q++ {
-				if load[q] < load[best] {
-					best = q
-				}
-			}
-			owner[c] = best
-			load[best] += p.work
+	var total float64
+	for _, p := range profiles {
+		total += p.work
+	}
+	target := total / float64(procs)
+	proc := 0
+	var acc float64
+	for c, p := range profiles {
+		if acc > target*float64(proc+1) && proc < procs-1 {
+			proc++
 		}
-	default: // Static costzones: contiguous, equal predicted work.
-		var total float64
-		for _, p := range profiles {
-			total += p.work
-		}
-		target := total / float64(procs)
-		proc := 0
-		var acc float64
-		for c, p := range profiles {
-			if acc > target*float64(proc+1) && proc < procs-1 {
-				proc++
-			}
-			owner[c] = proc
-			acc += p.work
-		}
+		owner[c] = proc
+		acc += p.work
 	}
 	return owner
 }
@@ -289,11 +230,4 @@ func MeasureTraced(e *core.Evaluator, workers int, col *obs.Collector) time.Dura
 	d := time.Since(start)
 	sp.End()
 	return d
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -23,7 +23,7 @@ func buildEval(t testing.TB, method core.Method, n int) *core.Evaluator {
 
 func TestSimulateBasicShape(t *testing.T) {
 	e := buildEval(t, core.Original, 8000)
-	r1, err := Simulate(e, 1, 64, Static, CostModel{})
+	r1, err := Simulate(e, 1, 64, CostModel{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSimulateBasicShape(t *testing.T) {
 		t.Errorf("1-proc speedup = %v", r1.Speedup)
 	}
 
-	r32, err := Simulate(e, 32, 64, Static, CostModel{})
+	r32, err := Simulate(e, 32, 64, CostModel{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSpeedupGrowsWithProcs(t *testing.T) {
 	e := buildEval(t, core.Original, 8000)
 	prev := 0.0
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		r, err := Simulate(e, p, 64, Static, CostModel{})
+		r, err := Simulate(e, p, 64, CostModel{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestSpeedupGrowsWithProcs(t *testing.T) {
 func TestAdaptiveCommunicatesMore(t *testing.T) {
 	orig := buildEval(t, core.Original, 10000)
 	adpt := buildEval(t, core.Adaptive, 10000)
-	ro, err := Simulate(orig, 32, 64, Static, CostModel{})
+	ro, err := Simulate(orig, 32, 64, CostModel{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := Simulate(adpt, 32, 64, Static, CostModel{})
+	ra, err := Simulate(adpt, 32, 64, CostModel{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,32 +99,13 @@ func TestAdaptiveCommunicatesMore(t *testing.T) {
 		ro.Speedup, ra.Speedup, ro.CommWords, ra.CommWords)
 }
 
-func TestSchedules(t *testing.T) {
-	e := buildEval(t, core.Original, 6000)
-	st, err := Simulate(e, 16, 32, Static, CostModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dy, err := Simulate(e, 16, 32, Dynamic, CostModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dynamic should balance at least as well as static.
-	if dy.Imbalance > st.Imbalance*1.05 {
-		t.Errorf("dynamic imbalance %v worse than static %v", dy.Imbalance, st.Imbalance)
-	}
-	if Static.String() != "static" || Dynamic.String() != "dynamic" {
-		t.Error("Schedule.String")
-	}
-}
-
 func TestSimulateErrors(t *testing.T) {
 	e := buildEval(t, core.Original, 500)
-	if _, err := Simulate(e, 0, 64, Static, CostModel{}); err == nil {
+	if _, err := Simulate(e, 0, 64, CostModel{}, nil); err == nil {
 		t.Error("procs=0 should error")
 	}
 	// w defaulting.
-	if r, err := Simulate(e, 2, 0, Static, CostModel{}); err != nil || r.Chunks <= 0 {
+	if r, err := Simulate(e, 2, 0, CostModel{}, nil); err != nil || r.Chunks <= 0 {
 		t.Error("w=0 should default")
 	}
 }
@@ -145,11 +126,11 @@ func TestMeasureRuns(t *testing.T) {
 func TestCustomCostModel(t *testing.T) {
 	e := buildEval(t, core.Original, 4000)
 	// Expensive communication should depress speedup.
-	cheap, err := Simulate(e, 16, 64, Static, CostModel{WordCost: 0.01})
+	cheap, err := Simulate(e, 16, 64, CostModel{WordCost: 0.01}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dear, err := Simulate(e, 16, 64, Static, CostModel{WordCost: 50})
+	dear, err := Simulate(e, 16, 64, CostModel{WordCost: 50}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +139,8 @@ func TestCustomCostModel(t *testing.T) {
 			dear.Speedup, cheap.Speedup)
 	}
 	// Heavy chunk overhead should also depress speedup at small w.
-	light, _ := Simulate(e, 16, 16, Static, CostModel{ChunkOverhead: 1})
-	heavy, _ := Simulate(e, 16, 16, Static, CostModel{ChunkOverhead: 1e6})
+	light, _ := Simulate(e, 16, 16, CostModel{ChunkOverhead: 1}, nil)
+	heavy, _ := Simulate(e, 16, 16, CostModel{ChunkOverhead: 1e6}, nil)
 	if heavy.Speedup >= light.Speedup {
 		t.Errorf("chunk overhead should reduce speedup: %v vs %v",
 			heavy.Speedup, light.Speedup)
@@ -168,8 +149,8 @@ func TestCustomCostModel(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	e := buildEval(t, core.Adaptive, 3000)
-	a, _ := Simulate(e, 8, 64, Static, CostModel{})
-	b, _ := Simulate(e, 8, 64, Static, CostModel{})
+	a, _ := Simulate(e, 8, 64, CostModel{}, nil)
+	b, _ := Simulate(e, 8, 64, CostModel{}, nil)
 	if a.Makespan != b.Makespan || a.CommWords != b.CommWords || a.Speedup != b.Speedup {
 		t.Error("simulation not deterministic")
 	}

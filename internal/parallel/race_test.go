@@ -21,7 +21,7 @@ func TestSimulateRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Simulate(e, 4, 2, Static, CostModel{})
+	ref, err := Simulate(e, 4, 2, CostModel{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSimulateRace(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		go func() {
 			defer wg.Done()
-			rep, err := Simulate(e, 4, 2, Static, CostModel{})
+			rep, err := Simulate(e, 4, 2, CostModel{}, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -50,7 +50,7 @@ func TestSimulateRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTracedSharedCollectorRace drives SimulateTraced and MeasureTraced from
+// TestTracedSharedCollectorRace drives Simulate and MeasureTraced from
 // several goroutines into ONE collector while another goroutine repeatedly
 // snapshots it (run with -race). The span data must survive intact: every
 // simulate/measure call leaves exactly one finished root span.
@@ -84,7 +84,7 @@ func TestTracedSharedCollectorRace(t *testing.T) {
 	for i := 0; i < simRuns; i++ {
 		go func() {
 			defer wg.Done()
-			if _, err := SimulateTraced(e, 4, 16, Dynamic, CostModel{}, col); err != nil {
+			if _, err := Simulate(e, 4, 16, CostModel{}, col); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -88,7 +88,9 @@ func (s *Simulator) desiredRung(a vec.V3, scale float64) int {
 // (see BlockConfig); with one rung (MaxRungs 0 or 1) it is the global-dt
 // kick-drift-kick leapfrog. Each particle's opening kick reuses the
 // acceleration of its previous closing kick, taken at the same position,
-// so only the first Step pays an extra, all-particle opening evaluation.
+// so only the first Step, and a Step after a mass edit (see Simulator),
+// pays an extra, all-particle opening evaluation. A non-finite edited mass
+// is rejected with an error wrapping points.ErrNonFinite.
 //
 // When the force configuration carries an obs collector, Step appends one
 // StepSample to its per-step time series — the refit kind of the step's
@@ -99,6 +101,9 @@ func (s *Simulator) desiredRung(a vec.V3, scale float64) int {
 func (s *Simulator) Step() error {
 	obsCol := s.Cfg.Force.Obs
 	mark := obsCol.StepBegin()
+	if err := s.syncMasses(); err != nil {
+		return err
+	}
 	rungs := s.Cfg.Block.rungs()
 	nsub := s.strideOf(0)
 	st := s.State

@@ -241,7 +241,10 @@ func TestBlockRefitWithinBudget(t *testing.T) {
 		for i, r := range s.Rungs() {
 			active[i] = r > 0
 		}
-		phiA, fieldA, _ := eng.FieldsFor(active)
+		phiA, fieldA, _, err := eng.FieldsFor(active)
+		if err != nil {
+			t.Fatal(err)
+		}
 		phi, field, _ := eng.Fields()
 		for i, on := range active {
 			if on && (math.Float64bits(phiA[i]) != math.Float64bits(phi[i]) || fieldA[i] != field[i]) { // FieldsFor's contract is bitwise identity with Fields

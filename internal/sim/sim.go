@@ -76,11 +76,12 @@ type Config struct {
 
 // Simulator advances an n-body system with leapfrog and treecode forces.
 //
-// Only Step may change State's positions, masses or particle count. Each
+// Masses in State may be edited between steps: the next Step pushes them
+// into the engine and recomputes every acceleration before its opening
+// kick. Positions and the particle count remain Step's alone. Each
 // particle's opening kick reuses the acceleration of its last closing
-// kick, and the persistent engine follows positions alone, so a position
-// moved by hand is kicked with the force at its old place, and an edited
-// mass never reaches the forces (Energy does read it).
+// kick, so a position moved by hand would be kicked with the force at its
+// old place.
 type Simulator struct {
 	Cfg   Config
 	State State
@@ -194,6 +195,41 @@ func (s *Simulator) evaluatorFor(active []bool) (*core.Evaluator, error) {
 	return s.eng, nil
 }
 
+// syncMasses pushes masses edited in State since the last Step into the
+// engine's charges, through Engine.SetCharges (which rejects a non-finite
+// one), and drops the cached accelerations so the opening evaluation
+// recomputes every particle's. The check compares each mass with the
+// engine's charge in place and allocates nothing when none changed.
+func (s *Simulator) syncMasses() error {
+	if s.eng == nil {
+		return nil // the first evaluation builds from State
+	}
+	t := s.eng.Tree
+	ps := s.State.Set.Particles
+	if len(ps) != len(t.Perm) {
+		return nil // UpdateFor reports the count mismatch
+	}
+	changed := false
+	for i, orig := range t.Perm {
+		if math.Float64bits(t.Q[i]) != math.Float64bits(ps[orig].Charge) {
+			changed = true
+			break
+		}
+	}
+	if !changed {
+		return nil
+	}
+	q := make([]float64, len(ps))
+	for i, p := range ps {
+		q[i] = p.Charge
+	}
+	if err := s.eng.SetCharges(q); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	s.blockAcc = nil
+	return nil
+}
+
 // accScratch returns the reused acceleration buffer sized to n. Entries are
 // not cleared: every caller overwrites the slots it reports (the masked
 // paths only guarantee active entries).
@@ -223,7 +259,10 @@ func (s *Simulator) accelerationsFor(active []bool) ([]vec.V3, *core.Stats, erro
 		return nil, nil, err
 	}
 	s.captureScales(e)
-	_, field, st := e.FieldsFor(active)
+	_, field, st, err := e.FieldsFor(active)
+	if err != nil {
+		return nil, nil, err
+	}
 	acc := s.accScratch(len(field))
 	if active == nil {
 		for i, f := range field {

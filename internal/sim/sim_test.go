@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"treecode/internal/core"
+	"treecode/internal/direct"
 	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
@@ -372,7 +373,10 @@ func TestSoftenedForcesMatchReference(t *testing.T) {
 				for i := range active {
 					active[i] = i%3 == 0
 				}
-				phiA, fieldA, _ := e.FieldsFor(active)
+				phiA, fieldA, _, err := e.FieldsFor(active)
+				if err != nil {
+					t.Fatal(err)
+				}
 				phi, field, _ := e.Fields()
 				for i, on := range active {
 					if on && (math.Float64bits(phiA[i]) != math.Float64bits(phi[i]) || fieldA[i] != field[i]) { // FieldsFor's contract is bitwise identity with Fields
@@ -544,5 +548,49 @@ func TestStepNilObsAllocFree(t *testing.T) {
 	// flaking on evaluator-internal noise.
 	if base > 64*40 {
 		t.Fatalf("nil-obs Step allocates %v objects per run", base)
+	}
+}
+
+// TestEditedMassReachesForces: a mass edited in State between steps must
+// reach the forces. The next Step pushes the masses into the engine's
+// charges and recomputes every acceleration, so the accelerations its
+// closing kick caches match direct summation with the edited mass, in both
+// eval modes; a non-finite edited mass fails the Step. Without the push,
+// multiplying one of 200 masses by 100 left accelerations off by over a
+// third of the largest one.
+func TestEditedMassReachesForces(t *testing.T) {
+	for _, mode := range []core.EvalMode{core.EvalWalk, core.EvalBatched} {
+		s, err := New(gaussianState(t, 200), Config{Dt: 1e-4,
+			Force: core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.5, Workers: 2, Eval: mode}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		ps := s.State.Set.Particles
+		ps[0].Charge *= 100
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		tr := s.Engine().Tree
+		for i, orig := range tr.Perm {
+			if math.Float64bits(tr.Q[i]) != math.Float64bits(ps[orig].Charge) {
+				t.Fatalf("%s: engine charge of particle %d is %v, mass %v", mode, orig, tr.Q[i], ps[orig].Charge)
+			}
+		}
+		_, field := direct.SelfFields(s.State.Set, 1)
+		var worst, largest float64
+		for i, f := range field {
+			worst = max(worst, s.blockAcc[i].Add(f).Norm()) // acceleration = -field
+			largest = max(largest, f.Norm())
+		}
+		if worst > 1e-2*largest {
+			t.Fatalf("%s: accelerations off direct summation by up to %g, largest %g", mode, worst, largest)
+		}
+		ps[1].Charge = math.NaN()
+		if err := s.Step(); !errors.Is(err, points.ErrNonFinite) {
+			t.Fatalf("%s: Step with a NaN mass returned %v, want ErrNonFinite", mode, err)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package tree
 
-import (
-	"runtime"
-
-	"treecode/internal/sched"
-)
+import "treecode/internal/sched"
 
 // initLevels groups the nodes by level in a single pre-order walk. Pre-order
 // visits subtrees in ascending range order, so within each level the nodes
@@ -40,22 +36,22 @@ func (t *Tree) Levels() [][]*Node {
 // parallel on the work-stealing pool) before any node of the level above.
 // Children therefore always complete before their parent — the dependency
 // order of the upward multipole pass (P2M at leaves, M2M at internal
-// nodes) — without per-node synchronization. It runs len(scratch) >= 1
-// workers, and worker i owns scratch[i] for the whole pass (e.g. a
-// spherical-harmonics buffer), so visit may scribble on it freely. The
-// caller owns the scratch, so a caller that reruns the pass can keep it.
+// nodes) — without per-node synchronization. It runs on workers goroutines
+// (0 means GOMAXPROCS) and passes visit the id, in [0, workers), of the
+// worker running it, so a caller may keep per-worker scratch (e.g. a
+// spherical-harmonics buffer) indexed by id.
 //
-// visit must only write to its node and its scratch; under that contract
-// the result is bitwise identical at any worker count, because every
-// per-node computation reads only the node's own range and its (already
-// complete) children in fixed order.
-func LevelSyncUp[S any](t *Tree, scratch []S, visit func(n *Node, s S)) {
+// visit must only write to its node and its worker's scratch; under that
+// contract the result is bitwise identical at any worker count, because
+// every per-node computation reads only the node's own range and its
+// (already complete) children in fixed order.
+func LevelSyncUp(t *Tree, workers int, visit func(n *Node, id int)) {
 	levels := t.Levels()
 	for l := len(levels) - 1; l >= 0; l-- {
 		nodes := levels[l]
-		sched.Run(len(nodes), len(scratch), func(id int, next func() (int, bool)) {
+		sched.Run(len(nodes), workers, func(id int, next func() (int, bool)) {
 			for i, ok := next(); ok; i, ok = next() {
-				visit(nodes[i], scratch[id])
+				visit(nodes[i], id)
 			}
 		})
 	}
@@ -69,10 +65,7 @@ func LevelSyncUp[S any](t *Tree, scratch []S, visit func(n *Node, s S)) {
 // were selected for, exactly as the paper prescribes for iterative solvers
 // where only the source strengths change between matrix applications.
 func (t *Tree) RefreshChargeStats(workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	LevelSyncUp(t, make([]struct{}, workers), func(n *Node, _ struct{}) {
+	LevelSyncUp(t, workers, func(n *Node, _ int) {
 		var q, absQ float64
 		if n.IsLeaf() {
 			for i := n.Start; i < n.End; i++ {

@@ -190,7 +190,8 @@ func TestLevels(t *testing.T) {
 }
 
 // TestLevelSyncUpOrdering verifies the barrier contract: when visit runs,
-// all the node's children have already been visited.
+// all the node's children have already been visited, and the worker id it
+// receives lies in [0, workers).
 func TestLevelSyncUpOrdering(t *testing.T) {
 	set, err := points.Generate(points.Gaussian, 5000, 9)
 	if err != nil {
@@ -205,8 +206,11 @@ func TestLevelSyncUpOrdering(t *testing.T) {
 	mu = make(chan struct{}, 1)
 	mu <- struct{}{}
 	bad := 0
-	LevelSyncUp(tr, make([]struct{}, 8), func(n *Node, _ struct{}) {
+	LevelSyncUp(tr, 8, func(n *Node, id int) {
 		<-mu
+		if id < 0 || id >= 8 {
+			bad++
+		}
 		for _, c := range n.Children {
 			if !visited[c] {
 				bad++
@@ -216,7 +220,7 @@ func TestLevelSyncUpOrdering(t *testing.T) {
 		mu <- struct{}{}
 	})
 	if bad != 0 {
-		t.Fatalf("%d parents ran before their children", bad)
+		t.Fatalf("%d visits ran before their node's children or with an out-of-range worker id", bad)
 	}
 	if len(visited) != tr.NNodes {
 		t.Fatalf("visited %d of %d nodes", len(visited), tr.NNodes)

@@ -47,10 +47,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"treecode/internal/geom"
 	"treecode/internal/points"
-	"treecode/internal/sched"
 	"treecode/internal/vec"
 )
 
@@ -205,13 +205,12 @@ func (t *Tree) Update(pos []vec.V3, opts UpdateOpts) (UpdateStats, error) {
 		t.restructure(t.Root, &st)
 		t.recount()
 	}
-	if active != nil && st.Migrants == 0 {
-		// No particle changed leaves: only the ancestor chains of leaves
-		// holding an active particle can have changed geometry.
-		st.MaxInflation = t.refreshActive(opts.Workers, active)
-	} else {
-		st.MaxInflation = t.RefreshGeometry(opts.Workers)
+	if st.Migrants > 0 {
+		// Particles changed leaves, so nodes off the active particles'
+		// ancestor chains may have changed too: refresh every node.
+		active = nil
 	}
+	st.MaxInflation = t.RefreshGeometry(opts.Workers, active)
 	if st.MaxInflation > opts.MaxInflation {
 		st.NeedRebuild = true
 	}
@@ -445,75 +444,64 @@ func (t *Tree) recount() {
 	t.initLevels()
 }
 
-// RefreshGeometry recomputes every node's charge moments, expansion
-// center, centroid, and both radii after the particle positions (and/or
-// charges) changed in place — the position-space extension of
+// RefreshGeometry recomputes the charge moments, expansion center,
+// centroid, and both radii of the nodes after the particle positions
+// (and/or charges) changed in place — the position-space extension of
 // RefreshChargeStats. Leaves rescan their own range in tree order (exact
 // radii); internal nodes merge their children's statistics in fixed child
 // order and combine child spheres conservatively, clamped to the
 // farthest-corner distance of the node's box (see refreshNode). O(nodes +
-// n) total, level-synchronized bottom-up on the work-stealing pool,
-// bitwise identical at any worker count.
+// n) total, one LevelSyncUp pass, bitwise identical at any worker count.
+//
+// A nil active mask refreshes every node. A mask (by original particle
+// index, as for Update) is for passes where every particle kept its slot:
+// a node's statistics can then only have changed if its subtree holds an
+// active particle, so only those dirty nodes — the ancestor chains of
+// leaves holding an active particle — are refreshed. Clean children
+// contribute their stored, still-exact statistics to dirty parents, and
+// every clean node's SrcDrift/TgtDrift is zeroed, since its spheres
+// provably did not move (plan revalidation would otherwise re-consume
+// drift recorded by an earlier refresh). Dirty nodes go through the same
+// pure refreshNode, so after an unmasked refresh, a masked one covering
+// every moved particle leaves each node bitwise as an unmasked one would.
 //
 // The returned value is the largest radius-inflation ratio observed over
-// the internal nodes: conservative combine over corner cap, so values
-// above 1 mean the combine was clamped at the cap — the drift signal
-// Update's fallback policy thresholds.
-func (t *Tree) RefreshGeometry(workers int) float64 {
+// the refreshed internal nodes: conservative combine over corner cap, so
+// values above 1 mean the combine was clamped at the cap — the drift
+// signal Update's fallback policy thresholds. A clean node's ratio is
+// unchanged from the pass that last refreshed it, when it was already
+// checked against the drift policy.
+func (t *Tree) RefreshGeometry(workers int, active []bool) float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	levels := t.Levels()
+	var dirty map[*Node]bool
+	if active != nil {
+		dirty = t.dirtyNodes(active)
+	}
 	worst := make([]float64, workers)
-	for l := len(levels) - 1; l >= 0; l-- {
-		nodes := levels[l]
-		sched.Run(len(nodes), workers, func(id int, next func() (int, bool)) {
-			for i, ok := next(); ok; i, ok = next() {
-				if f := t.refreshNode(nodes[i]); f > worst[id] {
-					worst[id] = f
-				}
-			}
-		})
-	}
-	var max float64
-	for _, f := range worst {
-		if f > max {
-			max = f
+	LevelSyncUp(t, workers, func(n *Node, id int) {
+		if dirty != nil && !dirty[n] {
+			n.SrcDrift, n.TgtDrift = 0, 0
+			return
 		}
-	}
-	return max
+		if f := t.refreshNode(n); f > worst[id] {
+			worst[id] = f
+		}
+	})
+	return slices.Max(worst)
 }
 
-// refreshActive is the masked variant of RefreshGeometry for the
-// zero-migrant case: every particle kept its slot, so a node's statistics
-// can only have changed if its subtree holds an active particle. The pass
-// marks those dirty nodes top-down (a leaf is dirty when its range holds
-// an active particle, an internal node when any child is dirty), then
-// refreshes only them on the usual level-synchronized bottom-up schedule —
-// clean children contribute their stored, still-exact statistics to dirty
-// parents — and zeroes the SrcDrift/TgtDrift of every clean node, whose
-// spheres provably did not move this pass (plan revalidation would
-// otherwise re-consume drift recorded by an earlier refresh). Dirty nodes
-// go through the same pure refreshNode as the full pass, so an all-true
-// mask is bitwise identical to RefreshGeometry.
-//
-// The returned inflation maximum covers only the refreshed nodes: a clean
-// node's ratio is unchanged from the pass that last touched it, when it
-// was already checked against the drift policy.
-func (t *Tree) refreshActive(workers int, active []bool) float64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// dirtyNodes returns the nodes whose subtree holds an active particle: the
+// leaves whose range holds one, and their ancestors.
+func (t *Tree) dirtyNodes(active []bool) map[*Node]bool {
 	dirty := make(map[*Node]bool, t.NLeaves)
 	var mark func(n *Node) bool
 	mark = func(n *Node) bool {
 		d := false
 		if n.IsLeaf() {
-			for i := n.Start; i < n.End; i++ {
-				if active[t.Perm[i]] {
-					d = true
-					break
-				}
+			for i := n.Start; i < n.End && !d; i++ {
+				d = active[t.Perm[i]]
 			}
 		} else {
 			for _, c := range n.Children {
@@ -524,37 +512,11 @@ func (t *Tree) refreshActive(workers int, active []bool) float64 {
 		}
 		if d {
 			dirty[n] = true
-		} else {
-			n.SrcDrift, n.TgtDrift = 0, 0
 		}
 		return d
 	}
 	mark(t.Root)
-	levels := t.Levels()
-	worst := make([]float64, workers)
-	var nodes []*Node
-	for l := len(levels) - 1; l >= 0; l-- {
-		nodes = nodes[:0]
-		for _, n := range levels[l] {
-			if dirty[n] {
-				nodes = append(nodes, n)
-			}
-		}
-		sched.Run(len(nodes), workers, func(id int, next func() (int, bool)) {
-			for i, ok := next(); ok; i, ok = next() {
-				if f := t.refreshNode(nodes[i]); f > worst[id] {
-					worst[id] = f
-				}
-			}
-		})
-	}
-	var max float64
-	for _, f := range worst {
-		if f > max {
-			max = f
-		}
-	}
-	return max
+	return dirty
 }
 
 // refreshNode recomputes one node's charge moments, centers, and radii

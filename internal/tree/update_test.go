@@ -156,7 +156,7 @@ func TestUpdateIdentityBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.RefreshGeometry(1)
+	ref.RefreshGeometry(1, nil)
 
 	pos := origPositions(updated)
 	st, err := updated.Update(pos, UpdateOpts{Workers: 2})
@@ -215,7 +215,11 @@ func TestUpdateMigrationInvariants(t *testing.T) {
 }
 
 // TestUpdateWorkerInvariance checks the refit is bitwise identical at any
-// worker count, under quick.Check-generated adversarial sets and motions.
+// worker count, under quick.Check-generated adversarial sets and motions,
+// and that the masked geometry refresh matches the full one: after one
+// unmasked refit, a subset of particles moves within its leaves, and a
+// refit masked to that subset must leave every node bitwise as an unmasked
+// refit does, drifts included, at every worker count.
 func TestUpdateWorkerInvariance(t *testing.T) {
 	f := func(in arbitrarySet, seed int64) bool {
 		build := func() *Tree {
@@ -225,20 +229,47 @@ func TestUpdateWorkerInvariance(t *testing.T) {
 			}
 			return tr
 		}
-		ref := build()
-		pos := perturb(ref, rand.New(rand.NewSource(seed)), 0.03)
-		opts := func(w int) UpdateOpts {
-			return UpdateOpts{Workers: w, MaxMigrantFrac: 2, MaxInflation: 1e9}
-		}
-		if _, err := ref.Update(pos, opts(1)); err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{3, 8} {
-			tr := build()
-			if _, err := tr.Update(pos, opts(w)); err != nil {
+		update := func(tr *Tree, pos []vec.V3, w int, active []bool) UpdateStats {
+			st, err := tr.Update(pos, UpdateOpts{Workers: w, MaxMigrantFrac: 2, MaxInflation: 1e9, Active: active})
+			if err != nil {
 				t.Fatal(err)
 			}
+			return st
+		}
+		rng := rand.New(rand.NewSource(seed))
+		ref := build()
+		pos := perturb(ref, rng, 0.03)
+		update(ref, pos, 1, nil)
+		for _, w := range []int{3, 8} {
+			tr := build()
+			update(tr, pos, w, nil)
 			if !treesIdentical(ref, tr) {
+				return false
+			}
+		}
+
+		// Move a random subset halfway to its leaf's box center, which
+		// keeps every particle inside its leaf.
+		moved := origPositions(ref)
+		active := make([]bool, len(moved))
+		for _, leaf := range ref.Leaves() {
+			c := leaf.Box.Center()
+			for i := leaf.Start; i < leaf.End; i++ {
+				if rng.Intn(2) == 0 {
+					active[ref.Perm[i]] = true
+					moved[ref.Perm[i]] = ref.Pos[i].Add(c).Scale(0.5)
+				}
+			}
+		}
+		for _, w := range []int{1, 3, 8} {
+			masked, full := build(), build()
+			update(masked, pos, w, nil)
+			update(full, pos, w, nil)
+			if st := update(masked, moved, w, active); st.Migrants != 0 {
+				t.Fatalf("moves inside leaves made %d migrants", st.Migrants)
+			}
+			update(full, moved, w, nil)
+			if !treesIdentical(masked, full) || !driftsIdentical(masked, full) {
 				return false
 			}
 		}
@@ -247,6 +278,23 @@ func TestUpdateWorkerInvariance(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// driftsIdentical reports whether two trees of the same shape agree bit
+// for bit on every node's SrcDrift and TgtDrift.
+func driftsIdentical(a, b *Tree) bool {
+	ok := true
+	var rec func(x, y *Node)
+	rec = func(x, y *Node) {
+		if !f64Bits(x.SrcDrift, y.SrcDrift) || !f64Bits(x.TgtDrift, y.TgtDrift) {
+			ok = false
+		}
+		for i := range x.Children {
+			rec(x.Children[i], y.Children[i])
+		}
+	}
+	rec(a.Root, b.Root)
+	return ok
 }
 
 // TestUpdateFallbackTriggers exercises the drift policy's rebuild

@@ -224,5 +224,5 @@ type CostModel = parallel.CostModel
 // SimulateSpeedup reproduces the paper's parallel-performance experiment
 // for this system on procs virtual processors with chunks of w particles.
 func (s *System) SimulateSpeedup(procs, w int, model CostModel) (*SpeedupReport, error) {
-	return parallel.Simulate(s.ev, procs, w, parallel.Static, model)
+	return parallel.Simulate(s.ev, procs, w, model, nil)
 }
