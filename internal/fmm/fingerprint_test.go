@@ -31,14 +31,18 @@ func floatHash(xs ...[]float64) uint64 {
 // TestTranslationKernelFingerprint pins the end-to-end results of every
 // evaluation path through the M2M, M2L, L2L and L2P kernels: the FMM at
 // fixed degree on a uniform cloud (Potentials, PotentialsAt), the adaptive
-// FMM on a Gaussian (Fields, where local and source degrees differ), and
-// the treecode's adaptive batched Potentials and Fields (the planned upward
-// pass and the fused M2P and field accept steps). M2M and L2L are bitwise
-// the harmonics.Get-indexed convolutions of multipole's oracle_test.go. The
-// three FMM digests were recorded with the rotation M2L, after checking
-// that every potential was within 5.7e-16 relative, and every field vector
-// within 6.5e-16 of its norm, of the results of the convolution M2L they
-// replaced. The two core digests were recorded with the phase-factored
+// FMM on a Gaussian (Fields, Potentials and PotentialsAt, where local and
+// source degrees differ, so the source tree's and the target tree's
+// local-degree rules are both pinned), and the treecode's adaptive batched
+// Potentials and Fields (the planned upward pass and the fused M2P and
+// field accept steps). M2M and L2L are bitwise the harmonics.Get-indexed
+// convolutions of multipole's oracle_test.go. The first three FMM digests
+// were recorded with the rotation M2L, after checking that every potential
+// was within 5.7e-16 relative, and every field vector within 6.5e-16 of its
+// norm, of the results of the convolution M2L they replaced; the adaptive
+// Potentials and PotentialsAt digests were recorded with the same kernels,
+// before the three FMM entry points shared one evaluation pass. The two
+// core digests were recorded with the phase-factored
 // M2P kernels, after checking that every potential was within 5.2e-16
 // relative of the kernels they replaced (60% bitwise equal), and every
 // field vector within 1.4e-15 of its norm. Results are worker-invariant, so
@@ -91,6 +95,13 @@ func TestTranslationKernelFingerprint(t *testing.T) {
 		comps = append(comps, g.X, g.Y, g.Z)
 	}
 	check("adaptive fmm Fields", floatHash(fphi, comps), 0xe6204bfae61b412a)
+	aphi, _ := af.Potentials()
+	check("adaptive fmm Potentials", floatHash(aphi), 0x9ddb6e9feedc99f3)
+	aat, _, err := af.PotentialsAt(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("adaptive fmm PotentialsAt", floatHash(aat), 0x4a9dd82295316038)
 
 	ce, err := core.New(gauss, core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.5, Eval: core.EvalBatched})
 	if err != nil {

@@ -6,9 +6,8 @@
 // The algorithm is the dual-tree-traversal formulation, which works
 // unchanged on adaptive (non-uniform) trees:
 //
-//	upward:   P2M at leaves, M2M to ancestors (expansions carried at the
-//	          maximum degree an ancestor needs, as in the treecode).
-//	traverse: recursively pair source and target nodes. Well-separated
+//	upward:   P2M and M2M on the source tree (the treecode's own pass).
+//	traverse: recursively pair target and source nodes. Well-separated
 //	          pairs (rA + rB <= alpha * d) convert the source multipole to
 //	          a local expansion of the target (M2L); inseparable leaf
 //	          pairs interact directly (P2P); otherwise the larger node is
@@ -16,9 +15,14 @@
 //	downward: locals flow to children (L2L) and evaluate at particles
 //	          (L2P), added to the P2P near field.
 //
+// Potentials, Fields and PotentialsAt run one evaluation pass — traverse,
+// M2L, P2P, downward — over a target tree: the source tree itself, or a
+// tree over PotentialsAt's points. Each hands the pass only its near
+// kernel and far (L2P) step.
+//
 // Degrees follow the evaluator's method: a fixed p for Original, the
-// Theorem 3 per-cluster degree for Adaptive. Local expansions use the
-// target node's degree; M2L consumes the full source expansion.
+// Theorem 3 per-cluster degree for Adaptive. M2L consumes the full source
+// expansion; see runM2L and inherit for the degree of a local.
 package fmm
 
 import (
@@ -34,6 +38,7 @@ import (
 	"treecode/internal/points"
 	"treecode/internal/sched"
 	"treecode/internal/tree"
+	"treecode/internal/vec"
 )
 
 // Config controls the FMM evaluator.
@@ -50,9 +55,11 @@ type Config struct {
 	// LeafCap is the octree leaf capacity. FMM amortizes better with
 	// heavier leaves than the treecode. Default 32.
 	LeafCap int
-	// Workers is the number of goroutines for the M2L and P2P phases
-	// (the traversal itself and the downward pass are cheap). 0 means
-	// GOMAXPROCS. Results are identical for any worker count.
+	// Workers is the number of goroutines for the source tree's build,
+	// refits and upward pass, PotentialsAt's target-tree build, and the
+	// M2L and P2P phases (the traversal and the downward pass are serial
+	// and cheap). 0 means GOMAXPROCS. Results are identical for any worker
+	// count.
 	Workers int
 	// Obs attaches an observability collector recording phase spans for
 	// the build (tree, degrees), upward, and evaluation (traverse, M2L,
@@ -112,8 +119,8 @@ type Stats struct {
 // side — tree, degrees, expansions, and the Update/SetCharges lifecycle —
 // is the treecode's core.Engine; the FMM adds only the target side, the
 // dual-tree traversal and its local expansions. Between Update or
-// SetCharges calls the evaluator is immutable, so concurrent Potentials
-// calls are safe: all per-evaluation state lives in a sweep.
+// SetCharges calls the evaluator is immutable, so concurrent evaluations
+// are safe: all per-evaluation state lives in a sweep.
 //
 // Unlike the treecode's batched evaluator, the FMM re-derives its M2L/P2P
 // pair lists by a fresh dual-tree traversal on every evaluation: the
@@ -127,35 +134,25 @@ type Evaluator struct {
 	core.Engine
 }
 
-// sweep is the mutable state of one evaluation — Potentials, Fields or
-// PotentialsAt — (task lists from the dual-tree traversal, the accumulated
-// local expansions and the per-worker scratch of the translation kernels),
-// kept per call so concurrent evaluations on one Evaluator share neither
-// maps nor scratch.
+// sweep is the mutable state of one evaluation pass: its target tree and
+// kernel, the task lists of the dual-tree traversal, the accumulated local
+// expansions and the per-worker scratch of the translation kernels. It is
+// kept per call, so concurrent evaluations share neither maps nor scratch.
 type sweep struct {
 	e        *Evaluator
+	tt       *tree.Tree // target tree
+	grow     bool       // tt is not the source tree; see runM2L and inherit
+	k        kernel
 	locals   map[*tree.Node]*multipole.Local
 	m2lTasks map[*tree.Node][]*tree.Node
 	p2pTasks map[*tree.Node][]*tree.Node
 	bufs     [][]complex128 // one per worker; see sweepScratch
 }
 
-// newSweep returns the empty state of one evaluation.
-func (e *Evaluator) newSweep() *sweep {
-	return &sweep{
-		e:        e,
-		locals:   make(map[*tree.Node]*multipole.Local, e.Tree.NNodes),
-		m2lTasks: make(map[*tree.Node][]*tree.Node),
-		p2pTasks: make(map[*tree.Node][]*tree.Node),
-		bufs:     e.sweepScratch(),
-	}
-}
-
 // sweepScratch returns one scratch buffer per worker, of
 // multipole.M2LBufLen at the largest local and source degree of an
 // evaluation: enough for any of its M2Ls, and so for each of its L2L and
-// L2P steps too. Potentials, Fields and PotentialsAt all size their
-// scratch here.
+// L2P steps too.
 func (e *Evaluator) sweepScratch() [][]complex128 {
 	p := max(e.Cfg.Degree, e.MaxSelectedDegree())
 	bufs := make([][]complex128, e.workers())
@@ -191,39 +188,149 @@ func (e *Evaluator) engineConfig() core.EngineConfig {
 // Potentials evaluates the potential at every particle (self-excluded), in
 // the original particle order.
 func (e *Evaluator) Potentials() ([]float64, *Stats) {
-	t := e.Tree
-	n := len(t.Pos)
-	out := make([]float64, n) // tree order during the sweep
-	st := &Stats{TreeHeight: t.Height, TreeNodes: t.NNodes, BuildTime: e.BuildTime(), UpTerms: e.UpwardTerms()}
-	start := time.Now()
+	out := make([]float64, len(e.Tree.Pos))
+	return out, e.eval("fmm/eval", e.Tree, potentialKernel(out))
+}
 
-	// Phase 1 (serial, cheap): dual-tree traversal collecting the M2L and
-	// P2P task lists. Phase 2/3 (parallel): execute them — each target
-	// node's local expansion and each target leaf's direct sums are
-	// independent, so results are bit-identical for any worker count.
-	s := e.newSweep()
-	esp := e.Cfg.Obs.Start("fmm/eval")
+// Fields evaluates potential and field E = -grad(phi) at every particle
+// (self-excluded), in the original particle order.
+func (e *Evaluator) Fields() (phi []float64, field []vec.V3, st *Stats) {
+	n := len(e.Tree.Pos)
+	k := fieldKernel{phi: make([]float64, n), field: make([]vec.V3, n)}
+	return k.phi, k.field, e.eval("fmm/fields", e.Tree, k)
+}
+
+// PotentialsAt evaluates the potential at arbitrary target points (no
+// self-exclusion) with a target-side tree: well-separated (target cluster,
+// source cluster) pairs interact through M2L into target-tree locals, the
+// rest through direct sums. The local degree of each target cluster adapts
+// to the largest source degree it receives, so the adaptive method's
+// accuracy carries over to off-particle evaluation.
+func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
+	if len(targets) == 0 {
+		return nil, e.newStats(), nil
+	}
+	// Geometry-only target tree (unit weights).
+	tset := &points.Set{Particles: make([]points.Particle, len(targets))}
+	for i, x := range targets {
+		tset.Particles[i] = points.Particle{Pos: x, Charge: 1}
+	}
+	tt, err := tree.Build(tset, tree.Config{LeafCap: e.Cfg.LeafCap, Workers: e.Cfg.Workers})
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]float64, len(targets))
+	return out, e.eval("fmm/potentials-at", tt, potentialKernel(out)), nil
+}
+
+// newStats returns an evaluation's stats before it runs.
+func (e *Evaluator) newStats() *Stats {
+	t := e.Tree
+	return &Stats{TreeHeight: t.Height, TreeNodes: t.NNodes, BuildTime: e.BuildTime(), UpTerms: e.UpwardTerms()}
+}
+
+// eval runs the evaluation pass of target tree tt against the source tree
+// with k, under a top-level span named span: the serial dual-tree
+// traversal, then M2L and P2P on the pool (each target node's local and
+// each target leaf's near sums are independent, so results are
+// bit-identical at any worker count), then the serial downward pass.
+func (e *Evaluator) eval(span string, tt *tree.Tree, k kernel) *Stats {
+	st := e.newStats()
+	start := time.Now()
+	s := &sweep{
+		e:        e,
+		tt:       tt,
+		grow:     tt != e.Tree,
+		k:        k,
+		locals:   make(map[*tree.Node]*multipole.Local, tt.NNodes),
+		m2lTasks: make(map[*tree.Node][]*tree.Node),
+		p2pTasks: make(map[*tree.Node][]*tree.Node),
+		bufs:     e.sweepScratch(),
+	}
+	esp := e.Cfg.Obs.Start(span)
 	sp := esp.Child("traverse")
-	s.traverse(t.Root, t.Root, st)
+	s.traverse(tt.Root, e.Tree.Root, st)
 	sp.End()
 	sp = esp.Child("m2l")
-	s.runM2L(t)
+	s.runM2L()
 	sp.End()
 	sp = esp.Child("p2p")
-	s.runP2P(out)
+	s.runP2P()
 	sp.End()
 	sp = esp.Child("downward")
-	s.downward(t.Root, nil, out)
+	s.downward(tt.Root, nil)
 	sp.End()
 	esp.End()
-
 	st.EvalTime = time.Since(start)
-	// Permute back to original order.
-	res := make([]float64, n)
-	for i, orig := range t.Perm {
-		res[orig] = out[i]
+	return st
+}
+
+// kernel is an entry point's steps at one target particle: the near-field
+// sum over the particles of source leaves srcs, and the far (L2P) step of
+// local l. Both add into slot i, the target's original index; x is its
+// position and buf the worker's scratch.
+type kernel interface {
+	near(i int, x vec.V3, src *tree.Tree, srcs []*tree.Node)
+	far(i int, x vec.V3, l *multipole.Local, buf []complex128)
+}
+
+// potentialKernel accumulates potentials.
+type potentialKernel []float64
+
+// near skips coincident pairs, and so the self pair when the targets are
+// the sources.
+//
+//treecode:hot
+func (out potentialKernel) near(i int, x vec.V3, src *tree.Tree, srcs []*tree.Node) {
+	var phi float64
+	for _, b := range srcs {
+		for j := b.Start; j < b.End; j++ {
+			r := x.Dist(src.Pos[j])
+			if r == 0 {
+				continue
+			}
+			phi += src.Q[j] / r
+		}
 	}
-	return res, st
+	out[i] += phi
+}
+
+func (out potentialKernel) far(i int, x vec.V3, l *multipole.Local, buf []complex128) {
+	out[i] += l.EvaluateBuf(x, buf)
+}
+
+// fieldKernel accumulates potentials and fields E = -grad(phi).
+type fieldKernel struct {
+	phi   []float64
+	field []vec.V3
+}
+
+// near skips coincident pairs, and so the self pair.
+//
+//treecode:hot
+func (k fieldKernel) near(i int, x vec.V3, src *tree.Tree, srcs []*tree.Node) {
+	var p float64
+	var f vec.V3
+	for _, b := range srcs {
+		for j := b.Start; j < b.End; j++ {
+			d := x.Sub(src.Pos[j])
+			r2 := d.Norm2()
+			if r2 == 0 {
+				continue
+			}
+			invR := 1 / math.Sqrt(r2)
+			p += src.Q[j] * invR
+			f = f.Add(d.Scale(src.Q[j] * invR / r2))
+		}
+	}
+	k.phi[i] += p
+	k.field[i] = k.field[i].Add(f)
+}
+
+func (k fieldKernel) far(i int, x vec.V3, l *multipole.Local, buf []complex128) {
+	p, g := l.EvaluateFieldBuf(x, buf)
+	k.phi[i] += p
+	k.field[i] = k.field[i].Add(g.Neg()) // E = -grad(phi)
 }
 
 // separated reports whether the pair can interact through expansions.
@@ -262,18 +369,26 @@ func (s *sweep) traverse(a, b *tree.Node, st *Stats) {
 }
 
 // runM2L executes all multipole-to-local conversions into locals of the
-// nodes of tt — the source tree itself, or PotentialsAt's target tree — at
-// each target node's Degree. It runs one task per target node on the
+// target tree's nodes. It runs one task per target node on the
 // work-stealing pool (each target's local is touched by exactly one task
 // list, so no synchronization on the expansions is needed), and each
-// worker converts with the scratch its id keys.
-func (s *sweep) runM2L(tt *tree.Tree) {
-	targets := withTasks(tt, s.m2lTasks)
+// worker converts with the scratch its id keys. A local takes its node's
+// degree on the source tree; on a target tree, whose nodes select none,
+// it takes the largest degree of its sources, floored at Cfg.Degree.
+func (s *sweep) runM2L() {
+	targets := withTasks(s.tt, s.m2lTasks)
 	var mu sync.Mutex
 	sched.Run(len(targets), s.e.Cfg.Workers, func(w int, next func() (int, bool)) {
 		for i, ok := next(); ok; i, ok = next() {
 			a := targets[i]
-			la := multipole.NewLocal(a.Center, a.Degree)
+			p := a.Degree
+			if s.grow {
+				p = s.e.Cfg.Degree
+				for _, b := range s.m2lTasks[a] {
+					p = max(p, b.Degree)
+				}
+			}
+			la := multipole.NewLocal(a.Center, p)
 			for _, b := range s.m2lTasks[a] {
 				la.AccumulateM2L(b.Mp, s.bufs[w])
 			}
@@ -284,30 +399,17 @@ func (s *sweep) runM2L(tt *tree.Tree) {
 	})
 }
 
-// runP2P executes all near-field direct sums, one task per target leaf
-// (out slots of distinct leaves are disjoint).
-func (s *sweep) runP2P(out []float64) {
-	t := s.e.Tree
-	leaves := withTasks(t, s.p2pTasks)
+// runP2P executes all near-field direct sums with the kernel's near step,
+// one task per target leaf (output slots of distinct leaves are disjoint).
+func (s *sweep) runP2P() {
+	tt, src := s.tt, s.e.Tree
+	leaves := withTasks(tt, s.p2pTasks)
 	sched.Run(len(leaves), s.e.Cfg.Workers, func(_ int, next func() (int, bool)) {
 		for li, ok := next(); ok; li, ok = next() {
 			a := leaves[li]
+			srcs := s.p2pTasks[a]
 			for i := a.Start; i < a.End; i++ {
-				xi := t.Pos[i]
-				var phi float64
-				for _, b := range s.p2pTasks[a] {
-					for j := b.Start; j < b.End; j++ {
-						if i == j {
-							continue
-						}
-						r := xi.Dist(t.Pos[j])
-						if r == 0 {
-							continue
-						}
-						phi += t.Q[j] / r
-					}
-				}
-				out[i] += phi
+				s.k.near(tt.Perm[i], tt.Pos[i], src, srcs)
 			}
 		}
 	})
@@ -336,33 +438,46 @@ func (e *Evaluator) workers() int {
 }
 
 // downward pushes local expansions to children and evaluates them at leaf
-// particles. It runs on one goroutine, with worker 0's scratch.
-func (s *sweep) downward(n *tree.Node, inherited *multipole.Local, out []float64) {
+// particles with the kernel's far step. It runs on one goroutine, with
+// worker 0's scratch.
+func (s *sweep) downward(n *tree.Node, inherited *multipole.Local) {
 	l := s.inherit(n, inherited)
 	if n.IsLeaf() {
 		if l != nil {
-			t := s.e.Tree
 			for i := n.Start; i < n.End; i++ {
-				out[i] += l.EvaluateBuf(t.Pos[i], s.bufs[0])
+				s.k.far(s.tt.Perm[i], s.tt.Pos[i], l, s.bufs[0])
 			}
 		}
 		return
 	}
 	for _, c := range n.Children {
-		s.downward(c, l, out)
+		s.downward(c, l)
 	}
 }
 
 // inherit returns n's local expansion after the downward L2L: n's own M2L
 // local (nil if it has none) plus the parent's local re-expanded about
-// n.Center.
+// n.Center. On the source tree the local keeps n's degree, and L2L
+// truncates a parent of higher degree. On a target tree it grows to the
+// largest of Cfg.Degree, the parent's degree and its own.
 func (s *sweep) inherit(n *tree.Node, parent *multipole.Local) *multipole.Local {
 	l := s.locals[n]
 	if parent == nil {
 		return l
 	}
-	if l == nil {
-		l = multipole.NewLocal(n.Center, n.Degree)
+	deg := n.Degree
+	if s.grow {
+		deg = max(s.e.Cfg.Degree, parent.Degree)
+		if l != nil {
+			deg = max(deg, l.Degree)
+		}
+	}
+	if l == nil || l.Degree < deg {
+		grown := multipole.NewLocal(n.Center, deg)
+		if l != nil {
+			copy(grown.Coeff, l.Coeff)
+		}
+		l = grown
 	}
 	l.AccumulateL2L(parent, s.bufs[0])
 	return l

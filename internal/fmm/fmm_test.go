@@ -3,10 +3,12 @@ package fmm
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"treecode/internal/core"
 	"treecode/internal/direct"
+	"treecode/internal/obs"
 	"treecode/internal/points"
 	"treecode/internal/stats"
 	"treecode/internal/vec"
@@ -155,6 +157,63 @@ func TestFMMWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestEvaluationStatsAndSpans: Potentials, Fields and PotentialsAt run one
+// evaluation pass, so each reports the upward pass's terms and records one
+// top-level span with the pass's four phases as children.
+func TestEvaluationStatsAndSpans(t *testing.T) {
+	set, err := points.Generate(points.Uniform, 4000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.New()
+	e, err := New(set, Config{Method: core.Original, Degree: 8, Alpha: 0.5, Obs: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]vec.V3, 600)
+	for i := range targets {
+		targets[i] = vec.V3{X: 1.5 * math.Sin(float64(i)), Y: 0.5 + 0.5*math.Cos(float64(3*i)), Z: 0.5}
+	}
+	calls := []struct {
+		span string
+		run  func() *Stats
+	}{
+		{"fmm/eval", func() *Stats { _, st := e.Potentials(); return st }},
+		{"fmm/fields", func() *Stats { _, _, st := e.Fields(); return st }},
+		{"fmm/potentials-at", func() *Stats {
+			_, st, err := e.PotentialsAt(targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}},
+	}
+	want := []string{"traverse", "m2l", "p2p", "downward"}
+	for _, c := range calls {
+		before := len(col.Spans())
+		st := c.run()
+		if st.UpTerms != e.UpwardTerms() {
+			t.Errorf("%s: UpTerms %d, upward pass computed %d", c.span, st.UpTerms, e.UpwardTerms())
+		}
+		spans := col.Spans()[before:]
+		if len(spans) != 1 || spans[0].Name != c.span {
+			names := make([]string, len(spans))
+			for i, s := range spans {
+				names[i] = s.Name
+			}
+			t.Errorf("%s: new top-level spans %q", c.span, names)
+			continue
+		}
+		var got []string
+		for _, ch := range spans[0].Children {
+			got = append(got, ch.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: children %q, want %q", c.span, got, want)
+		}
+	}
+}
+
 func TestFMMRepeatedEvaluation(t *testing.T) {
 	// Potentials() must be callable repeatedly with identical results (the
 	// task lists and locals are rebuilt per call).
@@ -276,5 +335,125 @@ func TestFMMSetCharges(t *testing.T) {
 	}
 	if err := e.SetCharges(q[:5]); err == nil {
 		t.Fatal("length mismatch not rejected")
+	}
+}
+
+func TestFMMFieldsMatchDirect(t *testing.T) {
+	set, _ := points.Generate(points.Uniform, 2000, 1)
+	e, err := New(set, Config{Degree: 8, Alpha: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi, field, st := e.Fields()
+	wantPhi, wantField := direct.SelfFields(set, 0)
+	if re := stats.RelErr2(phi, wantPhi); re > 1e-4 {
+		t.Fatalf("FMM field potential error %v", re)
+	}
+	var num, den float64
+	for i := range field {
+		num += field[i].Sub(wantField[i]).Norm2()
+		den += wantField[i].Norm2()
+	}
+	if math.Sqrt(num/den) > 1e-3 {
+		t.Fatalf("FMM field error %v", math.Sqrt(num/den))
+	}
+	if st.M2L == 0 {
+		t.Fatal("no far-field work")
+	}
+	// Fields' potential agrees with Potentials.
+	phi2, _ := e.Potentials()
+	if re := stats.RelErr2(phi, phi2); re > 1e-12 {
+		t.Fatalf("Fields and Potentials disagree: %v", re)
+	}
+}
+
+func TestFMMPotentialsAtMatchesDirect(t *testing.T) {
+	set, _ := points.Generate(points.MultiGauss, 3000, 2)
+	e, err := New(set, Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Targets both inside and outside the source cloud.
+	var targets []vec.V3
+	for i := 0; i < 200; i++ {
+		targets = append(targets, vec.V3{
+			X: 1.4 * math.Sin(float64(i)),
+			Y: 0.5 + 0.8*math.Cos(float64(2*i)),
+			Z: 0.5 + 0.6*math.Sin(float64(3*i)),
+		})
+	}
+	got, st, err := e.PotentialsAt(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := direct.Potentials(set.Particles, targets, 0)
+	if re := stats.RelErr2(got, want); re > 1e-4 {
+		t.Fatalf("PotentialsAt error %v", re)
+	}
+	if st.M2L == 0 || st.P2P == 0 {
+		t.Fatalf("degenerate stats %+v", st)
+	}
+}
+
+func TestFMMPotentialsAtEdgeCases(t *testing.T) {
+	set, _ := points.Generate(points.Uniform, 500, 3)
+	e, err := New(set, Config{Degree: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Empty target list.
+	got, _, err := e.PotentialsAt(nil)
+	if err != nil || got != nil {
+		t.Fatal("empty targets should be a no-op")
+	}
+	// Single far target: potential ~ Q/r.
+	far := vec.V3{X: 50, Y: 50, Z: 50}
+	res, _, err := e.PotentialsAt([]vec.V3{far})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := far.Sub(vec.V3{X: 0.5, Y: 0.5, Z: 0.5}).Norm()
+	if math.Abs(res[0]-1/r) > 1e-4/r {
+		t.Fatalf("far potential %v, want ~%v", res[0], 1/r)
+	}
+	// Target coincident with a source: finite (skipped pair).
+	on := set.Particles[0].Pos
+	res2, _, err := e.PotentialsAt([]vec.V3{on})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(res2[0], 0) || math.IsNaN(res2[0]) {
+		t.Fatalf("coincident target gave %v", res2[0])
+	}
+}
+
+func TestFMMFieldsWorkerInvariance(t *testing.T) {
+	set, _ := points.Generate(points.Gaussian, 1500, 4)
+	e1, _ := New(set, Config{Degree: 5, Workers: 1})
+	e4, _ := New(set, Config{Degree: 5, Workers: 4})
+	p1, f1, _ := e1.Fields()
+	p4, f4, _ := e4.Fields()
+	for i := range p1 {
+		if p1[i] != p4[i] || f1[i] != f4[i] {
+			t.Fatalf("worker count changed field results at %d", i)
+		}
+	}
+	// PotentialsAt builds its target tree with the configured workers too.
+	targets := set.Positions()[:300]
+	for i := range targets {
+		targets[i] = targets[i].Scale(1.3)
+	}
+	a1, _, err := e1.PotentialsAt(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a4, _, err := e4.PotentialsAt(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a1 {
+		if a1[i] != a4[i] {
+			t.Fatalf("worker count changed PotentialsAt result %d", i)
+		}
 	}
 }

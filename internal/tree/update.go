@@ -55,24 +55,23 @@ import (
 )
 
 // UpdateOpts controls one maintenance pass. The zero value selects the
-// default drift policy.
+// drift policy, whose thresholds only this package's tests override.
 type UpdateOpts struct {
 	// Workers is the number of goroutines for the bottom-up refresh; 0
 	// means GOMAXPROCS. The result is bitwise identical at any worker
 	// count.
 	Workers int
-	// MaxMigrantFrac is the migrant fraction (particles that left their
+	// maxMigrantFrac is the migrant fraction (particles that left their
 	// leaf's box) above which Update recommends a full rebuild instead of
 	// re-bucketing: past it, per-particle surgery approaches the cost of a
-	// fresh (and parallel-friendlier) construction. 0 means the default
-	// 0.25; values above 1 never trigger.
-	MaxMigrantFrac float64
-	// MaxInflation is the radius-inflation ratio (conservative sphere
+	// fresh (and parallel-friendlier) construction. 0 means 0.25; values
+	// above 1 never trigger.
+	maxMigrantFrac float64
+	// maxInflation is the radius-inflation ratio (conservative sphere
 	// combine over the farthest-corner cap, see RefreshGeometry) above
 	// which Update recommends a rebuild to restore tight radii. Ratios
-	// above 1 mean nodes pinned at their geometric cap. 0 means the
-	// default 2.
-	MaxInflation float64
+	// above 1 mean nodes pinned at their geometric cap. 0 means 2.
+	maxInflation float64
 	// Active, when non-nil, marks the particles (by original build
 	// index, the same indexing as Update's pos argument) that may have
 	// moved since the previous pass — the block-timestep active set.
@@ -88,11 +87,11 @@ type UpdateOpts struct {
 }
 
 func (o *UpdateOpts) fill() {
-	if o.MaxMigrantFrac == 0 {
-		o.MaxMigrantFrac = 0.25
+	if o.maxMigrantFrac == 0 {
+		o.maxMigrantFrac = 0.25
 	}
-	if o.MaxInflation == 0 {
-		o.MaxInflation = 2
+	if o.maxInflation == 0 {
+		o.maxInflation = 2
 	}
 }
 
@@ -189,7 +188,7 @@ func (t *Tree) Update(pos []vec.V3, opts UpdateOpts) (UpdateStats, error) {
 		}
 	})
 	st.Migrants = len(migrants)
-	if float64(st.Migrants) > opts.MaxMigrantFrac*float64(len(t.Pos)) {
+	if float64(st.Migrants) > opts.maxMigrantFrac*float64(len(t.Pos)) {
 		st.NeedRebuild = true
 		return st, nil
 	}
@@ -211,7 +210,7 @@ func (t *Tree) Update(pos []vec.V3, opts UpdateOpts) (UpdateStats, error) {
 		active = nil
 	}
 	st.MaxInflation = t.RefreshGeometry(opts.Workers, active)
-	if st.MaxInflation > opts.MaxInflation {
+	if st.MaxInflation > opts.maxInflation {
 		st.NeedRebuild = true
 	}
 	return st, nil

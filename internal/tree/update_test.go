@@ -193,7 +193,7 @@ func TestUpdateMigrationInvariants(t *testing.T) {
 	migrated, restructured := false, false
 	// Fractions above 1 disable the migrant threshold so even the large
 	// final step exercises re-bucketing instead of bailing out.
-	opts := UpdateOpts{MaxMigrantFrac: 2, MaxInflation: 1e9}
+	opts := UpdateOpts{maxMigrantFrac: 2, maxInflation: 1e9}
 	for step, sigma := range []float64{1e-3, 0.02, 0.08} {
 		st, err := tr.Update(perturb(tr, rng, sigma), opts)
 		if err != nil {
@@ -230,7 +230,7 @@ func TestUpdateWorkerInvariance(t *testing.T) {
 			return tr
 		}
 		update := func(tr *Tree, pos []vec.V3, w int, active []bool) UpdateStats {
-			st, err := tr.Update(pos, UpdateOpts{Workers: w, MaxMigrantFrac: 2, MaxInflation: 1e9, Active: active})
+			st, err := tr.Update(pos, UpdateOpts{Workers: w, maxMigrantFrac: 2, maxInflation: 1e9, Active: active})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func TestUpdateFallbackTriggers(t *testing.T) {
 			}
 		}
 	}
-	st, err = tr.Update(pos, UpdateOpts{MaxMigrantFrac: 0.1})
+	st, err = tr.Update(pos, UpdateOpts{maxMigrantFrac: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
